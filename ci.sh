@@ -129,15 +129,12 @@ else
     echo "python3 not found; skipping profile JSON validation"
 fi
 
-echo "==> handoff artifact smoke (deterministic across --jobs and --sched)"
+echo "==> handoff artifact smoke (deterministic across --jobs)"
 ./target/release/experiments handoff --fast --jobs 1 \
     --out target/ci-handoff-j1 >/dev/null
 ./target/release/experiments handoff --fast --jobs 4 \
     --out target/ci-handoff-j4 >/dev/null
-./target/release/experiments handoff --fast --jobs 4 --sched heap \
-    --out target/ci-handoff-heap >/dev/null
 cmp target/ci-handoff-j1/handoff.tsv target/ci-handoff-j4/handoff.tsv
-cmp target/ci-handoff-j1/handoff.tsv target/ci-handoff-heap/handoff.tsv
 if command -v python3 >/dev/null 2>&1; then
     python3 - <<'EOF'
 # The artifact's headline: HBO-family node-handoff locality beats the
@@ -162,72 +159,12 @@ echo "==> profiler memory-budget regression (full-scale cell, release)"
 cargo test --release -q -p nuca-experiments --lib -- --ignored \
     full_scale_profile_memory_stays_bounded
 
-echo "==> selftime smoke (--features selftime exports attribution keys)"
-cargo build --release -q -p nuca-experiments --features selftime
-./target/release/experiments fig5 --fast --jobs 2 \
-    --out target/ci-selftime \
-    --metrics-json target/ci-selftime/metrics.json >/dev/null
-if command -v python3 >/dev/null 2>&1; then
-    python3 - <<'EOF'
-import json
-st = json.load(open("target/ci-selftime/metrics.json"))["selftime"]
-for key in ("resume_ticks", "mem_ticks", "queue_ticks", "total_ticks"):
-    assert key in st, f"selftime block missing {key}"
-assert st["total_ticks"] > 0, "selftime counted nothing"
-print(f"selftime OK: {st}")
-EOF
-fi
-# Rebuild without the feature so later smokes run the default binary.
-cargo build --release -q -p nuca-experiments
-
-echo "==> scheduler smoke (wheel/heap byte-identical, soft perf gate)"
-./target/release/experiments fig5 --fast --jobs 2 --sched heap \
-    --out target/ci-sched-heap >/dev/null
-./target/release/experiments fig5 --fast --jobs 2 --sched wheel \
-    --out target/ci-sched-wheel >/dev/null
-cmp target/ci-sched-heap/fig5_time.tsv target/ci-sched-wheel/fig5_time.tsv
-cmp target/ci-sched-heap/fig5_handoff.tsv target/ci-sched-wheel/fig5_handoff.tsv
-if ./target/release/experiments fig5 --sched splay >/dev/null 2>&1; then
-    echo "expected an unknown --sched name to be rejected as a usage error"
-    exit 1
-fi
-# Fresh best-of-three measurements for the soft gate below: the
-# top-of-script smoke run lands cold on the heels of build+test+clippy
-# and can read 40% low on a loaded box.
-for rep in 1 2 3; do
-    ./target/release/experiments all --fast --jobs 2 \
-        --out target/ci-sched-gate \
-        --bench-json "target/ci-sched-gate/bench$rep.json" >/dev/null
-done
-if command -v python3 >/dev/null 2>&1; then
-    python3 - <<'EOF'
-# Soft throughput gate: compare the fast-scale smoke run against the
-# checked-in full-scale baseline. Events/sec is scale-independent enough
-# for a coarse gate; CI boxes are noisy, so a shortfall only *fails* past
-# 30%, and anything between baseline and -30% just warns.
-import json
-base = json.load(open("BENCH_harness.json"))["sim_events_per_sec"]
-now = max(json.load(open(f"target/ci-sched-gate/bench{r}.json"))["sim_events_per_sec"]
-          for r in (1, 2, 3))
-ratio = now / base
-line = f"events/s: smoke {now/1e6:.1f}M vs baseline {base/1e6:.1f}M ({ratio:.2f}x)"
-if ratio < 0.7:
-    raise SystemExit(f"FAIL {line} - >30% regression")
-print(("WARN " if ratio < 1.0 else "OK ") + line)
-EOF
-else
-    echo "python3 not found; skipping events/s gate"
-fi
-
-echo "==> lockserver smoke (deterministic across --jobs and --sched, flag usage errors)"
+echo "==> lockserver smoke (deterministic across --jobs, flag usage errors)"
 ./target/release/experiments lockserver --fast --jobs 1 \
     --out target/ci-lockserver-j1 >/dev/null
 ./target/release/experiments lockserver --fast --jobs 4 \
     --out target/ci-lockserver-j4 >/dev/null
-./target/release/experiments lockserver --fast --jobs 4 --sched heap \
-    --out target/ci-lockserver-heap >/dev/null
 cmp target/ci-lockserver-j1/lockserver.tsv target/ci-lockserver-j4/lockserver.tsv
-cmp target/ci-lockserver-j1/lockserver.tsv target/ci-lockserver-heap/lockserver.tsv
 for bad in "--shards 0" "--zipf 1.5" "--arrival-gap 0"; do
     # shellcheck disable=SC2086  # word-splitting the flag+operand is the point
     if ./target/release/experiments lockserver --fast $bad >/dev/null 2>&1; then
@@ -239,15 +176,12 @@ done
     --shards 4 --zipf 0.5 --arrival-gap 8000 \
     --out target/ci-lockserver-flags >/dev/null
 
-echo "==> showdown smoke (deterministic across --jobs and --sched, --kinds flag)"
+echo "==> showdown smoke (deterministic across --jobs, --kinds flag)"
 ./target/release/experiments showdown --fast --jobs 1 \
     --out target/ci-showdown-j1 >/dev/null
 ./target/release/experiments showdown --fast --jobs 4 \
     --out target/ci-showdown-j4 >/dev/null
-./target/release/experiments showdown --fast --jobs 4 --sched heap \
-    --out target/ci-showdown-heap >/dev/null
 cmp target/ci-showdown-j1/showdown.tsv target/ci-showdown-j4/showdown.tsv
-cmp target/ci-showdown-j1/showdown.tsv target/ci-showdown-heap/showdown.tsv
 if ./target/release/experiments showdown --fast --kinds QOLB >/dev/null 2>&1; then
     echo "expected an unregistered --kinds name to be rejected as a usage error"
     exit 1
@@ -304,7 +238,8 @@ if cmp -s target/ci-proto-mesi-j1/colloc.tsv target/ci-experiments/colloc.tsv; t
     echo "expected --protocol mesi to change the colloc numbers"
     exit 1
 fi
-for bad in "--protocol splay" "--binding diagonal" "--twa-slots 0" "--twa-hash xor"; do
+for bad in "--protocol splay" "--binding diagonal" "--twa-slots 0" \
+    "--twa-slots 99999999999" "--twa-hash xor" "--sched heap"; do
     # shellcheck disable=SC2086  # word-splitting the flag+operand is the point
     if ./target/release/experiments colloc --fast $bad >/dev/null 2>&1; then
         echo "expected \`$bad\` to be rejected as a usage error"

@@ -1,17 +1,10 @@
-//! Shared helpers for the Criterion benchmark suite.
+//! Real-lock helpers shared with the repository benchmark.
 //!
-//! The benches live in `benches/`:
-//!
-//! * `uncontested` — real-atomics acquire+release latency per algorithm
-//!   (the host-hardware analogue of the paper's Table 1).
-//! * `contended` — real-thread contended throughput per algorithm (the
-//!   host-hardware analogue of Figs. 3/5).
-//! * `sim_experiments` — reduced-scale simulator runs for each paper
-//!   artifact, so `cargo bench` exercises every table/figure generator.
-//!
-//! The paper-shaped results come from the simulator
-//! (`cargo run --release -p nuca-experiments -- all`); the real-thread
-//! benches here demonstrate the production lock library itself.
+//! `python3 hbobench/bench.py` measures the lock library on host
+//! hardware (uncontested latency and contended throughput per kind) and
+//! uses [`contended_increments`] as its lost-update check. The
+//! paper-shaped results come from the simulator
+//! (`cargo run --release -p nuca-experiments -- all`).
 
 #![warn(missing_docs)]
 
@@ -52,36 +45,6 @@ pub fn contended_increments(kind: LockKind, threads: usize, iterations: u64) -> 
     total
 }
 
-/// Like [`contended_increments`] for the reactive extension lock.
-///
-/// # Panics
-///
-/// Panics if an update was lost.
-pub fn contended_increments_reactive(threads: usize, iterations: u64) -> u64 {
-    let topo = Topology::symmetric(2, threads.div_ceil(2).max(1));
-    let lock = Arc::new(hbo_locks::ReactiveLock::new());
-    let counter = Arc::new(AtomicU64::new(0));
-    std::thread::scope(|s| {
-        for cpu in topo.round_robin_binding(threads) {
-            let lock = Arc::clone(&lock);
-            let counter = Arc::clone(&counter);
-            let node = topo.node_of(cpu);
-            s.spawn(move || {
-                let _reg = register_thread(node);
-                for _ in 0..iterations {
-                    let token = lock.acquire(node);
-                    let v = counter.load(Ordering::Relaxed);
-                    counter.store(v + 1, Ordering::Relaxed);
-                    lock.release(token);
-                }
-            });
-        }
-    });
-    let total = counter.load(Ordering::Relaxed);
-    assert_eq!(total, iterations * threads as u64, "REACTIVE: lost updates");
-    total
-}
-
 /// One uncontested acquire+release pair on the calling thread.
 pub fn uncontested_pair(lock: &AnyLock) {
     let node = nuca_topology::thread_node();
@@ -98,11 +61,6 @@ mod tests {
         for &kind in hbo_locks::LockCatalog::kinds() {
             assert_eq!(contended_increments(kind, 2, 2_000), 4_000);
         }
-    }
-
-    #[test]
-    fn reactive_contended_increments_exact() {
-        assert_eq!(contended_increments_reactive(2, 2_000), 4_000);
     }
 
     #[test]

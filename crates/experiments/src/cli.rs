@@ -24,19 +24,6 @@ pub fn parse_jobs(value: Option<&str>) -> Result<usize, String> {
     }
 }
 
-/// Parses the operand of `--sched`.
-///
-/// # Errors
-///
-/// Returns a usage message when the operand is missing or names no
-/// scheduler (the valid names are `wheel`, `heap` and `check`).
-pub fn parse_sched(value: Option<&str>) -> Result<nucasim::SchedKind, String> {
-    let Some(raw) = value else {
-        return Err("--sched requires a scheduler name (wheel, heap or check)".to_owned());
-    };
-    raw.parse::<nucasim::SchedKind>().map_err(|e| format!("--sched: {e}"))
-}
-
 /// Parses the operand of `--shards` (lockserver shard-lock count).
 ///
 /// # Errors
@@ -152,15 +139,19 @@ pub fn parse_binding(value: Option<&str>) -> Result<nuca_workloads::modern::Bind
 ///
 /// # Errors
 ///
-/// Returns a usage message when the operand is missing, not a number, or
-/// not positive — a zero-slot waiting array has nowhere to park waiters.
+/// Returns a usage message when the operand is missing, not a number, not
+/// positive — a zero-slot waiting array has nowhere to park waiters — or
+/// above [`nucasim_locks::MAX_TWA_SLOTS`], the published lock's array size.
 pub fn parse_twa_slots(value: Option<&str>) -> Result<usize, String> {
     let Some(raw) = value else {
         return Err("--twa-slots requires a positive integer".to_owned());
     };
+    let max = nucasim_locks::MAX_TWA_SLOTS;
     match raw.parse::<i128>() {
-        Ok(n) if n >= 1 => usize::try_from(n)
-            .map_err(|_| format!("--twa-slots {raw} exceeds this platform's limit")),
+        Ok(n) if n > max as i128 => Err(format!(
+            "--twa-slots {raw} exceeds {max}, the published TWA waiting-array size"
+        )),
+        Ok(n) if n >= 1 => Ok(n as usize),
         Ok(_) => Err(format!("--twa-slots must be a positive integer (got {raw})")),
         Err(_) => Err(format!("--twa-slots must be a positive integer (got `{raw}`)")),
     }
@@ -236,26 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn accepts_every_scheduler_name() {
-        for kind in nucasim::SchedKind::ALL {
-            assert_eq!(parse_sched(Some(kind.name())), Ok(kind));
-        }
-    }
-
-    #[test]
-    fn rejects_unknown_scheduler() {
-        let err = parse_sched(Some("splay")).unwrap_err();
-        assert!(err.contains("splay"), "{err}");
-        assert!(err.contains("wheel"), "{err}");
-    }
-
-    #[test]
-    fn rejects_missing_scheduler_operand() {
-        let err = parse_sched(None).unwrap_err();
-        assert!(err.contains("--sched"), "{err}");
-    }
-
-    #[test]
     fn shards_accepts_positive_and_rejects_the_rest() {
         assert_eq!(parse_shards(Some("16")), Ok(16));
         for bad in ["0", "-3", "many", ""] {
@@ -327,7 +298,8 @@ mod tests {
     #[test]
     fn twa_slots_accepts_positive_and_rejects_the_rest() {
         assert_eq!(parse_twa_slots(Some("64")), Ok(64));
-        for bad in ["0", "-4", "lots", ""] {
+        assert_eq!(parse_twa_slots(Some("4096")), Ok(4096));
+        for bad in ["0", "-4", "lots", "", "4097", "99999999999"] {
             let err = parse_twa_slots(Some(bad)).unwrap_err();
             assert!(err.contains("--twa-slots"), "{bad}: {err}");
         }

@@ -20,7 +20,7 @@
 //! what degrades gracefully.)
 //!
 //! Honors `--kinds`; leaf runs go through [`runner::run_jobs`], so the
-//! TSV is byte-identical for any `--jobs` and `--sched` setting.
+//! TSV is byte-identical for any `--jobs` setting.
 
 use hbo_locks::{LockCatalog, LockKind};
 use nuca_workloads::modern::{run_modern_raw, ModernConfig};
@@ -97,7 +97,7 @@ fn cell_cfg(scale: Scale, kind: LockKind, cpus: usize, d: &Disturbance) -> Moder
 }
 
 /// Runs the full sweep over [`kinds::selected`] × processor count ×
-/// disturbance level; deterministic for any `--jobs`/`--sched` setting.
+/// disturbance level; deterministic for any `--jobs` setting.
 pub fn sweep(scale: Scale) -> Vec<SweepRow> {
     let cpu_counts: Vec<usize> = scale.pick(vec![8, 28], vec![4, 8]);
     let dist = disturbances(scale);

@@ -397,18 +397,6 @@ pub fn metrics_json(scale: Scale, captures: &[Capture]) -> String {
     w.begin_object();
     w.field_str("scale", scale.pick("full", "fast"));
     w.field_u64("critical_work", u64::from(CAPTURE_CRITICAL_WORK));
-    // Self-time attribution: the simulator's rdtsc section counters,
-    // process-wide totals up to this capture. Only ratios between
-    // sections are meaningful (ticks, not seconds).
-    #[cfg(feature = "selftime")]
-    {
-        w.key("selftime");
-        w.begin_object();
-        for (name, ticks) in nucasim::selftime::sections() {
-            w.field_u64(name, ticks);
-        }
-        w.end_object();
-    }
     w.key("locks");
     w.begin_array();
     for cap in captures {

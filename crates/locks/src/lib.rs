@@ -16,7 +16,6 @@
 //! | [`HboGtLock`] | HBO_GT | HBO + per-node global-traffic throttling |
 //! | [`HboGtSdLock`] | HBO_GT_SD | HBO_GT + node-centric starvation detection |
 //! | [`HierHboLock`] | HIER | the paper's "expand hierarchically" remark, realized |
-//! | [`ReactiveLock`] | — | §3's reactive synchronization (Lim & Agarwal), as an extension |
 //! | [`TicketLock`] | TICKET | FIFO ticket lock with proportional backoff, as an extension |
 //! | [`CnaLock`] | CNA | compact NUMA-aware MCS variant (Dice & Kogan 2019) |
 //! | [`TwaLock`] | TWA | ticket lock + hashed waiting array (Dice & Kogan 2019) |
@@ -95,7 +94,6 @@ mod instrument;
 mod lock;
 mod mcs;
 mod pad;
-mod reactive;
 mod recip;
 mod registry;
 mod rh;
@@ -116,7 +114,6 @@ pub use instrument::{Instrumented, LockStats};
 pub use lock::{NucaLock, NucaLockExt, NucaLockGuard, NucaMutex, NucaMutexGuard};
 pub use mcs::{McsLock, McsToken};
 pub use pad::CachePadded;
-pub use reactive::{ReactiveConfig, ReactiveLock, ReactiveToken};
 pub use recip::{RecipLock, RecipToken};
 pub use registry::{LockCatalog, LockFamily, LockInfo};
 pub use rh::{RhLock, RhToken};

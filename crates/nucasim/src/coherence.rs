@@ -1,22 +1,23 @@
-//! Pluggable coherence protocols over set-associative cache geometry.
+//! Coherence protocols: the flat model and two over set-associative cache
+//! geometry.
 //!
 //! The flat model in [`crate::mem`] treats every word as its own
 //! unbounded cache line — fast, and faithful to the paper's lock-word
 //! behaviour, but blind to everything a real line does: false sharing
 //! between a lock word and the data it guards, capacity evictions
 //! bouncing a hot line, and the invalidate-vs-update policy split. The
-//! [`CoherenceProtocol`] trait makes the protocol a per-machine choice
+//! [`Protocol`] enum makes the protocol a per-machine choice
 //! ([`crate::MachineConfig::protocol`], harness `--protocol`):
 //!
-//! * [`FlatProtocol`] — the original word-granular model, expressed as a
-//!   trait object. Flat machines do not actually install it (the
-//!   dispatcher short-circuits to the inline flat path so the hot path
-//!   is untouched); it exists so the equivalence can be pinned by test.
-//! * [`MesiProtocol`] — invalidate-based MESI over per-CPU
+//! * [`Protocol::Flat`] — the original word-granular model. It keeps no
+//!   state of its own (its line state is the memory system's per-word
+//!   arrays), so the flat arm is the first branch of every dispatch and
+//!   allocates nothing.
+//! * [`Protocol::Mesi`] — invalidate-based MESI over per-CPU
 //!   set-associative caches ([`CacheGeometry`]). Writes to shared lines
 //!   upgrade by invalidating every other copy; read misses with no other
 //!   copies install exclusive-clean (E), making private data cheap.
-//! * [`DragonProtocol`] — update-based Dragon over the same geometry.
+//! * [`Protocol::Dragon`] — update-based Dragon over the same geometry.
 //!   Writes broadcast the new value to every holder; copies stay valid,
 //!   so false sharing costs one update per holder node instead of an
 //!   invalidate-plus-refill stampede.
@@ -47,7 +48,7 @@
 //!
 //! All protocol state (tags, ticks, directory) advances only from the
 //! engine's deterministic event order, so MESI and Dragon runs are
-//! byte-identical across `--jobs` and `--sched` exactly like flat runs.
+//! byte-identical across `--jobs` exactly like flat runs.
 
 use nuca_topology::{CpuId, NodeId};
 
@@ -56,82 +57,28 @@ use crate::mem::{AccessOutcome, Addr, MemOp, MemorySystem, WatchNode, NO_OWNER, 
 use crate::stats::SimStats;
 use crate::trace::{SimEvent, TraceSink};
 
-/// A coherence protocol: the state machine that decides what each memory
-/// access costs and how line state evolves. One boxed instance lives in
-/// each [`MemorySystem`] built with a non-flat
-/// [`crate::MachineConfig::protocol`].
-pub(crate) trait CoherenceProtocol: std::fmt::Debug + Send {
-    /// Which [`ProtocolKind`] this object implements.
-    fn kind(&self) -> ProtocolKind;
-
-    /// Performs `op` by `cpu` on `addr` starting at `now` — the protocol
-    /// counterpart of the flat `MemorySystem::access` contract: the value
-    /// effect applies immediately (event order is coherence order), the
-    /// outcome carries completion time and old value, traffic lands in
-    /// `stats`, and `woken` is cleared then filled with watchers this
-    /// access released.
-    #[allow(clippy::too_many_arguments)]
-    fn access(
-        &mut self,
-        mem: &mut MemorySystem,
-        now: u64,
-        cpu: CpuId,
-        addr: Addr,
-        op: MemOp,
-        stats: &mut SimStats,
-        trace: Option<&mut (dyn TraceSink + 'static)>,
-        woken: &mut Vec<(CpuId, u64, u64)>,
-    ) -> AccessOutcome;
-
-    /// Whether `cpu` currently holds a valid cached copy of `addr`'s line
-    /// (drives the pre-park fetch in `MemorySystem::wait_while`).
-    fn holds_copy(&self, mem: &MemorySystem, cpu: CpuId, addr: Addr) -> bool;
-}
-
-/// Builds the protocol object a fresh [`MemorySystem`] installs: `None`
-/// for [`ProtocolKind::Flat`] (the inline flat path runs untouched — the
-/// dispatcher is a single branch), a boxed state machine otherwise.
-pub(crate) fn build_protocol(
-    kind: ProtocolKind,
-    geometry: CacheGeometry,
-    num_cpus: usize,
-) -> Option<Box<dyn CoherenceProtocol>> {
-    match kind {
-        ProtocolKind::Flat => None,
-        ProtocolKind::Mesi => Some(Box::new(MesiProtocol::new(geometry, num_cpus))),
-        ProtocolKind::Dragon => Some(Box::new(DragonProtocol::new(geometry, num_cpus))),
-    }
-}
-
-/// The flat word-granular model as a trait object. Delegates to the
-/// inline flat path, so installing it is observationally identical to
-/// installing no protocol at all — pinned by test (flat machines never
-/// actually construct it, hence the test-only allowance).
+/// The coherence protocol a [`MemorySystem`] models, matched by its
+/// access path, its `protocol()` report and the pre-park check in
+/// `wait_while`. The set-associative variants box their tag arrays and
+/// directory, so an access moves a pointer, never the state itself.
 #[derive(Debug)]
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) struct FlatProtocol;
+pub(crate) enum Protocol {
+    /// The word-granular model, run inline by the memory system.
+    Flat,
+    /// Invalidate-based MESI ([`SetAssoc::mesi_access`]).
+    Mesi(Box<SetAssoc>),
+    /// Update-based Dragon ([`SetAssoc::dragon_access`]).
+    Dragon(Box<SetAssoc>),
+}
 
-impl CoherenceProtocol for FlatProtocol {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Flat
-    }
-
-    fn access(
-        &mut self,
-        mem: &mut MemorySystem,
-        now: u64,
-        cpu: CpuId,
-        addr: Addr,
-        op: MemOp,
-        stats: &mut SimStats,
-        trace: Option<&mut (dyn TraceSink + 'static)>,
-        woken: &mut Vec<(CpuId, u64, u64)>,
-    ) -> AccessOutcome {
-        mem.flat_access(now, cpu, addr, op, stats, trace, woken)
-    }
-
-    fn holds_copy(&self, mem: &MemorySystem, cpu: CpuId, addr: Addr) -> bool {
-        mem.flat_holds_copy(cpu, addr)
+impl Protocol {
+    /// The protocol a fresh memory system of `num_cpus` CPUs installs.
+    pub(crate) fn new(kind: ProtocolKind, geometry: CacheGeometry, num_cpus: usize) -> Protocol {
+        match kind {
+            ProtocolKind::Flat => Protocol::Flat,
+            ProtocolKind::Mesi => Protocol::Mesi(Box::new(SetAssoc::new(geometry, num_cpus))),
+            ProtocolKind::Dragon => Protocol::Dragon(Box::new(SetAssoc::new(geometry, num_cpus))),
+        }
     }
 }
 
@@ -161,7 +108,7 @@ impl Default for LineDir {
 /// Shared geometry plumbing of the set-associative protocols: per-CPU
 /// tag/LRU arrays plus the line directory.
 #[derive(Debug)]
-struct SetAssoc {
+pub(crate) struct SetAssoc {
     line_shift: u32,
     sets: usize,
     ways: usize,
@@ -207,6 +154,15 @@ impl SetAssoc {
 
     fn contains(&self, cpu: usize, line: usize) -> bool {
         self.tags[self.slot_range(cpu, line)].contains(&(line as u64))
+    }
+
+    /// Whether `cpu` currently holds a valid cached copy of `addr`'s line
+    /// (drives the pre-park fetch in `MemorySystem::wait_while`).
+    pub(crate) fn holds_copy(&self, cpu: CpuId, addr: Addr) -> bool {
+        match self.dir.get(self.line_of(addr.index())) {
+            Some(d) => d.owner == cpu.index() as u32 || d.sharers & (1u128 << cpu.index()) != 0,
+            None => false,
+        }
     }
 
     /// LRU-touches a line that must already be cached by `cpu`.
@@ -450,17 +406,9 @@ fn insert_with_eviction(
     }
 }
 
-/// Invalidate-based MESI over [`SetAssoc`] geometry.
-#[derive(Debug)]
-pub(crate) struct MesiProtocol {
-    c: SetAssoc,
-}
-
-impl MesiProtocol {
-    pub(crate) fn new(geom: CacheGeometry, num_cpus: usize) -> MesiProtocol {
-        MesiProtocol { c: SetAssoc::new(geom, num_cpus) }
-    }
-
+/// The MESI and Dragon state machines, as methods on their shared
+/// geometry.
+impl SetAssoc {
     /// Removes every other holder's copy of `line` (directory + tags) and
     /// counts one invalidation per holder node. Returns how many nodes
     /// were invalidated. Leaves the directory with no owner and no
@@ -478,7 +426,7 @@ impl MesiProtocol {
         trace: &mut Option<&mut (dyn TraceSink + 'static)>,
     ) -> u32 {
         let me = cpu.index() as u32;
-        let d = self.c.dir[line];
+        let d = self.dir[line];
         let mut holders = d.sharers;
         if d.owner != NO_OWNER {
             holders |= 1u128 << d.owner;
@@ -489,7 +437,7 @@ impl MesiProtocol {
         while h != 0 {
             let cidx = h.trailing_zeros() as usize;
             h &= h - 1;
-            self.c.remove(cidx, line);
+            self.remove(cidx, line);
             node_mask |= 1 << mem.node_of(CpuId(cidx)).index();
         }
         let mut invalidated = 0;
@@ -499,7 +447,7 @@ impl MesiProtocol {
             invalidated += 1;
             count_node_txn(stats, trace, at, cpu, NodeId(n), my_node, home);
         }
-        let dd = &mut self.c.dir[line];
+        let dd = &mut self.dir[line];
         dd.sharers = 0;
         dd.owner = NO_OWNER;
         invalidated
@@ -525,9 +473,9 @@ impl MesiProtocol {
         woken: &mut Vec<(CpuId, u64, u64)>,
     ) {
         let lat = mem.latency;
-        let first = line << self.c.line_shift;
-        let last = (first + (1usize << self.c.line_shift)).min(mem.values.len());
-        let mut busy = self.c.dir[line].busy_until.max(complete_at);
+        let first = line << self.line_shift;
+        let last = (first + (1usize << self.line_shift)).min(mem.values.len());
+        let mut busy = self.dir[line].busy_until.max(complete_at);
         let mut any = false;
         let mut new_sharers = 0u128;
         for w in first..last {
@@ -566,8 +514,8 @@ impl MesiProtocol {
                     mem.link_until = s + lat.link_occupancy;
                 }
                 // The refill re-caches the line at the watcher.
-                if !self.c.contains(wc as usize, line) {
-                    insert_with_eviction(&mut self.c, mem, wcpu, w_node, line, s, stats, trace);
+                if !self.contains(wc as usize, line) {
+                    insert_with_eviction(self, mem, wcpu, w_node, line, s, stats, trace);
                 }
                 new_sharers |= 1u128 << wc;
                 let val = mem.values[w];
@@ -589,7 +537,7 @@ impl MesiProtocol {
             mem.watch_head[w] = kept_head;
             mem.watch_tail[w] = kept_tail;
         }
-        let dd = &mut self.c.dir[line];
+        let dd = &mut self.dir[line];
         dd.busy_until = busy;
         if any {
             dd.sharers |= new_sharers;
@@ -601,14 +549,19 @@ impl MesiProtocol {
             }
         }
     }
-}
 
-impl CoherenceProtocol for MesiProtocol {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Mesi
-    }
-
-    fn access(
+    /// Performs `op` by `cpu` on `addr` under MESI, with the contract of
+    /// `MemorySystem::access`: the value effect applies immediately (event
+    /// order is coherence order), the outcome carries completion time and
+    /// old value, traffic lands in `stats`, and `woken` is cleared then
+    /// filled with the watchers this access released.
+    ///
+    /// Never inlined, like [`SetAssoc::dragon_access`]: folded into
+    /// `MemorySystem::access` (their only caller) they would double its
+    /// size and tax the flat arm every access takes.
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn mesi_access(
         &mut self,
         mem: &mut MemorySystem,
         now: u64,
@@ -621,18 +574,18 @@ impl CoherenceProtocol for MesiProtocol {
     ) -> AccessOutcome {
         woken.clear();
         let word = addr.index();
-        let line = self.c.line_of(word);
-        self.c.ensure_line(line);
+        let line = self.line_of(word);
+        self.ensure_line(line);
         let me = cpu.index() as u32;
         let mebit = 1u128 << me;
         let my_node = mem.node_of(cpu);
-        let home = line_home(mem, line, self.c.line_shift);
+        let home = line_home(mem, line, self.line_shift);
         let lat = mem.latency;
-        let d = self.c.dir[line];
+        let d = self.dir[line];
         let holds = d.owner == me || d.sharers & mebit != 0;
 
         if holds {
-            self.c.touch(cpu.index(), line);
+            self.touch(cpu.index(), line);
             if !op.is_write() {
                 // Read hit: M, E and S all serve locally with no state
                 // change (MESI keeps exclusivity across owner reads,
@@ -646,7 +599,7 @@ impl CoherenceProtocol for MesiProtocol {
             if d.owner == me {
                 // Write hit in M or E (E upgrades to M silently).
                 stats.count_hit();
-                self.c.dir[line].dirty = true;
+                self.dir[line].dirty = true;
                 let old = MemorySystem::apply_op(&mut mem.values[word], op);
                 let mut l = lat.l1_hit;
                 if op.is_atomic() {
@@ -684,7 +637,7 @@ impl CoherenceProtocol for MesiProtocol {
             if let Some(t) = trace.as_deref_mut() {
                 t.record(start, SimEvent::Upgrade { cpu, node: my_node, home, invalidated });
             }
-            let dd = &mut self.c.dir[line];
+            let dd = &mut self.dir[line];
             dd.owner = me;
             dd.sharers = 0;
             dd.dirty = true;
@@ -702,17 +655,17 @@ impl CoherenceProtocol for MesiProtocol {
             mem, &mut busy, now, cpu, my_node, served_by, home, base, on_chip, global,
             op.is_atomic(), stats, &mut trace,
         );
-        self.c.dir[line].busy_until = busy;
+        self.dir[line].busy_until = busy;
 
         if op.is_write() {
             // Read-with-intent-to-modify: every other copy dies.
             let _ = self.invalidate_others(mem, line, cpu, my_node, home, start, stats, &mut trace);
-            let dd = &mut self.c.dir[line];
+            let dd = &mut self.dir[line];
             dd.owner = me;
             dd.sharers = 0;
             dd.dirty = true;
         } else {
-            let dd = &mut self.c.dir[line];
+            let dd = &mut self.dir[line];
             if dd.owner != NO_OWNER {
                 // The previous owner demotes to sharer; its modified data
                 // travels on the transfer (no separate writeback charged,
@@ -730,7 +683,7 @@ impl CoherenceProtocol for MesiProtocol {
                 dd.sharers |= mebit;
             }
         }
-        insert_with_eviction(&mut self.c, mem, cpu, my_node, line, start, stats, &mut trace);
+        insert_with_eviction(self, mem, cpu, my_node, line, start, stats, &mut trace);
         let old = MemorySystem::apply_op(&mut mem.values[word], op);
         if op.is_write() {
             self.wake_line(mem, line, cpu, my_node, home, complete_at, stats, &mut trace, woken);
@@ -738,33 +691,11 @@ impl CoherenceProtocol for MesiProtocol {
         AccessOutcome { complete_at, value: old }
     }
 
-    fn holds_copy(&self, _mem: &MemorySystem, cpu: CpuId, addr: Addr) -> bool {
-        let line = self.c.line_of(addr.index());
-        match self.c.dir.get(line) {
-            Some(d) => d.owner == cpu.index() as u32 || d.sharers & (1u128 << cpu.index()) != 0,
-            None => false,
-        }
-    }
-}
-
-/// Update-based Dragon over [`SetAssoc`] geometry.
-#[derive(Debug)]
-pub(crate) struct DragonProtocol {
-    c: SetAssoc,
-}
-
-impl DragonProtocol {
-    pub(crate) fn new(geom: CacheGeometry, num_cpus: usize) -> DragonProtocol {
-        DragonProtocol { c: SetAssoc::new(geom, num_cpus) }
-    }
-}
-
-impl CoherenceProtocol for DragonProtocol {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Dragon
-    }
-
-    fn access(
+    /// Performs `op` by `cpu` on `addr` under Dragon, with the contract
+    /// of [`SetAssoc::mesi_access`].
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn dragon_access(
         &mut self,
         mem: &mut MemorySystem,
         now: u64,
@@ -777,21 +708,21 @@ impl CoherenceProtocol for DragonProtocol {
     ) -> AccessOutcome {
         woken.clear();
         let word = addr.index();
-        let line = self.c.line_of(word);
-        self.c.ensure_line(line);
+        let line = self.line_of(word);
+        self.ensure_line(line);
         let me = cpu.index() as u32;
         let mebit = 1u128 << me;
         let my_node = mem.node_of(cpu);
-        let home = line_home(mem, line, self.c.line_shift);
+        let home = line_home(mem, line, self.line_shift);
         let lat = mem.latency;
-        let d = self.c.dir[line];
+        let d = self.dir[line];
         let holds = d.owner == me || d.sharers & mebit != 0;
 
         if !op.is_write() {
             if holds {
                 // Dragon copies are always up to date (updates are pushed
                 // to them), so every held read is a plain hit.
-                self.c.touch(cpu.index(), line);
+                self.touch(cpu.index(), line);
                 stats.count_hit();
                 return AccessOutcome {
                     complete_at: now + lat.l1_hit,
@@ -807,10 +738,10 @@ impl CoherenceProtocol for DragonProtocol {
                 mem, &mut busy, now, cpu, my_node, served_by, home, base, on_chip, global, false,
                 stats, &mut trace,
             );
-            let dd = &mut self.c.dir[line];
+            let dd = &mut self.dir[line];
             dd.busy_until = busy;
             dd.sharers |= mebit;
-            insert_with_eviction(&mut self.c, mem, cpu, my_node, line, start, stats, &mut trace);
+            insert_with_eviction(self, mem, cpu, my_node, line, start, stats, &mut trace);
             return AccessOutcome { complete_at, value: mem.values[word] };
         }
 
@@ -821,7 +752,7 @@ impl CoherenceProtocol for DragonProtocol {
         let mut after_fetch = now;
         let mut fetched = false;
         if holds {
-            self.c.touch(cpu.index(), line);
+            self.touch(cpu.index(), line);
         } else {
             let server = pick_server(&d, mem, me, my_node);
             let (base, served_by, on_chip, global) = classify(mem, cpu, my_node, server, home);
@@ -831,10 +762,10 @@ impl CoherenceProtocol for DragonProtocol {
             );
             after_fetch = complete_at;
             fetched = true;
-            self.c.dir[line].sharers |= mebit;
-            insert_with_eviction(&mut self.c, mem, cpu, my_node, line, start, stats, &mut trace);
+            self.dir[line].sharers |= mebit;
+            insert_with_eviction(self, mem, cpu, my_node, line, start, stats, &mut trace);
         }
-        let d = self.c.dir[line];
+        let d = self.dir[line];
         let mut others = d.sharers & !mebit;
         if d.owner != NO_OWNER && d.owner != me {
             others |= 1u128 << d.owner;
@@ -913,7 +844,7 @@ impl CoherenceProtocol for DragonProtocol {
 
         // State: the writer becomes the owner (Dragon's Sm/M); a previous
         // owner demotes to sharer but keeps its (updated) copy.
-        let dd = &mut self.c.dir[line];
+        let dd = &mut self.dir[line];
         dd.busy_until = busy;
         if dd.owner != NO_OWNER && dd.owner != me {
             dd.sharers |= 1u128 << dd.owner;
@@ -962,14 +893,6 @@ impl CoherenceProtocol for DragonProtocol {
         }
         AccessOutcome { complete_at, value: old }
     }
-
-    fn holds_copy(&self, _mem: &MemorySystem, cpu: CpuId, addr: Addr) -> bool {
-        let line = self.c.line_of(addr.index());
-        match self.c.dir.get(line) {
-            Some(d) => d.owner == cpu.index() as u32 || d.sharers & (1u128 << cpu.index()) != 0,
-            None => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -995,45 +918,6 @@ mod tests {
         }
     }
 
-    /// A spinlock loop: TAS until free, hold (delay), release, repeat.
-    struct TasLoop {
-        lock: Addr,
-        iters: u32,
-        state: u8,
-    }
-
-    impl Program for TasLoop {
-        fn resume(&mut self, _ctx: &mut CpuCtx<'_>, last: Option<u64>) -> Command {
-            match self.state {
-                0 => {
-                    if self.iters == 0 {
-                        return Command::Done;
-                    }
-                    self.state = 1;
-                    Command::Tas(self.lock)
-                }
-                1 => {
-                    if last == Some(0) {
-                        self.state = 2;
-                        return Command::Delay(50);
-                    }
-                    self.state = 3;
-                    Command::WaitWhile { addr: self.lock, equals: 1 }
-                }
-                2 => {
-                    self.state = 0;
-                    self.iters -= 1;
-                    Command::Write(self.lock, 0)
-                }
-                3 => {
-                    self.state = 1;
-                    Command::Tas(self.lock)
-                }
-                _ => unreachable!(),
-            }
-        }
-    }
-
     fn run_incrs(cfg: MachineConfig, cpus: usize, per_cpu: u32) -> (crate::SimReport, Addr) {
         let mut m = Machine::new(cfg);
         let a = m.mem_mut().alloc(NodeId(0));
@@ -1043,34 +927,6 @@ mod tests {
         let status = m.run(1_000_000_000);
         assert!(status.finished_all);
         (m.into_report(), a)
-    }
-
-    #[test]
-    fn flat_protocol_object_matches_inline_flat_path() {
-        // Installing the FlatProtocol trait object must be observationally
-        // identical to the inline flat path (proto = None): same end time,
-        // same traffic, same finish times, same final values.
-        let mk = || MachineConfig::wildfire(2, 4).with_seed(7);
-        let run = |boxed: bool| {
-            let mut m = Machine::new(mk());
-            if boxed {
-                assert!(m.mem_mut().proto.is_none(), "flat installs no object");
-                m.mem_mut().proto = Some(Box::new(FlatProtocol));
-            }
-            let a = m.mem_mut().alloc(NodeId(0));
-            for cpu in 0..8 {
-                m.add_program(CpuId(cpu), Box::new(TasLoop { lock: a, iters: 40, state: 0 }));
-            }
-            let status = m.run(1_000_000_000);
-            assert!(status.finished_all);
-            m.into_report()
-        };
-        let inline = run(false);
-        let object = run(true);
-        assert_eq!(inline.end_time, object.end_time);
-        assert_eq!(inline.traffic, object.traffic);
-        assert_eq!(inline.finish_times, object.finish_times);
-        assert_eq!(inline.cache_hits, object.cache_hits);
     }
 
     #[test]

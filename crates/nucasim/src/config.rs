@@ -1,5 +1,5 @@
-//! Machine configuration: topology, latency model, scheduler, preemption,
-//! seed.
+//! Machine configuration: topology, latency model, coherence protocol,
+//! preemption, faults, seed.
 
 use std::fmt;
 use std::str::FromStr;
@@ -9,63 +9,15 @@ use nuca_topology::Topology;
 use crate::faults::FaultConfig;
 use crate::preempt::PreemptionConfig;
 
-/// Which event scheduler the engine uses (see [`crate::sched`]).
-///
-/// All three produce byte-identical simulations; they differ only in
-/// speed and in how much self-validation they do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedKind {
-    /// Hierarchical time wheel with heap-backed overflow — O(1) per event,
-    /// the production scheduler.
-    #[default]
-    Wheel,
-    /// The reference `BinaryHeap` scheduler — O(log n) per event.
-    Heap,
-    /// Runs wheel and heap in lockstep, asserting every pop agrees
-    /// (validation mode; slowest).
-    Check,
-}
-
-impl SchedKind {
-    /// Every scheduler kind, in CLI-listing order.
-    pub const ALL: [SchedKind; 3] = [SchedKind::Wheel, SchedKind::Heap, SchedKind::Check];
-
-    /// The CLI name (`wheel`, `heap`, `check`).
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedKind::Wheel => "wheel",
-            SchedKind::Heap => "heap",
-            SchedKind::Check => "check",
-        }
-    }
-}
-
-impl fmt::Display for SchedKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for SchedKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<SchedKind, String> {
-        SchedKind::ALL
-            .into_iter()
-            .find(|k| k.name() == s)
-            .ok_or_else(|| format!("unknown scheduler '{s}' (expected wheel, heap or check)"))
-    }
-}
-
 /// Which coherence protocol the memory system models (see
 /// [`crate::coherence`]).
 ///
-/// Unlike [`SchedKind`], the protocol *does* change results: `flat` is the
-/// original word-granular ownership model (every address its own line, no
-/// capacity limits), while `mesi` and `dragon` model real set-associative
-/// caches per CPU with line-granular state, so false sharing and evictions
-/// become visible. Each protocol is individually deterministic — the same
-/// config produces byte-identical output at any `--jobs`/`--sched`.
+/// The protocol changes results: `flat` is the original word-granular
+/// ownership model (every address its own line, no capacity limits),
+/// while `mesi` and `dragon` model real set-associative caches per CPU
+/// with line-granular state, so false sharing and evictions become
+/// visible. Each protocol is individually deterministic — the same config
+/// produces byte-identical output at any `--jobs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProtocolKind {
     /// Word-granular MOESI-flavoured ownership without geometry — the fast
@@ -365,15 +317,10 @@ pub struct MachineConfig {
     /// Injected fault layers; `None` (or [`FaultConfig::none`]) runs
     /// undisturbed.
     pub faults: Option<FaultConfig>,
-    /// Event scheduler; `None` uses the process-wide default
-    /// ([`crate::default_sched`], normally [`SchedKind::Wheel`]). The
-    /// choice never affects results, only speed — the harness `--sched`
-    /// flag flips the default for A/B runs.
-    pub sched: Option<SchedKind>,
     /// Coherence protocol; `None` uses the process-wide default
     /// ([`crate::default_protocol`], normally [`ProtocolKind::Flat`]).
-    /// Unlike `sched` this changes results — the harness `--protocol`
-    /// flag flips the default for protocol-sensitivity runs.
+    /// The choice changes results — the harness `--protocol` flag flips
+    /// the default for protocol-sensitivity runs.
     pub protocol: Option<ProtocolKind>,
     /// Per-CPU cache geometry for the set-associative protocols. Ignored
     /// by [`ProtocolKind::Flat`].
@@ -445,7 +392,6 @@ impl MachineConfig {
             latency: LatencyModel::wildfire(),
             preemption: None,
             faults: None,
-            sched: None,
             protocol: None,
             geometry: CacheGeometry::default_geometry(),
             seed: 0x5EED,
@@ -460,7 +406,6 @@ impl MachineConfig {
             latency: LatencyModel::e6000(),
             preemption: None,
             faults: None,
-            sched: None,
             protocol: None,
             geometry: CacheGeometry::default_geometry(),
             seed: 0x5EED,
@@ -502,14 +447,6 @@ impl MachineConfig {
             panic!("invalid fault config: {msg}");
         }
         self.faults = Some(f);
-        self
-    }
-
-    /// Selects the event scheduler explicitly (overriding the process
-    /// default for this machine only).
-    #[must_use]
-    pub fn with_sched(mut self, sched: SchedKind) -> MachineConfig {
-        self.sched = Some(sched);
         self
     }
 

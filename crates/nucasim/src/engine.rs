@@ -11,7 +11,7 @@ use crate::mem::{Addr, MemOp, MemorySystem};
 use crate::preempt::PreemptState;
 use crate::program::{Command, CpuCtx, Program};
 use crate::rng::SplitMix64;
-use crate::sched::{RecordingQueue, SchedOpLog, SchedQueue};
+use crate::sched::{RecordingQueue, SchedOpLog, SchedQueue, TimeWheel};
 use crate::stats::{LockTally, LockTrace, SimStats, TrafficCounts};
 use crate::trace::{SimEvent, TraceSink};
 
@@ -159,9 +159,9 @@ pub struct Machine {
     mem: MemorySystem,
     stats: SimStats,
     cpus: CpuStates,
-    /// Pending `(time, cpu)` resume events — time wheel by default, the
-    /// reference heap or the cross-checking pair via
-    /// [`MachineConfig::sched`] (see [`crate::sched`]).
+    /// Pending `(time, cpu)` resume events: the time wheel, recording
+    /// its operations once [`Machine::record_sched_ops`] installs a log
+    /// (see [`crate::sched`]).
     queue: SchedQueue,
     time: u64,
     preempt: Option<PreemptState>,
@@ -221,13 +221,12 @@ impl Machine {
             FaultState::new(&f, topo.num_cpus(), &mut rng)
         });
         let cpus = CpuStates::new(topo.num_cpus());
-        let queue = SchedQueue::new(cfg.sched.unwrap_or_else(crate::default_sched));
         Machine {
             mem,
             topo,
             stats: SimStats::with_hot_limit(cfg.hot_locks),
             cpus,
-            queue,
+            queue: SchedQueue::Wheel(TimeWheel::new()),
             time: 0,
             preempt,
             faults,
@@ -261,8 +260,9 @@ impl Machine {
 
     /// Replaces the scheduler with a recording wheel and returns the
     /// cloneable op log: every subsequent push/pop is captured as a
-    /// [`crate::SchedOp`] for offline replay (the scheduler
-    /// microbenchmarks). Must be called before any program is added.
+    /// [`crate::SchedOp`] for offline replay (the scheduler benchmark and
+    /// the recorded-stream oracle, [`crate::sched::replay_pops`]). Must be
+    /// called before any program is added.
     ///
     /// # Panics
     ///
@@ -411,15 +411,7 @@ impl Machine {
     /// compare against the straightforward heap-everything reference.
     fn run_with(&mut self, limit: u64, inline_resume: bool) -> RunStatus {
         let mut events = 0u64;
-        #[cfg(feature = "selftime")]
-        let total0 = crate::selftime::now();
-        'outer: loop {
-            #[cfg(feature = "selftime")]
-            let q0 = crate::selftime::now();
-            let popped = self.queue.pop_at_most(limit);
-            #[cfg(feature = "selftime")]
-            crate::selftime::add(&crate::selftime::QUEUE, q0);
-            let Some((mut t, cpu)) = popped else { break };
+        'outer: while let Some((mut t, cpu)) = self.queue.pop_at_most(limit) {
             let cpu = cpu as usize;
             // Queue head, cached across the inline-resume burst below. Only
             // watcher wakes push while the burst runs, and those go through
@@ -437,8 +429,6 @@ impl Machine {
                 };
                 let last = self.cpus.pending[cpu].take();
                 events += 1;
-                #[cfg(feature = "selftime")]
-                let r0 = crate::selftime::now();
                 let command = {
                     // The *current* node — an injected migration may have
                     // moved this thread off its topology home.
@@ -453,8 +443,6 @@ impl Machine {
                     };
                     program.resume(&mut ctx, last)
                 };
-                #[cfg(feature = "selftime")]
-                crate::selftime::add(&crate::selftime::RESUME, r0);
                 let (next_at, next_value) = match command {
                     Command::Done => {
                         self.cpus.finished_at[cpu] = Some(t);
@@ -463,19 +451,14 @@ impl Machine {
                     }
                     Command::Delay(d) => (t + d.max(1), None),
                     Command::WaitWhile { addr, equals } => {
-                        #[cfg(feature = "selftime")]
-                        let m0 = crate::selftime::now();
-                        let res = self.mem.wait_while(
+                        match self.mem.wait_while(
                             t,
                             CpuId(cpu),
                             addr,
                             equals,
                             &mut self.stats,
                             self.trace.as_deref_mut(),
-                        );
-                        #[cfg(feature = "selftime")]
-                        crate::selftime::add(&crate::selftime::MEM, m0);
-                        match res {
+                        ) {
                             Some((done, v)) => (done, Some(v)),
                             None => {
                                 // Parked: a future write wakes this CPU.
@@ -499,8 +482,6 @@ impl Machine {
                             _ => unreachable!("non-memory commands handled above"),
                         };
                         let mut woken = std::mem::take(&mut self.woken_buf);
-                        #[cfg(feature = "selftime")]
-                        let m0 = crate::selftime::now();
                         let out = self.mem.access(
                             t,
                             CpuId(cpu),
@@ -510,8 +491,6 @@ impl Machine {
                             self.trace.as_deref_mut(),
                             &mut woken,
                         );
-                        #[cfg(feature = "selftime")]
-                        crate::selftime::add(&crate::selftime::MEM, m0);
                         // Wake any watchers first so their events are ordered.
                         for &(wcpu, wake_at, wval) in &woken {
                             let queued = self.schedule_resume(wcpu.index(), wake_at, Some(wval));
@@ -537,8 +516,6 @@ impl Machine {
                 continue 'outer;
             }
         }
-        #[cfg(feature = "selftime")]
-        crate::selftime::add(&crate::selftime::TOTAL, total0);
         self.stats.add_events(events);
         crate::add_sim_events(events);
 
@@ -1001,20 +978,18 @@ mod tests {
 
     /// One contended-counter report, with an arbitrary fault surface.
     fn faulted_report(faults: Option<crate::FaultConfig>) -> SimReport {
-        faulted_report_sched(faults, None)
+        faulted_run(faults, None)
     }
 
-    /// [`faulted_report`] under an explicit event scheduler.
-    fn faulted_report_sched(
-        faults: Option<crate::FaultConfig>,
-        sched: Option<crate::SchedKind>,
-    ) -> SimReport {
+    /// [`faulted_report`], recording the scheduler operations into `log`
+    /// when one is given.
+    fn faulted_run(faults: Option<crate::FaultConfig>, log: Option<SchedOpLog>) -> SimReport {
         let mut cfg = MachineConfig::wildfire(2, 4).with_seed(13);
-        cfg.sched = sched;
-        if let Some(f) = faults {
-            cfg.faults = Some(f);
-        }
+        cfg.faults = faults;
         let mut m = Machine::new(cfg);
+        if let Some(log) = log {
+            m.record_sched_ops_into(log);
+        }
         let a = m.mem_mut().alloc(NodeId(0));
         struct LockedIncr {
             addr: Addr,
@@ -1053,11 +1028,14 @@ mod tests {
     }
 
     /// Tie-break regression under injected faults: holder-preempt bursts
-    /// and migrations reschedule resumes at collision-prone times, so any
-    /// wheel/heap ordering divergence shows up as a different timeline.
-    /// `Check` additionally asserts pop-by-pop agreement.
+    /// and migrations reschedule resumes at collision-prone times. The
+    /// faulted run's recorded scheduler stream must pop identically
+    /// through the reference heap and the wheel, and recording must not
+    /// change the run.
     #[test]
     fn schedulers_agree_under_preempt_and_migration_faults() {
+        use crate::sched::{replay_pops, BinHeapQueue};
+
         let fcfg = || {
             crate::FaultConfig::none()
                 .with_holder_preempt(crate::HolderPreemptConfig {
@@ -1066,18 +1044,18 @@ mod tests {
                 })
                 .with_migration(crate::MigrationConfig { mean_gap: 50_000, pause: 1_000 })
         };
-        let heap = faulted_report_sched(Some(fcfg()), Some(crate::SchedKind::Heap));
-        let wheel = faulted_report_sched(Some(fcfg()), Some(crate::SchedKind::Wheel));
-        let check = faulted_report_sched(Some(fcfg()), Some(crate::SchedKind::Check));
-        assert!(heap.preemptions > 0 && heap.migrations > 0, "faults fired");
-        for other in [&wheel, &check] {
-            assert_eq!(heap.end_time, other.end_time);
-            assert_eq!(heap.traffic, other.traffic);
-            assert_eq!(heap.finish_times, other.finish_times);
-            assert_eq!(heap.events, other.events);
-            assert_eq!(heap.preemptions, other.preemptions);
-            assert_eq!(heap.migrations, other.migrations);
-        }
+        let log = SchedOpLog::new();
+        let recorded = faulted_run(Some(fcfg()), Some(log.clone()));
+        let plain = faulted_report(Some(fcfg()));
+        assert!(plain.preemptions > 0 && plain.migrations > 0, "faults fired");
+        assert_eq!(plain.end_time, recorded.end_time);
+        assert_eq!(plain.traffic, recorded.traffic);
+        assert_eq!(plain.finish_times, recorded.finish_times);
+        assert_eq!(plain.events, recorded.events);
+        let ops = log.take();
+        let heap = replay_pops(&mut BinHeapQueue::new(), &ops);
+        assert!(heap.len() > 100, "the run went through the queue");
+        assert_eq!(heap, replay_pops(&mut TimeWheel::new(), &ops));
     }
 
     #[test]

@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use nuca_topology::{CpuId, NodeId, Topology};
 
-use crate::coherence::{self, CoherenceProtocol};
+use crate::coherence::Protocol;
 use crate::config::{CacheGeometry, LatencyModel, ProtocolKind};
 use crate::rng::SplitMix64;
 use crate::stats::SimStats;
@@ -214,11 +214,9 @@ pub struct MemorySystem {
     slow_node: Option<(NodeId, u64)>,
     /// Bounded uniform latency noise: `(max_extra, stream)`.
     jitter: Option<(u64, SplitMix64)>,
-    /// Set-associative coherence protocol ([`crate::coherence`]), or
-    /// `None` for the flat model. `None` keeps the flat hot path exactly
-    /// as it was — one predictable branch at the top of
-    /// [`MemorySystem::access`], no indirection.
-    pub(crate) proto: Option<Box<dyn CoherenceProtocol>>,
+    /// The coherence protocol ([`crate::coherence`]). The flat arm is the
+    /// first branch of [`MemorySystem::access`] and carries no state.
+    proto: Protocol,
 }
 
 impl MemorySystem {
@@ -259,7 +257,7 @@ impl MemorySystem {
             migrated: false,
             slow_node: None,
             jitter: None,
-            proto: coherence::build_protocol(protocol, geometry, num_cpus),
+            proto: Protocol::new(protocol, geometry, num_cpus),
         }
     }
 
@@ -305,9 +303,10 @@ impl MemorySystem {
 
     /// The coherence protocol this memory system models.
     pub fn protocol(&self) -> ProtocolKind {
-        match &self.proto {
-            Some(p) => p.kind(),
-            None => ProtocolKind::Flat,
+        match self.proto {
+            Protocol::Flat => ProtocolKind::Flat,
+            Protocol::Mesi(_) => ProtocolKind::Mesi,
+            Protocol::Dragon(_) => ProtocolKind::Dragon,
         }
     }
 
@@ -487,24 +486,27 @@ impl MemorySystem {
         trace: Option<&mut (dyn TraceSink + 'static)>,
         woken: &mut Vec<(CpuId, u64, u64)>,
     ) -> AccessOutcome {
-        if self.proto.is_some() {
-            // Set-associative protocol installed: the protocol object owns
-            // the whole access (state machine, geometry, timing). Taken out
-            // and put back so it can borrow the rest of the memory system.
-            let mut p = self.proto.take().expect("checked above");
-            let out = p.access(self, now, cpu, addr, op, stats, trace, woken);
-            self.proto = Some(p);
-            return out;
-        }
-        self.flat_access(now, cpu, addr, op, stats, trace, woken)
+        let mut proto = match self.proto {
+            Protocol::Flat => return self.flat_access(now, cpu, addr, op, stats, trace, woken),
+            // A set-associative protocol owns the whole access (state
+            // machine, geometry, timing). Its box moves out and back — a
+            // pointer move — so it can borrow the rest of the memory system.
+            Protocol::Mesi(_) | Protocol::Dragon(_) => {
+                std::mem::replace(&mut self.proto, Protocol::Flat)
+            }
+        };
+        let out = match &mut proto {
+            Protocol::Mesi(c) => c.mesi_access(self, now, cpu, addr, op, stats, trace, woken),
+            Protocol::Dragon(c) => c.dragon_access(self, now, cpu, addr, op, stats, trace, woken),
+            Protocol::Flat => unreachable!("the flat arm returned above"),
+        };
+        self.proto = proto;
+        out
     }
 
     /// The flat word-granular access path (every word its own line).
-    /// Reached directly when no protocol object is installed, and via
-    /// [`crate::coherence::FlatProtocol`] when one is — the two are
-    /// pinned equivalent by test.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn flat_access(
+    fn flat_access(
         &mut self,
         now: u64,
         cpu: CpuId,
@@ -862,8 +864,10 @@ impl MemorySystem {
             return Some((out.complete_at, out.value));
         }
         let holds_copy = match &self.proto {
-            Some(p) => p.holds_copy(self, cpu, addr),
-            None => self.flat_holds_copy(cpu, addr),
+            Protocol::Flat => {
+                self.owners[i] == cpu.index() as u32 || self.sharers[i] & (1 << cpu.index()) != 0
+            }
+            Protocol::Mesi(c) | Protocol::Dragon(c) => c.holds_copy(cpu, addr),
         };
         if !holds_copy {
             // Fetch the line (traffic + line/bus occupancy) before
@@ -875,13 +879,6 @@ impl MemorySystem {
         }
         self.park_watcher(i, cpu, equals);
         None
-    }
-
-    /// Whether `cpu` holds a valid copy of `addr` under the flat model
-    /// (exclusive owner or sharer of the word).
-    pub(crate) fn flat_holds_copy(&self, cpu: CpuId, addr: Addr) -> bool {
-        let i = addr.index();
-        self.owners[i] == cpu.index() as u32 || self.sharers[i] & (1 << cpu.index()) != 0
     }
 
     /// Materializes the final value of every allocated word, in address

@@ -14,13 +14,15 @@
 //! # Tie-break contract
 //!
 //! The hard invariant of the whole simulator is byte-identical artifacts
-//! regardless of scheduler or `--jobs` count. The reference order, pinned
-//! by [`BinHeapQueue`], is lexicographic `(time, seq)` where `seq` is a
+//! at any `--jobs` count. The reference order, pinned by
+//! [`BinHeapQueue`], is lexicographic `(time, seq)` where `seq` is a
 //! per-queue monotone insertion counter: **events at the same tick pop in
 //! FIFO insertion order**. (The CPU id never participates: `seq` is
-//! unique.) [`TimeWheel`] preserves exactly this order; [`CheckedQueue`]
-//! runs both side by side and asserts every pop agrees — the cross-check
-//! mode behind [`SchedKind::Check`](crate::SchedKind).
+//! unique.) [`TimeWheel`], the engine's only scheduler, preserves exactly
+//! this order. The oracle is offline: the engine can record its operation
+//! stream ([`Machine::record_sched_ops`](crate::Machine::record_sched_ops)),
+//! and the tests replay recorded streams through both queues
+//! ([`replay_pops`]) and require identical pop sequences.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -454,58 +456,8 @@ impl EventQueue for TimeWheel {
     }
 }
 
-/// Cross-check scheduler: drives a [`TimeWheel`] and a [`BinHeapQueue`]
-/// in lockstep and asserts every observation agrees. Selected via
-/// [`SchedKind::Check`](crate::SchedKind); asserts are active in release
-/// builds too — this mode exists to validate, not to be fast.
-#[derive(Debug, Default)]
-pub struct CheckedQueue {
-    wheel: TimeWheel,
-    heap: BinHeapQueue,
-}
-
-impl CheckedQueue {
-    /// An empty cross-checking queue.
-    pub fn new() -> CheckedQueue {
-        CheckedQueue::default()
-    }
-}
-
-impl EventQueue for CheckedQueue {
-    fn push(&mut self, t: u64, cpu: u32) {
-        self.wheel.push(t, cpu);
-        self.heap.push(t, cpu);
-    }
-
-    fn next_time(&mut self) -> Option<u64> {
-        let w = self.wheel.next_time();
-        let h = self.heap.next_time();
-        assert_eq!(w, h, "wheel/heap next_time diverge");
-        w
-    }
-
-    fn pop(&mut self) -> Option<(u64, u32)> {
-        let w = self.wheel.pop();
-        let h = self.heap.pop();
-        assert_eq!(w, h, "wheel/heap pop order diverges");
-        w
-    }
-
-    fn pop_at_most(&mut self, limit: u64) -> Option<(u64, u32)> {
-        let w = self.wheel.pop_at_most(limit);
-        let h = self.heap.pop_at_most(limit);
-        assert_eq!(w, h, "wheel/heap pop_at_most diverges");
-        w
-    }
-
-    fn len(&self) -> usize {
-        let w = self.wheel.len();
-        assert_eq!(w, self.heap.len(), "wheel/heap length diverges");
-        w
-    }
-}
-
-/// One recorded scheduler operation (for replay benchmarks).
+/// One recorded scheduler operation (for replay benchmarks and the
+/// recorded-stream oracle).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedOp {
     /// An enqueue of `cpu` at time `t`.
@@ -523,8 +475,9 @@ pub enum SchedOp {
 /// style of [`crate::EventLog`]. Install with
 /// [`Machine::record_sched_ops`](crate::Machine::record_sched_ops), run a
 /// workload, then [`take`](SchedOpLog::take) the trace and replay it
-/// against any [`EventQueue`] — this is how `crates/bench` measures the
-/// schedulers in isolation on a real fig5 event mix.
+/// against any [`EventQueue`] — this is how the benchmark times the wheel
+/// and the determinism oracle checks it, in isolation, on a real event
+/// mix.
 #[derive(Debug, Clone, Default)]
 pub struct SchedOpLog {
     ops: Arc<Mutex<Vec<SchedOp>>>,
@@ -590,31 +543,40 @@ impl EventQueue for RecordingQueue {
     }
 }
 
-/// The engine's queue: enum dispatch keeps the per-event scheduler call
-/// a predictable branch instead of a virtual call.
+/// Replays a recorded operation stream through `q` and returns every
+/// popped `(time, cpu)`, in order — the recorded-stream oracle: the same
+/// stream must pop identically through [`BinHeapQueue`] and [`TimeWheel`].
+///
+/// # Panics
+///
+/// Panics if a recorded pop finds `q` empty (a recorded pop always
+/// succeeded).
+pub fn replay_pops(q: &mut impl EventQueue, ops: &[SchedOp]) -> Vec<(u64, u32)> {
+    let mut pops = Vec::new();
+    for op in ops {
+        match *op {
+            SchedOp::Push { t, cpu } => q.push(t, cpu),
+            SchedOp::Pop => pops.push(q.pop().expect("a recorded pop always succeeded")),
+        }
+    }
+    pops
+}
+
+/// The engine's queue: the time wheel, or the recording wheel that
+/// [`Machine::record_sched_ops`](crate::Machine::record_sched_ops)
+/// installs. Enum dispatch keeps the per-event scheduler call a
+/// predictable branch instead of a virtual call.
 #[derive(Debug)]
 pub(crate) enum SchedQueue {
     Wheel(TimeWheel),
-    Heap(BinHeapQueue),
-    Check(CheckedQueue),
     Record(RecordingQueue),
 }
 
 impl SchedQueue {
-    pub(crate) fn new(kind: crate::SchedKind) -> SchedQueue {
-        match kind {
-            crate::SchedKind::Wheel => SchedQueue::Wheel(TimeWheel::new()),
-            crate::SchedKind::Heap => SchedQueue::Heap(BinHeapQueue::new()),
-            crate::SchedKind::Check => SchedQueue::Check(CheckedQueue::new()),
-        }
-    }
-
     #[inline]
     pub(crate) fn push(&mut self, t: u64, cpu: u32) {
         match self {
             SchedQueue::Wheel(q) => q.push(t, cpu),
-            SchedQueue::Heap(q) => q.push(t, cpu),
-            SchedQueue::Check(q) => q.push(t, cpu),
             SchedQueue::Record(q) => q.push(t, cpu),
         }
     }
@@ -623,8 +585,6 @@ impl SchedQueue {
     pub(crate) fn next_time(&mut self) -> Option<u64> {
         match self {
             SchedQueue::Wheel(q) => q.next_time(),
-            SchedQueue::Heap(q) => q.next_time(),
-            SchedQueue::Check(q) => q.next_time(),
             SchedQueue::Record(q) => q.next_time(),
         }
     }
@@ -633,18 +593,14 @@ impl SchedQueue {
     pub(crate) fn pop_at_most(&mut self, limit: u64) -> Option<(u64, u32)> {
         match self {
             SchedQueue::Wheel(q) => q.pop_at_most(limit),
-            SchedQueue::Heap(q) => q.pop_at_most(limit),
-            SchedQueue::Check(q) => q.pop_at_most(limit),
             SchedQueue::Record(q) => q.pop_at_most(limit),
         }
     }
 
     pub(crate) fn is_empty(&self) -> bool {
         match self {
-            SchedQueue::Wheel(q) => q.len() == 0,
-            SchedQueue::Heap(q) => q.len() == 0,
-            SchedQueue::Check(q) => q.len() == 0,
-            SchedQueue::Record(q) => q.len() == 0,
+            SchedQueue::Wheel(q) => q.is_empty(),
+            SchedQueue::Record(q) => q.is_empty(),
         }
     }
 }
@@ -660,7 +616,6 @@ mod tests {
         for q in [
             &mut TimeWheel::new() as &mut dyn EventQueue,
             &mut BinHeapQueue::new(),
-            &mut CheckedQueue::new(),
         ] {
             for cpu in [9u32, 3, 7, 3, 0] {
                 q.push(100, cpu);
@@ -739,14 +694,15 @@ mod tests {
         // Engine-shaped fuzz: pushes are always ≥ the last popped time,
         // with the engine's real delay mix (tiny latencies, backoff-sized
         // sleeps, rare preemption-sized jumps that hit the overflow).
+        // Between pushes come the calls the engine makes on every event —
+        // `next_time`, and `pop_at_most` with limits below, at and above
+        // the head — plus plain pops; wheel and heap must agree on each.
         let mut rng = SplitMix64::new(0xC0FFEE);
         let mut w = TimeWheel::new();
         let mut h = BinHeapQueue::new();
         let mut now = 0u64;
-        let mut pending = 0u32;
         for _ in 0..200_000 {
-            let do_push = pending == 0 || rng.next_below(100) < 55;
-            if do_push {
+            if h.is_empty() || rng.next_below(100) < 55 {
                 let d = match rng.next_below(100) {
                     0..=59 => rng.next_below(500),           // coherence latencies
                     60..=89 => rng.next_below(60_000),       // backoff / think time
@@ -756,12 +712,26 @@ mod tests {
                 let cpu = rng.next_below(28) as u32;
                 w.push(now + d, cpu);
                 h.push(now + d, cpu);
-                pending += 1;
             } else {
-                let (e, r) = (w.pop(), h.pop());
+                let head = h.next_time().expect("non-empty");
+                assert_eq!(w.next_time(), Some(head));
+                let (e, r) = match rng.next_below(4) {
+                    0 => (w.pop(), h.pop()),
+                    k => {
+                        let limit = match k {
+                            1 => head.saturating_sub(1),
+                            2 => head,
+                            _ => head + rng.next_below(1_000),
+                        };
+                        let e = w.pop_at_most(limit);
+                        assert_eq!(e.is_some(), limit >= head, "limit {limit}, head {head}");
+                        (e, h.pop_at_most(limit))
+                    }
+                };
                 assert_eq!(e, r);
-                now = e.expect("pending > 0").0;
-                pending -= 1;
+                if let Some((t, _)) = e {
+                    now = t;
+                }
             }
             assert_eq!(w.len(), h.len());
         }
@@ -826,25 +796,6 @@ mod tests {
         );
         assert!(log.take().is_empty(), "take drains the log");
         // Replaying the ops against the reference gives the same pops.
-        let mut h = BinHeapQueue::new();
-        let mut pops = Vec::new();
-        for op in &ops {
-            match *op {
-                SchedOp::Push { t, cpu } => h.push(t, cpu),
-                SchedOp::Pop => pops.push(h.pop()),
-            }
-        }
-        assert_eq!(pops, vec![first]);
-    }
-
-    #[test]
-    #[should_panic(expected = "pop order diverges")]
-    fn checked_queue_panics_on_divergence() {
-        let mut q = CheckedQueue::new();
-        q.push(10, 1);
-        // Sabotage the heap side so the next pop disagrees.
-        q.heap.push(5, 9);
-        q.wheel.push(5, 8);
-        let _ = q.pop();
+        assert_eq!(replay_pops(&mut BinHeapQueue::new(), &ops), vec![(3, 2)]);
     }
 }

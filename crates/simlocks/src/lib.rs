@@ -293,12 +293,28 @@ impl SimLockParams {
 
     /// Returns the params with a different TWA waiting-array geometry.
     #[must_use]
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= slots <= MAX_TWA_SLOTS`.
     pub fn with_twa(mut self, slots: usize, hash: TwaHash) -> SimLockParams {
-        assert!(slots >= 1, "TWA needs at least one waiting-array slot");
+        assert_twa_slots(slots);
         self.twa_slots = slots;
         self.twa_hash = hash;
         self
     }
+}
+
+/// Largest TWA waiting array the simulator accepts: the published lock's
+/// 4096 slots (the `hbo-locks` TWA; Dice & Kogan, arXiv 1810.01573).
+pub const MAX_TWA_SLOTS: usize = 4096;
+
+/// Panics unless `slots` is a waiting-array length the simulator accepts.
+pub(crate) fn assert_twa_slots(slots: usize) {
+    assert!(
+        (1..=MAX_TWA_SLOTS).contains(&slots),
+        "TWA needs between 1 and {MAX_TWA_SLOTS} waiting-array slots (got {slots})"
+    );
 }
 
 /// Process-wide default TWA waiting-array slot count, read by
@@ -315,9 +331,10 @@ static DEFAULT_TWA_HASH: std::sync::atomic::AtomicU8 = std::sync::atomic::Atomic
 ///
 /// # Panics
 ///
-/// Panics on `slots == 0` — a slotless array has nowhere to park.
+/// Panics on `slots == 0` — a slotless array has nowhere to park — and
+/// above [`MAX_TWA_SLOTS`].
 pub fn set_default_twa_slots(slots: usize) {
-    assert!(slots >= 1, "TWA needs at least one waiting-array slot");
+    assert_twa_slots(slots);
     DEFAULT_TWA_SLOTS.store(slots, std::sync::atomic::Ordering::Relaxed);
 }
 

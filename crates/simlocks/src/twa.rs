@@ -62,7 +62,7 @@ impl SimTwa {
     ///
     /// # Panics
     ///
-    /// Panics if `slots` is zero.
+    /// Panics unless `1 <= slots <= MAX_TWA_SLOTS`.
     pub fn alloc_with(
         mem: &mut MemorySystem,
         topo: &Topology,
@@ -70,7 +70,7 @@ impl SimTwa {
         slots: usize,
         hash: TwaHash,
     ) -> SimTwa {
-        assert!(slots >= 1, "TWA needs at least one waiting-array slot");
+        crate::assert_twa_slots(slots);
         let nodes: Vec<NodeId> = topo.nodes().collect();
         let wa = (0..slots)
             .map(|i| mem.alloc(nodes[i % nodes.len()]))
@@ -285,6 +285,12 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "between 1 and 4096 waiting-array slots (got 4097)")]
+    fn waiting_array_above_the_published_size_rejected() {
+        let _ = crate::SimLockParams::default().with_twa(4097, crate::TwaHash::Mod);
     }
 
     #[test]

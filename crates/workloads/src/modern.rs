@@ -320,8 +320,8 @@ pub fn run_modern_profiled(cfg: &ModernConfig) -> (SimReport, Profile) {
 
 /// Like [`run_modern_raw`] but records every scheduler operation the run
 /// performs (see [`nucasim::SchedOp`]). The trace replays against any
-/// event-queue implementation — `crates/bench` uses it to compare the
-/// heap and wheel schedulers in isolation on a genuine event mix.
+/// event-queue implementation — the benchmark times the wheel on it, and
+/// the determinism oracle replays it through the heap and the wheel.
 pub fn run_modern_recorded(cfg: &ModernConfig) -> (SimReport, Vec<nucasim::SchedOp>) {
     let log = nucasim::SchedOpLog::new();
     let (report, _) = run_modern_inner(

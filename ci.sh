@@ -314,5 +314,34 @@ if ./target/release/nuca-mcheck --frobnicate >/dev/null 2>&1; then
     exit 1
 fi
 ./target/release/nuca-mcheck --kind hbo --random 200 --seed 7 >/dev/null
+# Bound 0 (non-preemptive schedules only) is a real bound, not a usage error.
+./target/release/nuca-mcheck --kind tatas --preempt 0 >/dev/null
+
+echo "==> model checker state counts at the benchmark's arguments"
+# Every subject, run with its arguments from hbobench/expected.json, must
+# pass exhaustively with exactly the distinct-state count recorded there.
+if command -v python3 >/dev/null 2>&1; then
+    python3 - <<'EOF'
+import json, re, subprocess, sys
+mcheck = json.load(open("hbobench/expected.json"))["mcheck"]
+bad = []
+for subject, args in mcheck["args"].items():
+    out = subprocess.run(["./target/release/nuca-mcheck", *args],
+                         capture_output=True, text=True).stdout
+    m = re.search(rf"^{re.escape(subject)}\s.*: PASS  \(exhaustive\) states=(\d+)",
+                  out, re.M)
+    got = int(m.group(1)) if m else None
+    if got != mcheck["states"].get(subject):
+        bad.append(f"{subject}: states={got}, expected {mcheck['states'].get(subject)}")
+if set(mcheck["args"]) != set(mcheck["states"]):
+    bad.append("hbobench/expected.json: mcheck.args and mcheck.states name different subjects")
+if bad:
+    print("\n".join(bad))
+    sys.exit(1)
+print(f"mcheck states OK: {len(mcheck['args'])} subjects match hbobench/expected.json")
+EOF
+else
+    echo "python3 not found; skipping the mcheck state-count check"
+fi
 
 echo "==> ci OK"

@@ -41,7 +41,7 @@ fn tag(cpu: CpuId) -> usize {
 /// assert_eq!(lb.levels(), 3);
 /// assert!(lb.config(3).base > lb.config(1).base);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct LevelBackoff {
     configs: Vec<BackoffConfig>,
 }

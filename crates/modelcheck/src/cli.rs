@@ -9,7 +9,7 @@ use hbo_locks::LockKind;
 use crate::Subject;
 
 /// Parses the operand of a positive-integer flag (`--cpus`, `--iters`,
-/// `--depth`, `--preempt`, `--random`), naming `flag` in the message.
+/// `--depth`, `--random`), naming `flag` in the message.
 ///
 /// # Errors
 ///
@@ -25,6 +25,26 @@ pub fn parse_count(flag: &str, value: Option<&str>) -> Result<u64, String> {
         }
         Ok(_) => Err(format!("{flag} must be a positive integer (got {raw})")),
         Err(_) => Err(format!("{flag} must be a positive integer (got `{raw}`)")),
+    }
+}
+
+/// Parses the operand of `--preempt`: a preemption bound, zero included
+/// (bound 0 explores only the non-preemptive schedules).
+///
+/// # Errors
+///
+/// Returns a message when the operand is missing, not a number, negative,
+/// or past `u32::MAX`.
+pub fn parse_bound(value: Option<&str>) -> Result<u32, String> {
+    let Some(raw) = value else {
+        return Err("--preempt requires a non-negative integer".to_owned());
+    };
+    match raw.parse::<i128>() {
+        Ok(n) if n >= 0 => {
+            u32::try_from(n).map_err(|_| format!("--preempt {raw} is out of range"))
+        }
+        Ok(_) => Err(format!("--preempt must be a non-negative integer (got {raw})")),
+        Err(_) => Err(format!("--preempt must be a non-negative integer (got `{raw}`)")),
     }
 }
 
@@ -95,6 +115,19 @@ mod tests {
             assert!(err.contains("positive integer"), "{bad}: {err}");
         }
         assert!(parse_count("--cpus", None).is_err());
+    }
+
+    #[test]
+    fn preempt_bound_accepts_zero_and_rejects_negative_and_garbage() {
+        assert_eq!(parse_bound(Some("0")), Ok(0));
+        assert_eq!(parse_bound(Some("2")), Ok(2));
+        for bad in ["-1", "two", "", "2.5"] {
+            let err = parse_bound(Some(bad)).unwrap_err();
+            assert!(err.contains("--preempt"), "{bad}: {err}");
+            assert!(err.contains("non-negative integer"), "{bad}: {err}");
+        }
+        assert!(parse_bound(Some("4294967296")).unwrap_err().contains("out of range"));
+        assert!(parse_bound(None).is_err());
     }
 
     #[test]

@@ -1,16 +1,21 @@
-//! Stateless replay-based DFS over thread interleavings.
+//! Depth-first search over thread interleavings, backtracking from
+//! snapshots.
 //!
-//! The search keeps exactly one live [`World`]. Descending executes steps
-//! in place; backtracking rebuilds the world from the (deterministic)
-//! initial configuration and replays the remaining schedule prefix. That
-//! trades CPU for memory: no state snapshots, just the schedule — the
-//! classic stateless model-checking design (Verisoft/CHESS lineage).
+//! The search steps one live [`World`] in place. Every state on the
+//! current path with more than one choice keeps a snapshot (a clone of
+//! its world) in its frame; backtracking to it restores the snapshot and
+//! steps the next sibling. The last sibling moves the snapshot out
+//! instead of cloning it, and states with a single choice keep none. A
+//! world is under a kilobyte of plain data — memory image, sessions,
+//! pending commands — so a snapshot costs far less than rebuilding the
+//! initial world and replaying the schedule prefix.
 //!
 //! A state-hash dedup cache bounds the search: a state already visited at
-//! the same or smaller depth cannot lead anywhere new. With a preemption
-//! bound configured, the spent budget is folded into the hash (fewer
-//! preemptions spent = strictly more futures, so the plain hash would
-//! prune unsoundly).
+//! the same or smaller depth cannot lead anywhere new. The key is
+//! [`World::state_key`], a structural hash of the state. With a
+//! preemption bound configured, the spent budget is folded into the key
+//! (fewer preemptions spent = strictly more futures, so the plain key
+//! would prune unsoundly).
 
 use std::collections::HashMap;
 
@@ -24,8 +29,6 @@ pub struct ExploreStats {
     pub distinct_states: u64,
     /// Steps executed while exploring (excludes shrink replays).
     pub transitions: u64,
-    /// World (re)builds: 1 + number of backtracks.
-    pub executions: u64,
     /// Paths cut by the depth safety net; nonzero means non-exhaustive.
     pub truncated: u64,
     /// Longest schedule reached.
@@ -52,6 +55,8 @@ struct Frame {
     /// stepped again (so leaving it costs a preemption).
     last: Option<usize>,
     last_enabled: bool,
+    /// This state's world, kept while a sibling after the first remains.
+    snapshot: Option<World>,
 }
 
 /// Exhaustively explores every interleaving of `cfg` (up to the preemption
@@ -66,9 +71,7 @@ pub fn explore(cfg: &CheckConfig) -> (ExploreStats, Option<Counterexample>) {
     let mut visited: HashMap<u64, u32> = HashMap::new();
     let mut schedule: Vec<usize> = Vec::new();
     let mut frames: Vec<Frame> = Vec::new();
-    let mut buf = String::new();
     let mut world = World::new(cfg);
-    stats.executions = 1;
     // Preemption budget spent to reach the current world state.
     let mut enter_preempts = 0u32;
 
@@ -84,7 +87,7 @@ pub fn explore(cfg: &CheckConfig) -> (ExploreStats, Option<Counterexample>) {
                 if depth >= cfg.depth {
                     stats.truncated += 1;
                 } else {
-                    let mut key = world.state_key(&mut buf);
+                    let mut key = world.state_key();
                     if let Some(bound) = cfg.preempt {
                         key ^= u64::from(bound.saturating_sub(enter_preempts))
                             .wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -126,22 +129,33 @@ pub fn explore(cfg: &CheckConfig) -> (ExploreStats, Option<Counterexample>) {
                     }
                 }
             }
+            let snapshot = (choices.len() > 1).then(|| world.clone());
             frames.push(Frame {
                 choices,
                 taken: 0,
                 preempts: enter_preempts,
                 last,
                 last_enabled,
+                snapshot,
             });
         }
         // Advance: take the next untaken sibling of the deepest live
-        // frame, backtracking (pop + replay) past exhausted frames and
-        // pruned states.
+        // frame, backtracking past exhausted frames and pruned states. The
+        // first sibling steps the live world, which is still at the
+        // frame's state; later ones start from the frame's snapshot.
         loop {
             if frames.len() > schedule.len() {
                 let frame = frames.last_mut().expect("nonempty by comparison");
                 if frame.taken < frame.choices.len() {
                     let t = frame.choices[frame.taken];
+                    if frame.taken > 0 {
+                        let snapshot = if frame.taken + 1 == frame.choices.len() {
+                            frame.snapshot.take()
+                        } else {
+                            frame.snapshot.clone()
+                        };
+                        world = snapshot.expect("a frame with siblings left keeps its snapshot");
+                    }
                     frame.taken += 1;
                     let preempt_step = frame.last_enabled && frame.last.is_some_and(|l| l != t);
                     enter_preempts = frame.preempts + u32::from(preempt_step);
@@ -154,16 +168,8 @@ pub fn explore(cfg: &CheckConfig) -> (ExploreStats, Option<Counterexample>) {
                 }
                 frames.pop();
             }
-            if schedule.is_empty() {
+            if schedule.pop().is_none() {
                 return (stats, None);
-            }
-            schedule.pop();
-            world = World::new(cfg);
-            stats.executions += 1;
-            for &t in &schedule {
-                world
-                    .step(t)
-                    .expect("replaying a previously clean prefix cannot fail");
             }
         }
     }

@@ -8,7 +8,8 @@
 //! over a tiny **sequentially consistent** flat word store (no `nucasim`
 //! engine, no timing: `Delay` is an immediate no-op, so exploration covers
 //! every ordering a delay could otherwise hide) and enumerates thread
-//! interleavings with a stateless, replay-based depth-first search.
+//! interleavings with a depth-first search that backtracks from world
+//! snapshots and deduplicates states by a structural hash ([`dfs`]).
 //!
 //! Checked properties:
 //!

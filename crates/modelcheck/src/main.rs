@@ -59,8 +59,8 @@ fn main() -> ExitCode {
                 Ok(n) => depth = n as usize,
                 Err(msg) => return usage_error(&msg),
             },
-            "--preempt" => match cli::parse_count("--preempt", iter.next().as_deref()) {
-                Ok(n) => preempt = Some(n as u32),
+            "--preempt" => match cli::parse_bound(iter.next().as_deref()) {
+                Ok(n) => preempt = Some(n),
                 Err(msg) => return usage_error(&msg),
             },
             "--random" => match cli::parse_count("--random", iter.next().as_deref()) {

@@ -15,6 +15,7 @@
 //! inert here) but live inside session state, so small caps keep the
 //! reachable state space small without touching the protocol logic.
 
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use hbo_locks::BackoffConfig;
@@ -45,7 +46,7 @@ pub fn checker_params() -> SimLockParams {
 }
 
 /// Where a thread is in its acquire/release loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Driving `start_acquire`/`resume_acquire`.
     Acquire,
@@ -66,7 +67,7 @@ pub enum Status {
     Deadlock,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Thread {
     session: Box<dyn LockSession>,
     cpu: CpuId,
@@ -98,6 +99,24 @@ pub struct World {
     /// Flat-store indices of the per-node GT `is_spinning` words.
     slots: Vec<usize>,
     trace: Option<EventLog>,
+}
+
+/// A snapshot: the clone copies the state (memory, threads and their
+/// sessions, holder, clock) but not the observers — it starts with empty
+/// statistics and no trace sink. The clock is copied because sessions
+/// see it through [`CpuCtx`], so a clone steps exactly like the original.
+impl Clone for World {
+    fn clone(&self) -> World {
+        World {
+            mem: self.mem.clone(),
+            threads: self.threads.clone(),
+            holder: self.holder,
+            clock: self.clock,
+            stats: SimStats::default(),
+            slots: self.slots.clone(),
+            trace: None,
+        }
+    }
 }
 
 impl World {
@@ -411,38 +430,64 @@ impl World {
     }
 
     /// Hashes the semantic state — memory image, holder, and every
-    /// thread's phase, pending command, remaining iterations, and full
-    /// session state (via `Debug`, which derives on every session struct
-    /// and therefore covers every field). The clock and statistics are
-    /// deliberately excluded: they are observers, not state.
-    ///
-    /// `buf` is scratch space the caller reuses across calls.
-    pub fn state_key(&self, buf: &mut String) -> u64 {
-        use std::fmt::Write as _;
-        buf.clear();
-        for v in &self.mem {
-            let _ = write!(buf, "{v},");
-        }
-        let _ = write!(buf, "|{:?}|", self.holder);
+    /// thread's phase, pending command, remaining iterations, and session
+    /// (every session field, through its derived `Hash`). The clock and
+    /// statistics are deliberately excluded: they are observers, not state.
+    pub fn state_key(&self) -> u64 {
+        let mut h = StateHasher::default();
+        self.mem.hash(&mut h);
+        self.holder.hash(&mut h);
         for th in &self.threads {
-            let _ = write!(
-                buf,
-                "{:?}/{:?}/{}/{:?};",
-                th.phase, th.pending, th.iters_left, th.session
-            );
+            th.phase.hash(&mut h);
+            th.pending.hash(&mut h);
+            th.iters_left.hash(&mut h);
+            th.session.hash(&mut h);
         }
-        fnv1a(buf.as_bytes())
+        h.finish()
     }
 }
 
-/// 64-bit FNV-1a.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// The state key's hasher: every word written passes through the
+/// SplitMix64 finalizer (Steele, Lea & Flood 2014), a bijective 64-bit
+/// mixer, chained through the running hash.
+#[derive(Debug, Default)]
+struct StateHasher(u64);
+
+impl Hasher for StateHasher {
+    fn finish(&self) -> u64 {
+        self.0
     }
-    h
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_ne_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(n.into());
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.write_u64(n.into());
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let mut z = (self.0 ^ n).wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        self.0 = z ^ (z >> 31);
+    }
 }
 
 #[cfg(test)]
@@ -511,17 +556,116 @@ mod tests {
     #[test]
     fn state_key_distinguishes_and_matches() {
         let c = cfg(Subject::Kind(LockKind::Hbo));
-        let mut buf = String::new();
         let w1 = World::new(&c);
         let w2 = World::new(&c);
         assert_eq!(
-            w1.state_key(&mut buf),
-            w2.state_key(&mut buf),
+            w1.state_key(),
+            w2.state_key(),
             "identical builds hash identically"
         );
         let mut w3 = World::new(&c);
         w3.step(0).unwrap();
-        assert_ne!(w1.state_key(&mut buf), w3.state_key(&mut buf));
+        assert_ne!(w1.state_key(), w3.state_key());
+    }
+
+    /// The key the checker used before the structural hash: every state
+    /// field as `Debug` text. Equal text means equal fields.
+    fn reference_key(w: &World) -> String {
+        let mut key = visible_key(w);
+        for th in &w.threads {
+            key.push_str(&format!("{:?};", th.session));
+        }
+        key
+    }
+
+    /// The state with every session left out.
+    fn visible_key(w: &World) -> String {
+        let mut key = format!("{:?}|{:?}|", w.mem, w.holder);
+        for th in &w.threads {
+            key.push_str(&format!("{:?}/{:?}/{};", th.phase, th.pending, th.iters_left));
+        }
+        key
+    }
+
+    /// Every world reachable from the initial one, one per distinct
+    /// [`reference_key`]; and the reference and state key of every world
+    /// the walk reached, revisits included.
+    fn reachable(cfg: &CheckConfig) -> (Vec<World>, Vec<(String, u64)>) {
+        let mut seen = std::collections::HashSet::new();
+        let mut todo = vec![World::new(cfg)];
+        let mut worlds = Vec::new();
+        let mut keys = Vec::new();
+        while let Some(w) = todo.pop() {
+            let reference = reference_key(&w);
+            keys.push((reference.clone(), w.state_key()));
+            if !seen.insert(reference) {
+                continue;
+            }
+            for t in (0..w.num_threads()).filter(|&t| w.enabled(t)) {
+                let mut next = w.clone();
+                next.step(t).expect("verified subjects never violate");
+                todo.push(next);
+            }
+            worlds.push(w);
+        }
+        (worlds, keys)
+    }
+
+    #[test]
+    fn state_key_separates_exactly_what_the_fields_separate() {
+        // Over every world the walk reaches, for every verified subject,
+        // two worlds share a state key exactly when all their state fields
+        // are equal: the structural hash neither merges states nor splits
+        // one state reached along different paths.
+        for &subject in Subject::verified() {
+            let (_, keys) = reachable(&cfg(subject));
+            let mut key_of = std::collections::HashMap::new();
+            let mut reference_of = std::collections::HashMap::new();
+            for (reference, key) in keys {
+                let name = subject.name();
+                let first_key = *key_of.entry(reference.clone()).or_insert(key);
+                assert_eq!(first_key, key, "{name}: one state, two keys");
+                let first_reference = reference_of.entry(key).or_insert_with(|| reference.clone());
+                assert_eq!(*first_reference, reference, "{name}: two states, one key");
+            }
+        }
+    }
+
+    #[test]
+    fn state_key_sees_session_internal_fields() {
+        // An HBO session keeps its backoff period after the acquisition
+        // that grew it, so schedules where a thread did or did not back
+        // off reach worlds (all threads done, for one) that differ only in
+        // a session's backoff counter. They must hash apart.
+        let (worlds, _) = reachable(&cfg(Subject::Kind(LockKind::Hbo)));
+        let mut by_visible: std::collections::HashMap<String, Vec<&World>> =
+            std::collections::HashMap::new();
+        for w in &worlds {
+            by_visible.entry(visible_key(w)).or_default().push(w);
+        }
+        let mut pairs = 0;
+        for group in by_visible.values() {
+            for (i, a) in group.iter().enumerate() {
+                for b in &group[i + 1..] {
+                    assert_ne!(a.state_key(), b.state_key(), "{}", reference_key(a));
+                    pairs += 1;
+                }
+            }
+        }
+        assert!(pairs > 0, "no two HBO worlds differ only inside a session");
+    }
+
+    #[test]
+    fn snapshot_leaves_the_observers_behind() {
+        let c = cfg(Subject::Kind(LockKind::Hbo));
+        let mut w = World::with_trace(&c, EventLog::default());
+        w.step(0).unwrap();
+        let snapshot = w.clone();
+        assert!(w.trace.is_some());
+        assert!(snapshot.trace.is_none());
+        assert!(w.stats.lock_trace(0).is_some(), "t0's fast path acquired");
+        assert!(snapshot.stats.lock_trace(0).is_none());
+        assert_eq!(snapshot.state_key(), w.state_key());
     }
 
     #[test]

@@ -1,29 +1,125 @@
 //! End-to-end checks for the model checker: every catalog-registered lock
-//! passes exhaustively, all three seeded mutants are provably caught, and
+//! passes exhaustively with its pinned state-space size, all three seeded
+//! mutants are provably caught, snapshots step exactly like replays, and
 //! random mode is byte-reproducible.
 
 use nuca_modelcheck::dfs::replay_violation;
-use nuca_modelcheck::{check, check_random, CheckConfig, Subject, Violation};
+use nuca_modelcheck::{
+    check, check_random, explore, CheckConfig, Status, Subject, Violation, World,
+};
+use nucasim::SplitMix64;
+
+/// Distinct states and transitions of the exhaustive search at the
+/// default configuration (2 CPUs, 2 iterations), per verified subject.
+/// A state key that merges or splits states, or a search that visits
+/// states differently, changes these numbers.
+const PINNED_COUNTS: [(&str, u64, u64); 13] = [
+    ("TATAS", 36, 52),
+    ("TATAS_EXP", 114, 274),
+    ("MCS", 310, 728),
+    ("CLH", 104, 164),
+    ("RH", 1407, 6251),
+    ("HBO", 116, 294),
+    ("HBO_GT", 242, 678),
+    ("HBO_GT_SD", 1112, 4148),
+    ("TICKET", 93, 142),
+    ("HIER", 116, 294),
+    ("CNA", 590, 1446),
+    ("TWA", 125, 192),
+    ("RECIP", 454, 1074),
+];
 
 #[test]
-fn every_verified_subject_passes_exhaustively_at_two_cpus() {
-    for &subject in Subject::verified() {
-        let cfg = CheckConfig::new(subject);
-        let report = check(&cfg);
-        assert!(
-            report.passed(),
-            "{}: {:?}",
-            subject.name(),
-            report.counterexample
-        );
+fn state_space_sizes_are_pinned_at_two_cpus() {
+    let names: Vec<&str> = Subject::verified().iter().map(|s| s.name()).collect();
+    let pinned: Vec<&str> = PINNED_COUNTS.iter().map(|&(name, ..)| name).collect();
+    assert_eq!(
+        names, pinned,
+        "the pinned table must cover every verified subject"
+    );
+    for (&subject, &(name, states, transitions)) in Subject::verified().iter().zip(&PINNED_COUNTS) {
+        let (stats, cex) = explore(&CheckConfig::new(subject));
+        assert!(cex.is_none(), "{name}: {cex:?}");
         assert_eq!(
-            report.stats.truncated,
-            0,
-            "{}: search was depth-truncated, not exhaustive",
-            subject.name()
+            (stats.distinct_states, stats.transitions),
+            (states, transitions),
+            "{name}: (distinct states, transitions)"
         );
-        let fair = report.fair.expect("clean check runs the fair pass");
-        assert!(fair.steps > 0);
+    }
+}
+
+/// A fresh world that has replayed `schedule` from the initial state.
+fn replayed(cfg: &CheckConfig, schedule: &[usize]) -> World {
+    let mut world = World::new(cfg);
+    for &t in schedule {
+        world.step(t).expect("verified subjects never violate");
+    }
+    world
+}
+
+/// Picks an enabled thread of `world` with `rng`, if any is enabled.
+fn pick(world: &World, rng: &mut SplitMix64) -> Option<usize> {
+    let enabled: Vec<usize> = (0..world.num_threads())
+        .filter(|&t| world.enabled(t))
+        .collect();
+    (!enabled.is_empty()).then(|| enabled[rng.next_below(enabled.len() as u64) as usize])
+}
+
+#[test]
+fn snapshots_step_exactly_like_replays() {
+    // A seeded schedule at 3 CPUs, where CNA's secondary queue can form.
+    // Partway through the world is cloned; every
+    // later step of the clone must agree with a fresh world replaying the
+    // whole prefix, and the original must not move.
+    const SPLIT: usize = 9;
+    for &subject in Subject::verified() {
+        let name = subject.name();
+        let mut cfg = CheckConfig::new(subject);
+        cfg.cpus = 3;
+        let mut rng = SplitMix64::new(0x5EED);
+        let mut schedule = Vec::new();
+        let mut original = World::new(&cfg);
+        while schedule.len() < SPLIT {
+            let t = pick(&original, &mut rng).expect("no subject finishes within the split");
+            original.step(t).expect("verified subjects never violate");
+            schedule.push(t);
+        }
+        let original_key = original.state_key();
+        let mut snapshot = original.clone();
+        while let Some(t) = pick(&snapshot, &mut rng) {
+            snapshot.step(t).expect("verified subjects never violate");
+            schedule.push(t);
+            let fresh = replayed(&cfg, &schedule);
+            let at = schedule.len();
+            assert_eq!(
+                snapshot.state_key(),
+                fresh.state_key(),
+                "{name} step {at}: state key"
+            );
+            assert_eq!(
+                snapshot.status(),
+                fresh.status(),
+                "{name} step {at}: status"
+            );
+            for t in 0..fresh.num_threads() {
+                assert_eq!(
+                    snapshot.pending(t),
+                    fresh.pending(t),
+                    "{name} step {at}: pending {t}"
+                );
+                assert_eq!(
+                    snapshot.acquires(t),
+                    fresh.acquires(t),
+                    "{name} step {at}: acquires {t}"
+                );
+            }
+        }
+        assert_eq!(snapshot.status(), Status::Done, "{name}");
+        assert_eq!(
+            original.state_key(),
+            original_key,
+            "{name}: stepping the clone moved the original"
+        );
     }
 }
 
@@ -53,7 +149,10 @@ fn leaky_hbo_gt_mutant_is_caught_with_a_stable_witness() {
     // surfaces it as a deadlock (or, on other orders, a terminal slot
     // leak).
     assert!(
-        matches!(cex.violation, Violation::Deadlock | Violation::SlotLeak { .. }),
+        matches!(
+            cex.violation,
+            Violation::Deadlock | Violation::SlotLeak { .. }
+        ),
         "{}",
         cex.violation
     );
@@ -77,10 +176,15 @@ fn splice_lost_cna_mutant_is_caught_at_three_cpus() {
     let report = check(&cfg);
     let cex = report.counterexample.expect("mutant must be caught");
     assert!(
-        matches!(cex.violation, Violation::Deadlock | Violation::Unfair { .. }),
+        matches!(
+            cex.violation,
+            Violation::Deadlock | Violation::Unfair { .. }
+        ),
         "{}",
         cex.violation
     );
+    // Stable shrunk length, like the two-CPU mutants'.
+    assert_eq!(cex.schedule.len(), 49, "{:?}", cex.schedule);
     let (v, used) = replay_violation(&cfg, &cex.schedule).expect("replayable");
     assert_eq!(v.kind_str(), cex.violation.kind_str());
     assert_eq!(used, cex.schedule);

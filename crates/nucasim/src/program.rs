@@ -10,7 +10,7 @@ use crate::stats::SimStats;
 use crate::trace::{BackoffClass, SimEvent, TraceSink};
 
 /// One step a program asks the machine to perform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Command {
     /// Load the word; the next `resume` receives the value.
     Read(Addr),

@@ -57,7 +57,7 @@ impl SimLock for SimClh {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum ClhState {
     Idle,
     SetLocked,
@@ -67,7 +67,7 @@ enum ClhState {
     Releasing,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Hash)]
 struct ClhSession {
     tail: Addr,
     nodes: Vec<Addr>,

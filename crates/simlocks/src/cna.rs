@@ -111,7 +111,7 @@ impl SimLock for SimCna {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum CnaState {
     Idle,
     InitSpin,
@@ -149,7 +149,7 @@ enum CnaState {
     GrantHead,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Hash)]
 struct CnaSession {
     tail: Addr,
     streak: Addr,

@@ -59,7 +59,7 @@ impl SimLock for SimHbo {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum HboState {
     Idle,
     /// Fast-path `cas` issued (Fig. 1 line 6).
@@ -78,7 +78,7 @@ enum HboState {
     Releasing,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Hash)]
 struct HboSession {
     word: Addr,
     my_tag: u64,

@@ -61,7 +61,7 @@ impl SimLock for SimHboGt {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum GtState {
     Idle,
     /// Gate: `while (L == is_spinning[my_node_id]);` (line 5 / 56).
@@ -85,7 +85,7 @@ enum GtState {
     Releasing,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Hash)]
 struct HboGtSession {
     word: Addr,
     my_slot: Addr,

@@ -70,7 +70,7 @@ impl SimLock for SimHboGtSd {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum SdState {
     Idle,
     Gate,
@@ -91,13 +91,13 @@ enum SdState {
     Releasing,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum AfterClears {
     Acquired,
     Restart,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Hash)]
 struct SdSession {
     word: Addr,
     gt: GtSlots,

@@ -54,9 +54,12 @@ impl SimLock for SimHierHbo {
         let innermost = self.backoff.config(1);
         Box::new(HierSession {
             word: self.word,
-            me: cpu,
             my_tag: tag(cpu),
-            topo: std::sync::Arc::clone(&self.topo),
+            distances: self
+                .topo
+                .cpus()
+                .map(|other| self.topo.distance(cpu, other).max(1))
+                .collect(),
             table: self.backoff.clone(),
             backoff: SimBackoff::new(*innermost),
             distance: 1,
@@ -73,7 +76,7 @@ impl SimLock for SimHierHbo {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum HierState {
     Idle,
     FastCas,
@@ -83,12 +86,14 @@ enum HierState {
     Releasing,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Hash)]
 struct HierSession {
     word: Addr,
-    me: CpuId,
     my_tag: u64,
-    topo: std::sync::Arc<Topology>,
+    /// Distance class (at least 1) from this CPU to each CPU, indexed by
+    /// CPU id: the only part of the topology the algorithm reads, so the
+    /// session stays plain data.
+    distances: Vec<usize>,
     table: LevelBackoff,
     backoff: SimBackoff,
     /// Distance class currently spun at.
@@ -108,8 +113,7 @@ impl HierSession {
     /// Classifies the holder (by CPU tag) and re-arms the backoff if the
     /// distance class changed.
     fn classify(&mut self, ctx: &mut CpuCtx<'_>, tmp: u64) -> Step {
-        let holder = CpuId((tmp - 1) as usize);
-        let d = self.topo.distance(self.me, holder).max(1);
+        let d = self.distances[(tmp - 1) as usize];
         if d != self.distance || self.state == HierState::FastCas {
             self.distance = d;
             self.backoff.reset(*self.table.config(d));

@@ -62,6 +62,7 @@ mod twa;
 pub(crate) mod testutil;
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use hbo_locks::{BackoffConfig, LockKind};
@@ -108,7 +109,10 @@ pub enum Step {
 /// * Every step receives the executing CPU's [`CpuCtx`], through which the
 ///   state machines report observability events (backoff sleeps, throttle
 ///   announcements, anger episodes) — free when no trace sink is installed.
-pub trait LockSession: fmt::Debug {
+/// * A session is plain data (`Clone + Hash`, see [`SessionState`]): the
+///   model checker snapshots worlds by cloning them and deduplicates
+///   states by hashing them.
+pub trait LockSession: fmt::Debug + SessionState {
     /// Begins an acquisition.
     fn start_acquire(&mut self, ctx: &mut CpuCtx<'_>) -> Step;
     /// Continues an acquisition with the result of the previous command
@@ -118,6 +122,37 @@ pub trait LockSession: fmt::Debug {
     fn start_release(&mut self, ctx: &mut CpuCtx<'_>) -> Step;
     /// Continues a release.
     fn resume_release(&mut self, ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step;
+}
+
+/// Object-safe `Clone` and `Hash` for [`LockSession`] trait objects,
+/// implemented for every session type that derives both.
+pub trait SessionState {
+    /// A boxed copy of this session.
+    fn clone_box(&self) -> Box<dyn LockSession>;
+    /// Feeds every field of this session to `state`.
+    fn hash_state(&self, state: &mut dyn Hasher);
+}
+
+impl<T: LockSession + Clone + Hash + 'static> SessionState for T {
+    fn clone_box(&self) -> Box<dyn LockSession> {
+        Box::new(self.clone())
+    }
+
+    fn hash_state(&self, mut state: &mut dyn Hasher) {
+        self.hash(&mut state);
+    }
+}
+
+impl Clone for Box<dyn LockSession> {
+    fn clone(&self) -> Box<dyn LockSession> {
+        self.clone_box()
+    }
+}
+
+impl Hash for dyn LockSession {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.hash_state(state);
+    }
 }
 
 /// A lock instance living in simulated memory; a factory for sessions.
@@ -137,7 +172,7 @@ pub trait SimLock: fmt::Debug {
 
 /// The per-node `is_spinning` words shared by all HBO_GT/HBO_GT_SD locks
 /// of one machine (the paper's "one extra variable per NUCA node").
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct GtSlots {
     slots: Arc<[Addr]>,
 }
@@ -173,7 +208,7 @@ impl GtSlots {
 /// shares its cache line with the neighbours' slots; [`TwaHash::Stride`]
 /// spreads consecutive tickets across the array, putting neighbouring
 /// tickets on different lines at the cost of less predictable collisions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum TwaHash {
     /// `slot = ticket % slots` — the published TWA mapping.
     #[default]
@@ -437,7 +472,7 @@ fn hier_levels(topo: &Topology, params: &SimLockParams) -> hbo_locks::LevelBacko
 
 /// Simulated-cycle exponential backoff helper shared by the state
 /// machines: yields the next delay and grows the period.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub(crate) struct SimBackoff {
     current: u32,
     cfg: BackoffConfig,

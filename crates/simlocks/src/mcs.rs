@@ -53,7 +53,7 @@ impl SimLock for SimMcs {
 const QUEUED: u64 = 1;
 const GRANTED: u64 = 0;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum McsState {
     Idle,
     InitLocked,
@@ -68,7 +68,7 @@ enum McsState {
     GrantSuccessor,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Hash)]
 struct McsSession {
     tail: Addr,
     qnodes: Vec<(Addr, Addr)>,

@@ -57,7 +57,7 @@ impl SimLock for RacyTatas {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum RacyState {
     Idle,
     /// Plain read of the lock word issued (the non-atomic "test").
@@ -70,7 +70,7 @@ enum RacyState {
     Releasing,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Hash)]
 struct RacySession {
     word: Addr,
     state: RacyState,
@@ -181,7 +181,7 @@ impl SimLock for LeakyHboGt {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum LeakyState {
     Idle,
     Gate,
@@ -199,7 +199,7 @@ enum LeakyState {
     Releasing,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Hash)]
 struct LeakySession {
     word: Addr,
     my_slot: Addr,

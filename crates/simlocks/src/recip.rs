@@ -70,7 +70,7 @@ impl SimLock for SimRecip {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum RecipState {
     Idle,
     FastCas,
@@ -90,7 +90,7 @@ enum RecipState {
     FreeCasRel,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Hash)]
 struct RecipSession {
     arrivals: Addr,
     qnodes: Vec<(Addr, Addr)>,

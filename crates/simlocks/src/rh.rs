@@ -80,7 +80,7 @@ impl SimLock for SimRh {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum RhState {
     Idle,
     /// `cas(my_copy, FREE, HELD)` issued.
@@ -112,7 +112,7 @@ enum RhState {
     WriteTag,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Hash)]
 struct RhSession {
     my_copy: Addr,
     other_copy: Addr,

@@ -42,7 +42,7 @@ impl SimLock for SimTatas {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum TatasState {
     Idle,
     TasIssued,
@@ -51,7 +51,7 @@ enum TatasState {
     Releasing,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Hash)]
 struct TatasSession {
     word: Addr,
     state: TatasState,
@@ -139,7 +139,7 @@ impl SimLock for SimTatasExp {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum ExpState {
     Idle,
     TasIssued,
@@ -149,7 +149,7 @@ enum ExpState {
     Releasing,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Hash)]
 struct TatasExpSession {
     word: Addr,
     cfg: BackoffConfig,

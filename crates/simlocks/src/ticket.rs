@@ -46,7 +46,7 @@ impl SimLock for SimTicket {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum TkState {
     Idle,
     /// `fetch_add` on the dispenser issued.
@@ -59,7 +59,7 @@ enum TkState {
     Releasing,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Hash)]
 struct TicketSession {
     next_ticket: Addr,
     now_serving: Addr,

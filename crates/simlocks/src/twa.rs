@@ -102,7 +102,7 @@ impl SimLock for SimTwa {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum TwaState {
     Idle,
     TakeTicket,
@@ -121,7 +121,7 @@ enum TwaState {
     WrServing,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Hash)]
 struct TwaSession {
     next_ticket: Addr,
     now_serving: Addr,

@@ -14,9 +14,11 @@ cargo test -q --workspace
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> benchmark contract tests (hbobench calls the simulator's API)"
+cargo test --offline -q --manifest-path hbobench/Cargo.toml
+
 echo "==> harness smoke run (all artifacts, fast scale, 2 jobs)"
-./target/release/experiments all --fast --jobs 2 --out target/ci-experiments \
-    --bench-json target/ci-experiments/bench.json >/dev/null
+./target/release/experiments all --fast --jobs 2 --out target/ci-experiments >/dev/null
 
 echo "==> robustness smoke (faulted sweep deterministic across --jobs)"
 ./target/release/experiments robustness --fast --jobs 1 \
@@ -61,31 +63,23 @@ fi
 
 echo "==> profiler smoke (nuca-prof observes without changing a byte)"
 # fig5 with and without --profile must be byte-identical: profiling only
-# observes. The overhead legs run at *full* scale: fast-scale runs are
-# sub-millisecond, so per-machine setup noise swamps the per-event cost
-# the gate is actually about (and the wall clock there is ±15% anyway).
+# observes. The profile itself must be byte-identical across --jobs:
+# every label merges as a commutative integer fold. table4 runs under OS
+# preemption, so it covers the preemption counter's merge.
 ./target/release/experiments fig5 --fast --jobs 2 \
     --out target/ci-prof-off >/dev/null
-./target/release/experiments fig5 --fast --jobs 2 \
-    --out target/ci-prof-on \
-    --profile target/ci-prof-on/profile.json >/dev/null
-cmp target/ci-prof-off/fig5_time.tsv target/ci-prof-on/fig5_time.tsv
-cmp target/ci-prof-off/fig5_handoff.tsv target/ci-prof-on/fig5_handoff.tsv
-# Best-of-three per leg: single full-scale runs jitter ±10% on a noisy
-# box, which is the same order as the overhead being gated.
-for rep in 1 2 3; do
-    ./target/release/experiments fig5 --jobs 2 \
-        --out target/ci-prof-off \
-        --bench-json "target/ci-prof-off/bench$rep.json" >/dev/null
-    ./target/release/experiments fig5 --jobs 2 \
-        --out target/ci-prof-on \
-        --bench-json "target/ci-prof-on/bench$rep.json" \
-        --profile target/ci-prof-on/profile-full.json >/dev/null
+for jobs in 1 4; do
+    ./target/release/experiments fig5 table4 --fast --jobs "$jobs" \
+        --out "target/ci-prof-j$jobs" \
+        --profile "target/ci-prof-j$jobs/profile.json" >/dev/null
 done
+cmp target/ci-prof-off/fig5_time.tsv target/ci-prof-j1/fig5_time.tsv
+cmp target/ci-prof-off/fig5_handoff.tsv target/ci-prof-j1/fig5_handoff.tsv
+cmp target/ci-prof-j1/profile.json target/ci-prof-j4/profile.json
 if command -v python3 >/dev/null 2>&1; then
     python3 - <<'EOF'
 import json
-doc = json.load(open("target/ci-prof-on/profile.json"))
+doc = json.load(open("target/ci-prof-j1/profile.json"))
 assert doc["version"] == 2, f"unexpected profile schema version {doc['version']}"
 labels = [entry["label"] for entry in doc["labels"]]
 assert labels == sorted(labels), "profile labels not sorted"
@@ -96,34 +90,11 @@ for entry in doc["labels"]:
     for key in ("acquires", "local_handoffs", "remote_handoffs", "chains",
                 "node_acquires", "cpu_acquires", "residency_runs", "wait", "phases"):
         assert key in lock, f"{entry['label']}: profile missing {key}"
-    # One non-handover acquisition per merged chain (fig5 merges one
-    # machine per critical_work level under each lock-kind label).
-    assert lock["local_handoffs"] + lock["remote_handoffs"] + lock["chains"] \
-        == lock["acquires"], f"{entry['label']}: handoff totals inconsistent"
     # In-repo lock kinds account every backoff cycle inside its acquire
     # window; a clamped window means the spin residual lost cycles.
     assert lock["phases"]["spin_clamped"] == 0, \
         f"{entry['label']}: {lock['phases']['spin_clamped']} clamped windows"
 print(f"profile OK: {len(labels)} labels, schema v{doc['version']}")
-# Overhead gate: streaming profiling must stay cheap. Best-of-three
-# events/s of the profiled leg vs the unprofiled leg, both at full scale
-# and same jobs. With the paper's 8 kinds this measured 0.90-0.93x
-# across containers; the 13-kind catalog sweep lands at ~0.86x — the
-# queue-family contenders (TICKET/TWA/CNA/RECIP) spend a larger share
-# of their events in fold-heavy categories (handoffs, acquire windows),
-# so the *mix* got costlier, not the fold (the 8-kind ratio is
-# unchanged at ~0.92). The 0.78 floor keeps the same ±10%-jitter
-# headroom below the new operating point while still catching a gross
-# fold-cost regression.
-off = max(json.load(open(f"target/ci-prof-off/bench{r}.json"))["sim_events_per_sec"]
-          for r in (1, 2, 3))
-on = max(json.load(open(f"target/ci-prof-on/bench{r}.json"))["sim_events_per_sec"]
-         for r in (1, 2, 3))
-ratio = on / off
-line = f"events/s profiled {on/1e6:.1f}M vs plain {off/1e6:.1f}M ({ratio:.2f}x)"
-if ratio < 0.78:
-    raise SystemExit(f"FAIL {line} - profiling overhead regression")
-print("OK " + line)
 EOF
 else
     echo "python3 not found; skipping profile JSON validation"
@@ -278,8 +249,7 @@ cargo test --release -q -p nucasim --lib -- --ignored \
     million_lock_indices_stay_bounded
 
 echo "==> model checker smoke (exhaustive pass, mutants caught, usage errors)"
-out=$(./target/release/nuca-mcheck --kind all --cpus 2 \
-    --bench-json target/ci-experiments/mcheck.json 2>&1)
+out=$(./target/release/nuca-mcheck --kind all --cpus 2 2>&1)
 echo "$out" | tail -1
 if ! grep -q "checked 13 subject" <<<"$out"; then
     echo "expected --kind all to exhaust every registered kind (13 subjects)"

@@ -5,7 +5,6 @@
 //! experiments fig5 table2       # selected artifacts
 //! experiments all --fast        # smoke-test scale
 //! experiments all --jobs 4      # bound parallel simulation jobs
-//! experiments all --bench-json bench.json  # per-artifact wall time, events/s
 //! experiments fig5 --trace t.json --metrics-json m.json  # observability
 //! experiments --list            # artifact inventory
 //! ```
@@ -14,14 +13,13 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use nuca_experiments::json::JsonWriter;
 use nuca_experiments::{run_experiment, runner, tracecap, Report, Scale, EXPERIMENTS, EXTENSIONS};
 use nuca_experiments::UnknownExperiment;
 
 const USAGE: &str = "usage: experiments [--fast] [--out DIR] [--jobs N] \
      [--protocol flat|mesi|dragon] \
      [--binding rr|clustered] [--kinds NAME,NAME,...] [--twa-slots N] \
-     [--twa-hash mod|stride] [--bench-json PATH] [--trace PATH] \
+     [--twa-hash mod|stride] [--trace PATH] \
      [--metrics-json PATH] [--profile PATH] [--shards N] [--zipf THETA] \
      [--arrival-gap CYCLES] <id>... | all | --list";
 
@@ -29,7 +27,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Full;
     let mut out_dir = PathBuf::from("target/experiments");
-    let mut bench_json: Option<PathBuf> = None;
     let mut trace_path: Option<PathBuf> = None;
     let mut metrics_path: Option<PathBuf> = None;
     let mut profile_path: Option<PathBuf> = None;
@@ -120,13 +117,6 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--bench-json" => match iter.next() {
-                Some(path) => bench_json = Some(PathBuf::from(path)),
-                None => {
-                    eprintln!("--bench-json requires a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--trace" => match iter.next() {
                 Some(path) => trace_path = Some(PathBuf::from(path)),
                 None => {
@@ -172,7 +162,7 @@ fn main() -> ExitCode {
     }
 
     // Expand `all` here (rather than deferring to `run_experiment`) so
-    // each artifact gets its own wall-clock entry in the bench log.
+    // each artifact gets its own wall-clock line.
     let ids: Vec<String> = ids
         .iter()
         .flat_map(|id| {
@@ -212,9 +202,6 @@ fn main() -> ExitCode {
         nucasim::profile::enable_global_profiling();
     }
 
-    let harness_started = Instant::now();
-    let events_before = nucasim::sim_events_total();
-
     // One orchestration task per artifact; leaf simulation jobs inside
     // each artifact share the global --jobs budget. Results come back in
     // request order, so rendering and TSV writes stay deterministic.
@@ -232,7 +219,6 @@ fn main() -> ExitCode {
         .collect();
     let results = runner::run_fanout(tasks);
 
-    let mut artifact_times: Vec<(String, Duration)> = Vec::new();
     for (id, (elapsed, result)) in ids.iter().zip(results) {
         match result {
             Ok(reports) => {
@@ -244,7 +230,6 @@ fn main() -> ExitCode {
                     }
                 }
                 eprintln!("[{id} done in {elapsed:.1?}]");
-                artifact_times.push((id.clone(), elapsed));
             }
             Err(err) => {
                 eprintln!("{err}");
@@ -253,21 +238,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let total = harness_started.elapsed();
-    let events = nucasim::sim_events_total() - events_before;
-    if let Some(path) = bench_json {
-        let json = bench_report(scale, &artifact_times, total, events);
-        match std::fs::write(&path, json) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(err) => {
-                eprintln!("could not write bench JSON {}: {err}", path.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    // Observability capture: dedicated traced runs, after the artifacts so
-    // their cost never pollutes the bench baseline above.
+    // Observability capture: dedicated traced runs, after the artifacts.
     if trace_path.is_some() || metrics_path.is_some() {
         if let Err(err) =
             tracecap::write_captures(scale, trace_path.as_deref(), metrics_path.as_deref())
@@ -292,35 +263,4 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
-}
-
-/// Renders the perf-regression baseline: per-artifact wall-clock plus the
-/// harness-wide simulated-event throughput.
-fn bench_report(
-    scale: Scale,
-    artifact_times: &[(String, Duration)],
-    total: Duration,
-    events: u64,
-) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_object();
-    w.field_str("scale", scale.pick("full", "fast"));
-    w.field_u64("jobs", runner::max_jobs() as u64);
-    w.key("artifacts");
-    w.begin_array();
-    for (id, elapsed) in artifact_times {
-        w.begin_object();
-        w.field_str("id", id);
-        w.field_raw("wall_ms", &format!("{:.1}", elapsed.as_secs_f64() * 1e3));
-        w.end_object();
-    }
-    w.end_array();
-    w.field_raw("total_wall_ms", &format!("{:.1}", total.as_secs_f64() * 1e3));
-    w.field_u64("sim_events", events);
-    w.field_raw(
-        "sim_events_per_sec",
-        &format!("{:.0}", events as f64 / total.as_secs_f64().max(1e-9)),
-    );
-    w.end_object();
-    w.finish()
 }

@@ -21,7 +21,9 @@ use std::io;
 use std::path::Path;
 
 use hbo_locks::LockKind;
-use nucasim::{cycles_to_ns, BackoffClass, Histogram, SimEvent, SimReport, TraceRecord};
+use nucasim::{
+    cycles_to_ns, BackoffClass, Histogram, SimEvent, SimReport, TraceRecord, NS_PER_CYCLE,
+};
 
 use nuca_workloads::modern::run_modern_traced;
 
@@ -371,7 +373,7 @@ pub(crate) fn write_histogram(w: &mut JsonWriter, h: &Histogram) {
     w.field_u64("count", h.count());
     w.field_u64("max_ns", cycles_to_ns(h.max()));
     if let Some(mean) = h.mean() {
-        w.field_raw("mean_ns", &format!("{:.1}", mean * 4.0));
+        w.field_raw("mean_ns", &format!("{:.1}", mean * NS_PER_CYCLE as f64));
     }
     for (label, p) in [("p50_ns", 50.0), ("p90_ns", 90.0), ("p99_ns", 99.0)] {
         if let Some(v) = h.percentile(p) {
@@ -382,8 +384,8 @@ pub(crate) fn write_histogram(w: &mut JsonWriter, h: &Histogram) {
     w.begin_array();
     for (upper, n) in h.nonzero_buckets() {
         w.begin_array();
-        // 1 cycle = 4 ns exactly; saturate for the open-ended top bucket.
-        w.number_u64(upper.saturating_mul(4));
+        // Saturates for the open-ended top bucket.
+        w.number_u64(cycles_to_ns(upper));
         w.number_u64(n);
         w.end_array();
     }
@@ -423,21 +425,11 @@ pub fn metrics_json(scale: Scale, captures: &[Capture]) -> String {
         w.field_u64("anger_episodes", r.anger_episodes);
         w.field_u64("preemptions", r.preemptions);
         w.field_u64("migrations", r.migrations);
-        // Protocol-level counters, tallied from the event stream (the
-        // aggregate report predates the coherence layer and does not
-        // carry them). All three are zero under the flat protocol.
-        let (mut upgrades, mut evictions, mut update_broadcasts) = (0u64, 0u64, 0u64);
-        for rec in &cap.records {
-            match rec.event {
-                SimEvent::Upgrade { .. } => upgrades += 1,
-                SimEvent::Eviction { .. } => evictions += 1,
-                SimEvent::UpdateBroadcast { .. } => update_broadcasts += 1,
-                _ => {}
-            }
-        }
-        w.field_u64("upgrades", upgrades);
-        w.field_u64("evictions", evictions);
-        w.field_u64("update_broadcasts", update_broadcasts);
+        // Protocol-level counters: all three are zero under the flat
+        // protocol.
+        w.field_u64("upgrades", r.upgrades);
+        w.field_u64("evictions", r.evictions);
+        w.field_u64("update_broadcasts", r.update_broadcasts);
         w.field_u64("trace_events", cap.records.len() as u64);
         w.key("locks");
         w.begin_array();

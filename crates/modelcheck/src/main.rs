@@ -5,21 +5,19 @@
 //! nuca-mcheck --kind hbo_gt --cpus 3     # one kind, three contenders
 //! nuca-mcheck --kind racy_tatas          # mutant: exits 1 with a trace
 //! nuca-mcheck --kind all --random 500 --seed 7   # sampled schedules
-//! nuca-mcheck --kind all --bench-json mcheck.json
 //! nuca-mcheck --list                     # subject inventory
 //! ```
 //!
 //! Exit codes: 0 all properties hold, 1 a violation was found, 2 usage
 //! error.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use nuca_modelcheck::{check, check_random, cli, render, CheckConfig, Subject};
 
 const USAGE: &str = "usage: nuca-mcheck [--kind K|all] [--cpus N] [--iters N] \
-     [--depth N] [--preempt N] [--random N --seed S] [--bench-json PATH] [--list]";
+     [--depth N] [--preempt N] [--random N --seed S] [--list]";
 
 fn usage_error(msg: &str) -> ExitCode {
     eprintln!("{msg}");
@@ -36,7 +34,6 @@ fn main() -> ExitCode {
     let mut preempt: Option<u32> = None;
     let mut random: Option<u64> = None;
     let mut seed = 0u64;
-    let mut bench_json: Option<PathBuf> = None;
 
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
@@ -70,10 +67,6 @@ fn main() -> ExitCode {
             "--seed" => match cli::parse_seed(iter.next().as_deref()) {
                 Ok(s) => seed = s,
                 Err(msg) => return usage_error(&msg),
-            },
-            "--bench-json" => match iter.next() {
-                Some(path) => bench_json = Some(PathBuf::from(path)),
-                None => return usage_error("--bench-json requires a file path"),
             },
             "--list" => {
                 let verified: Vec<&str> = Subject::verified().iter().map(|s| s.name()).collect();
@@ -177,24 +170,6 @@ fn main() -> ExitCode {
          {total_transitions} transitions, {states_per_sec:.0} states/sec]",
         subjects.len()
     );
-
-    if let Some(path) = bench_json {
-        let json = format!(
-            "{{\n  \"tool\": \"nuca-mcheck\",\n  \"cpus\": {cpus},\n  \"iters\": {iters},\n  \
-             \"subjects\": {},\n  \"distinct_states\": {total_states},\n  \
-             \"transitions\": {total_transitions},\n  \"wall_ms\": {:.1},\n  \
-             \"states_per_sec\": {states_per_sec:.0}\n}}\n",
-            subjects.len(),
-            total.as_secs_f64() * 1e3,
-        );
-        match std::fs::write(&path, json) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(err) => {
-                eprintln!("could not write bench JSON {}: {err}", path.display());
-                return ExitCode::from(2);
-            }
-        }
-    }
 
     if failed {
         ExitCode::FAILURE

@@ -401,6 +401,7 @@ fn insert_with_eviction(
             t.record(at, SimEvent::CoherenceTxn { cpu, node: my_node, home: vhome, global });
         }
     }
+    stats.count_eviction();
     if let Some(t) = trace.as_deref_mut() {
         t.record(at, SimEvent::Eviction { cpu, node: my_node, home: vhome, dirty });
     }
@@ -634,6 +635,7 @@ impl SetAssoc {
             );
             let invalidated =
                 self.invalidate_others(mem, line, cpu, my_node, home, start, stats, &mut trace);
+            stats.count_upgrade();
             if let Some(t) = trace.as_deref_mut() {
                 t.record(start, SimEvent::Upgrade { cpu, node: my_node, home, invalidated });
             }
@@ -833,6 +835,7 @@ impl SetAssoc {
                 }
                 count_node_txn(stats, &mut trace, s, cpu, NodeId(n), my_node, home);
             }
+            stats.count_update_broadcast();
             if let Some(t) = &mut trace {
                 t.record(
                     s,

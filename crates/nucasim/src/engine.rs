@@ -104,6 +104,14 @@ pub struct SimReport {
     pub migrations: u64,
     /// HBO_GT_SD anger episodes recorded.
     pub anger_episodes: u64,
+    /// HBO_GT throttled-spin announcements recorded.
+    pub throttle_spins: u64,
+    /// MESI shared→exclusive upgrades.
+    pub upgrades: u64,
+    /// Set-associative cache evictions.
+    pub evictions: u64,
+    /// Dragon update broadcasts.
+    pub update_broadcasts: u64,
     /// Transactions served from the requester's own cache.
     pub cache_hits: u64,
     /// Program-resume events the engine processed.
@@ -402,7 +410,7 @@ impl Machine {
         // untraced; an explicitly installed sink always wins (profiling
         // must never displace a capture the caller asked for).
         if self.trace.is_none() && crate::profile::global_profiling_enabled() {
-            self.trace = Some(crate::profile::global_sink(self.profile_label.as_deref()));
+            self.trace = Some(crate::profile::global_sink());
         }
         self.run_with(limit, true)
     }
@@ -531,11 +539,13 @@ impl Machine {
     ///
     /// Lock traces are moved (not cloned) out of the statistics and final
     /// memory values are materialized once, here — keeping repeated
-    /// [`Machine::run`] continuations free of per-call copying.
+    /// [`Machine::run`] continuations free of per-call copying. A machine
+    /// run under global profiling publishes its report's counters and its
+    /// stream-only profile to the label table here, together.
     pub fn into_report(mut self) -> SimReport {
         let finish_times = self.cpus.finished_at.clone();
         let finished_all = self.cpus.all_done();
-        SimReport {
+        let report = SimReport {
             end_time: self.time,
             finished_all,
             finish_times,
@@ -547,9 +557,17 @@ impl Machine {
             preemptions: self.stats.preemptions(),
             migrations: self.stats.migrations(),
             anger_episodes: self.stats.anger_episodes(),
+            throttle_spins: self.stats.throttle_spins(),
+            upgrades: self.stats.upgrades(),
+            evictions: self.stats.evictions(),
+            update_broadcasts: self.stats.update_broadcasts(),
             cache_hits: self.stats.cache_hits(),
             events: self.stats.events(),
+        };
+        if let Some(sink) = self.trace.take() {
+            crate::profile::publish(sink, self.profile_label.as_deref(), &report);
         }
+        report
     }
 }
 
@@ -1146,6 +1164,10 @@ mod tests {
             preemptions: 0,
             migrations: 0,
             anger_episodes: 0,
+            throttle_spins: 0,
+            upgrades: 0,
+            evictions: 0,
+            update_broadcasts: 0,
             cache_hits: 0,
             events: 0,
         };

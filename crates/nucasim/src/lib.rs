@@ -90,7 +90,7 @@ pub use faults::{
 pub use mem::{Addr, MemOp, MemorySystem, MAX_SIM_CPUS};
 pub use metrics::Histogram;
 pub use preempt::PreemptionConfig;
-pub use profile::{LockProfile, Profile, ProfileCollector};
+pub use profile::{LabelProfile, LockProfile, Profile, ProfileCollector};
 pub use program::{Command, CpuCtx, Program};
 pub use rng::SplitMix64;
 pub use stats::{LockTally, LockTrace, SimStats, TrafficCounts, DEFAULT_HOT_LOCKS};
@@ -100,7 +100,14 @@ pub use trace::{BackoffClass, EventLog, SimEvent, TraceRecord, TraceSink};
 /// UltraSPARC II clock). One cycle is 4 ns.
 pub const CYCLES_PER_SECOND: u64 = 250_000_000;
 
-/// Converts simulated cycles to nanoseconds.
+/// Nanoseconds per simulated cycle (4 at 250 MHz).
+pub const NS_PER_CYCLE: u64 = 1_000_000_000 / CYCLES_PER_SECOND;
+
+// A cycle must be a whole number of nanoseconds for `cycles_to_ns` to be
+// exact.
+const _: () = assert!(1_000_000_000 % CYCLES_PER_SECOND == 0);
+
+/// Converts simulated cycles to nanoseconds, saturating at `u64::MAX`.
 ///
 /// # Example
 ///
@@ -108,7 +115,7 @@ pub const CYCLES_PER_SECOND: u64 = 250_000_000;
 /// assert_eq!(nucasim::cycles_to_ns(250), 1000);
 /// ```
 pub fn cycles_to_ns(cycles: u64) -> u64 {
-    cycles * 1_000_000_000 / CYCLES_PER_SECOND
+    cycles.saturating_mul(NS_PER_CYCLE)
 }
 
 /// Converts simulated cycles to seconds.
@@ -127,8 +134,9 @@ pub(crate) fn add_sim_events(n: u64) {
 
 /// Total program-resume events simulated by this process so far, across
 /// all machines and threads. Sampling it before and after a workload gives
-/// a simulated-events throughput figure (the experiment harness reports
-/// events/sec from exactly this counter).
+/// a simulated-events throughput figure (the repository benchmark's
+/// per-artifact event counts and `nucasim.events_per_s` are built from
+/// exactly this counter).
 pub fn sim_events_total() -> u64 {
     SIM_EVENTS.load(std::sync::atomic::Ordering::Relaxed)
 }
@@ -150,4 +158,21 @@ pub fn set_default_protocol(kind: ProtocolKind) {
 /// The current process-wide default coherence protocol.
 pub fn default_protocol() -> ProtocolKind {
     ProtocolKind::ALL[DEFAULT_PROTOCOL.load(std::sync::atomic::Ordering::Relaxed) as usize]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cycles_to_ns_is_exact_in_range_and_saturates_past_it() {
+        assert_eq!(cycles_to_ns(0), 0);
+        assert_eq!(cycles_to_ns(250), 1000);
+        // The old `cycles * 10^9 / CYCLES_PER_SECOND` overflowed here.
+        let past_old_overflow = u64::MAX / 1_000_000_000 + 1;
+        assert_eq!(cycles_to_ns(past_old_overflow), past_old_overflow * 4);
+        assert_eq!(cycles_to_ns(u64::MAX / 4), u64::MAX / 4 * 4);
+        assert_eq!(cycles_to_ns(u64::MAX / 4 + 1), u64::MAX);
+        assert_eq!(cycles_to_ns(u64::MAX), u64::MAX);
+    }
 }

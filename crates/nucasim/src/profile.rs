@@ -2,31 +2,35 @@
 //!
 //! The paper's whole argument rests on *where* each lock handoff goes
 //! (same node vs. cross node) and *what* an acquire spends its latency on.
-//! The [`crate::trace`] layer emits the raw [`SimEvent`] stream, but
-//! buffering it (an [`crate::EventLog`]) costs tens of bytes per event —
-//! millions of events per contended run. The analyzers here consume the
-//! stream *incrementally* instead: every metric is an online fold over the
-//! events, so memory is bounded by machine shape (CPUs × locks × nodes,
-//! with fixed-size histograms), never by event count.
+//! The handoff counts themselves — acquisitions, node handoffs, per-node
+//! and per-CPU acquires, wait and hold histograms — are always-on
+//! [`crate::SimStats`] counters. This module folds only what needs the
+//! ordered [`SimEvent`] stream: node-residency run lengths and the
+//! per-window acquire-phase split. Buffering the stream (an
+//! [`crate::EventLog`]) costs tens of bytes per event — millions of events
+//! per contended run. The analyzers here consume the stream
+//! *incrementally* instead: every metric is an online fold over the
+//! events, so memory is bounded by machine shape (CPUs × locks, with one
+//! fixed-size histogram per lock), never by event count.
 //!
 //! Three layers:
 //!
 //! * [`LockProfile`] / [`Profile`] — the analysis results: per-lock
-//!   handoff-chain reconstruction (local/remote handoff counts,
-//!   node-residency run lengths, the paper's node-handoff rate) and
-//!   per-acquire latency decomposition (spin vs. backoff sleep by
-//!   [`BackoffClass`] vs. coherence transactions split local/global), plus
-//!   hold times and machine-wide episode counters.
+//!   node-residency run lengths and per-acquire latency decomposition
+//!   (spin vs. backoff sleep by [`BackoffClass`] vs. coherence
+//!   transactions split local/global).
 //! * [`ProfileCollector`] — a cloneable [`TraceSink`] handle for profiling
 //!   one machine explicitly (the `handoff` artifact): clone it, box one
 //!   clone into the machine, call [`ProfileCollector::finish`] after.
 //! * the **global registry** — [`enable_global_profiling`] makes every
 //!   subsequently-run [`crate::Machine`] without an explicit sink install
-//!   a streaming profiler whose results merge, keyed by the machine's
-//!   profile label, into a process-wide table ([`take_global_profiles`]).
-//!   This is what the experiment harness's `--profile` flag turns on: the
-//!   artifacts run unchanged (profiling only observes, so every TSV byte
-//!   is identical) while the profiler aggregates across all of them.
+//!   a streaming profiler. [`crate::Machine::into_report`] then publishes
+//!   the machine's report counters and its profile together, keyed by the
+//!   machine's profile label, into a process-wide table of
+//!   [`LabelProfile`]s ([`take_global_profiles`]). This is what the
+//!   experiment harness's `--profile` flag turns on: the artifacts run
+//!   unchanged (profiling only observes, so every TSV byte is identical)
+//!   while the registry aggregates across all of them.
 //!
 //! # Determinism contract
 //!
@@ -38,6 +42,7 @@
 //! (counts, sums, bucket-wise histogram merges); ratios are derived only
 //! at serialization time. Labels are reported in sorted order.
 
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -45,38 +50,19 @@ use std::sync::{Arc, Mutex};
 use nuca_topology::NodeId;
 
 use crate::metrics::Histogram;
+use crate::stats::LockTrace;
 use crate::trace::{BackoffClass, SimEvent, TraceSink};
+use crate::SimReport;
 
-/// Streaming per-lock analysis: handoff-chain reconstruction and acquire
-/// latency decomposition, all counters merge-safe integers.
+/// Streaming per-lock analysis: node-residency runs and the acquire
+/// latency decomposition, all counters merge-safe integers. The handoff
+/// counts they sit next to live in [`LockTrace`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LockProfile {
-    /// Successful acquisitions observed.
-    pub acquires: u64,
-    /// Handovers whose new holder was on the *same* node as the previous
-    /// one (node-local runs — what HBO maximizes).
-    pub local_handoffs: u64,
-    /// Handovers that crossed to a different node (the paper's "node
-    /// handoffs"; every one costs a remote lock-word transfer).
-    pub remote_handoffs: u64,
-    /// Handoff chains folded into this profile: one per event stream that
-    /// acquired this lock at least once. A chain's first acquisition is
-    /// not a handover, so the bookkeeping identity — which survives
-    /// merging, unlike the per-machine `+ 1` form — is
-    /// `local_handoffs + remote_handoffs + chains == acquires`.
-    pub chains: u64,
-    /// Acquisitions per node (index = node id; grown on demand).
-    pub node_acquires: Vec<u64>,
-    /// Acquisitions per CPU (index = cpu id; grown on demand). A zero for
-    /// a contending CPU is the starvation tell: a lock can post a perfect
-    /// remote-handoff rate simply by never granting some CPUs at all.
-    pub cpu_acquires: Vec<u64>,
     /// Node-residency run lengths: each sample is how many consecutive
     /// acquisitions stayed on one node before the lock migrated. Longer
     /// runs mean better handoff locality.
     pub residency_runs: Histogram,
-    /// Acquire-window lengths in cycles (first acquire step to grant).
-    pub wait: Histogram,
     /// Acquire-window cycles not accounted to a backoff sleep: active
     /// spinning plus coherence stalls (the residual phase).
     pub spin_cycles: u64,
@@ -96,10 +82,6 @@ pub struct LockProfile {
     /// Global (interconnect-crossing) coherence transactions issued inside
     /// acquire windows.
     pub coh_global: u64,
-    /// Completed hold intervals observed (acquire → release start).
-    pub holds: u64,
-    /// Total cycles the lock was held across those intervals.
-    pub hold_cycles: u64,
     /// Node currently holding the handoff chain (streaming state; cleared
     /// when the profile is finished).
     cur_node: Option<usize>,
@@ -108,57 +90,21 @@ pub struct LockProfile {
 }
 
 impl LockProfile {
-    /// Remote handoffs per handover opportunity — the paper's node handoff
-    /// rate, matching [`crate::LockTrace::handoff_ratio`]. `None` before
-    /// the second acquisition.
-    pub fn remote_handoff_rate(&self) -> Option<f64> {
-        if self.acquires < 2 {
-            None
-        } else {
-            Some(self.remote_handoffs as f64 / (self.acquires - 1) as f64)
-        }
-    }
-
-    /// Fraction of handovers that stayed node-local (1 − remote rate).
-    pub fn handoff_locality(&self) -> Option<f64> {
-        self.remote_handoff_rate().map(|r| 1.0 - r)
-    }
-
     /// Mean node-residency run length, or `None` before any run completed.
     pub fn mean_residency_run(&self) -> Option<f64> {
         self.residency_runs.mean()
     }
 
-    /// Total acquire-window cycles (the denominator of the phase split).
-    pub fn wait_cycles(&self) -> u64 {
-        self.wait.sum()
-    }
-
-    /// The acquire-latency phase split as fractions of the total wait:
-    /// `(spin, backoff_local, backoff_remote)`. `None` when no wait time
-    /// was observed.
-    pub fn phase_fractions(&self) -> Option<(f64, f64, f64)> {
-        let total = self.wait_cycles();
-        if total == 0 {
-            return None;
-        }
-        let t = total as f64;
-        Some((
-            self.spin_cycles as f64 / t,
-            self.backoff_local_cycles as f64 / t,
-            self.backoff_remote_cycles as f64 / t,
-        ))
-    }
-
     /// The phase that dominates the acquire critical path: `"spin"`,
-    /// `"backoff_local"` or `"backoff_remote"` (`"idle"` with no waits).
+    /// `"backoff_local"` or `"backoff_remote"` (`"idle"` when no acquire
+    /// window recorded any cycles).
     pub fn critical_path(&self) -> &'static str {
         let phases = [
             (self.spin_cycles, "spin"),
             (self.backoff_local_cycles, "backoff_local"),
             (self.backoff_remote_cycles, "backoff_remote"),
         ];
-        if self.wait_cycles() == 0 {
+        if phases.iter().all(|&(cycles, _)| cycles == 0) {
             return "idle";
         }
         phases
@@ -168,83 +114,29 @@ impl LockProfile {
             .expect("phases is non-empty")
     }
 
-    /// How many of the `cpus` contending CPUs never acquired at all —
-    /// the starved-CPU count the `handoff` artifact prints next to the
-    /// remote-handoff rate, so a "0.00 remote rate" earned by starving
-    /// whole CPUs is visibly different from one earned by locality.
-    pub fn starved_cpus(&self, cpus: usize) -> usize {
-        (0..cpus)
-            .filter(|&c| self.cpu_acquires.get(c).copied().unwrap_or(0) == 0)
-            .count()
-    }
-
-    /// Mean hold time in cycles, or `None` before any release.
-    pub fn mean_hold(&self) -> Option<f64> {
-        if self.holds == 0 {
-            None
-        } else {
-            Some(self.hold_cycles as f64 / self.holds as f64)
-        }
-    }
-
     /// Adds every count of `other` into `self` (commutative).
     pub fn merge(&mut self, other: &LockProfile) {
         debug_assert!(
             other.cur_node.is_none() && other.cur_run == 0,
             "merge a finished profile (open residency runs flushed)"
         );
-        self.acquires += other.acquires;
-        self.local_handoffs += other.local_handoffs;
-        self.remote_handoffs += other.remote_handoffs;
-        self.chains += other.chains;
-        if self.node_acquires.len() < other.node_acquires.len() {
-            self.node_acquires.resize(other.node_acquires.len(), 0);
-        }
-        for (a, b) in self.node_acquires.iter_mut().zip(&other.node_acquires) {
-            *a += b;
-        }
-        if self.cpu_acquires.len() < other.cpu_acquires.len() {
-            self.cpu_acquires.resize(other.cpu_acquires.len(), 0);
-        }
-        for (a, b) in self.cpu_acquires.iter_mut().zip(&other.cpu_acquires) {
-            *a += b;
-        }
         self.residency_runs.merge(&other.residency_runs);
-        self.wait.merge(&other.wait);
         self.spin_cycles += other.spin_cycles;
         self.spin_clamped += other.spin_clamped;
         self.backoff_local_cycles += other.backoff_local_cycles;
         self.backoff_remote_cycles += other.backoff_remote_cycles;
         self.coh_local += other.coh_local;
         self.coh_global += other.coh_global;
-        self.holds += other.holds;
-        self.hold_cycles += other.hold_cycles;
     }
 
-    fn on_acquire(&mut self, cpu: usize, node: NodeId) {
-        self.acquires += 1;
-        if self.node_acquires.len() <= node.index() {
-            self.node_acquires.resize(node.index() + 1, 0);
-        }
-        self.node_acquires[node.index()] += 1;
-        if self.cpu_acquires.len() <= cpu {
-            self.cpu_acquires.resize(cpu + 1, 0);
-        }
-        self.cpu_acquires[cpu] += 1;
+    fn on_acquire(&mut self, node: NodeId) {
         match self.cur_node {
-            Some(prev) if prev == node.index() => {
-                self.local_handoffs += 1;
-                self.cur_run += 1;
-            }
+            Some(prev) if prev == node.index() => self.cur_run += 1,
             Some(_) => {
-                self.remote_handoffs += 1;
                 self.residency_runs.record(self.cur_run);
                 self.cur_run = 1;
             }
-            None => {
-                self.chains += 1;
-                self.cur_run = 1;
-            }
+            None => self.cur_run = 1,
         }
         self.cur_node = Some(node.index());
     }
@@ -259,26 +151,12 @@ impl LockProfile {
     }
 }
 
-/// A machine-level (or merged) streaming profile: per-lock analyses plus
-/// machine-wide episode counters.
+/// A machine-level (or merged) streaming profile: the per-lock analyses
+/// and the number of events folded.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Profile {
     /// Per-lock profiles (index = workload-chosen dense lock index).
     pub locks: Vec<LockProfile>,
-    /// HBO_GT_SD `GET_ANGRY` episodes observed.
-    pub anger_episodes: u64,
-    /// HBO_GT throttled-spin announcements observed.
-    pub throttle_spins: u64,
-    /// Preemption windows observed.
-    pub preemptions: u64,
-    /// Injected thread migrations observed.
-    pub migrations: u64,
-    /// MESI shared→exclusive upgrade invalidations observed.
-    pub upgrades: u64,
-    /// Set-associative cache evictions observed.
-    pub evictions: u64,
-    /// Dragon update broadcasts observed.
-    pub update_broadcasts: u64,
     /// Total [`SimEvent`]s folded into this profile.
     pub events: u64,
 }
@@ -293,42 +171,87 @@ impl Profile {
         for (a, b) in self.locks.iter_mut().zip(&other.locks) {
             a.merge(b);
         }
-        self.anger_episodes += other.anger_episodes;
-        self.throttle_spins += other.throttle_spins;
-        self.preemptions += other.preemptions;
-        self.migrations += other.migrations;
-        self.upgrades += other.upgrades;
-        self.evictions += other.evictions;
-        self.update_broadcasts += other.update_broadcasts;
         self.events += other.events;
     }
 
     /// Approximate heap + inline footprint in bytes. The point of the
-    /// streaming design: this is `O(locks × nodes)` with two fixed-size
-    /// histograms per lock — independent of `self.events`, which counts
-    /// how many events were folded in.
+    /// streaming design: this is `O(locks)` with one fixed-size histogram
+    /// per lock — independent of `self.events`, which counts how many
+    /// events were folded in.
     pub fn approx_bytes(&self) -> usize {
-        let per_lock: usize = self
-            .locks
-            .iter()
-            .map(|l| {
-                std::mem::size_of::<LockProfile>()
-                    + (l.node_acquires.len() + l.cpu_acquires.len()) * 8
-            })
-            .sum();
-        std::mem::size_of::<Profile>() + per_lock
+        std::mem::size_of::<Profile>() + self.locks.len() * std::mem::size_of::<LockProfile>()
     }
 }
 
-/// Per-CPU streaming state: the open acquire window and held locks.
+/// One label's entry in the global table: the per-lock statistics and
+/// machine counters of every [`SimReport`] published under the label,
+/// merged, next to their merged stream-only [`Profile`]. Every field is a
+/// commutative, associative integer fold.
 #[derive(Debug, Default)]
-struct CpuState {
-    /// Open acquire window, set by `AcquireStart`, consumed by the
+pub struct LabelProfile {
+    /// Per-lock statistics (dense tier), merged with [`LockTrace::merge`].
+    locks: Vec<LockTrace>,
+    /// Per lock, in step with `locks`: see [`LabelProfile::locks`].
+    chains: Vec<u64>,
+    /// HBO_GT_SD `GET_ANGRY` episodes.
+    pub anger_episodes: u64,
+    /// HBO_GT throttled-spin announcements.
+    pub throttle_spins: u64,
+    /// Preemption windows applied.
+    pub preemptions: u64,
+    /// Injected thread migrations.
+    pub migrations: u64,
+    /// MESI shared→exclusive upgrades.
+    pub upgrades: u64,
+    /// Set-associative cache evictions.
+    pub evictions: u64,
+    /// Dragon update broadcasts.
+    pub update_broadcasts: u64,
+    /// The merged stream-only analyses.
+    pub profile: Profile,
+}
+
+impl LabelProfile {
+    /// Folds one machine's report and stream-only profile into the entry.
+    pub fn add(&mut self, report: &SimReport, profile: &Profile) {
+        let n = report.lock_traces.len();
+        if self.locks.len() < n {
+            self.locks.resize_with(n, LockTrace::default);
+            self.chains.resize(n, 0);
+        }
+        for (i, trace) in report.lock_traces.iter().enumerate() {
+            self.locks[i].merge(trace);
+            self.chains[i] += u64::from(trace.acquisitions > 0);
+        }
+        self.anger_episodes += report.anger_episodes;
+        self.throttle_spins += report.throttle_spins;
+        self.preemptions += report.preemptions;
+        self.migrations += report.migrations;
+        self.upgrades += report.upgrades;
+        self.evictions += report.evictions;
+        self.update_broadcasts += report.update_broadcasts;
+        self.profile.merge(profile);
+    }
+
+    /// Each lock's merged statistics (dense tier) with its chain count:
+    /// how many machines acquired it at least once. Each such machine is
+    /// one handoff chain whose first acquisition is not a handover, so a
+    /// lock's node-local handoffs are `acquisitions − node_handoffs −
+    /// chains`.
+    pub fn locks(&self) -> impl Iterator<Item = (&LockTrace, u64)> {
+        self.locks.iter().zip(self.chains.iter().copied())
+    }
+}
+
+/// The incremental analyzer: folds one event at a time into a [`Profile`].
+/// It is also the sink [`crate::Machine::run`] installs on globally
+/// profiled machines, read back by [`publish`].
+#[derive(Debug, Default)]
+struct ProfCore {
+    profile: Profile,
+    /// Per-CPU open acquire window, set by `AcquireStart`, consumed by the
     /// matching `LockAcquire`.
-    window: Option<Window>,
-    /// Locks this CPU currently holds, with acquisition times. A plain
-    /// vec: programs hold at most a handful of locks at once.
-    held: Vec<(usize, u64)>,
+    windows: Vec<Option<Window>>,
 }
 
 #[derive(Debug)]
@@ -341,19 +264,12 @@ struct Window {
     coh_global: u64,
 }
 
-/// The incremental analyzer: folds one event at a time into a [`Profile`].
-#[derive(Debug, Default)]
-struct ProfCore {
-    profile: Profile,
-    cpus: Vec<CpuState>,
-}
-
 impl ProfCore {
-    fn cpu(&mut self, i: usize) -> &mut CpuState {
-        if self.cpus.len() <= i {
-            self.cpus.resize_with(i + 1, CpuState::default);
+    fn window(&mut self, cpu: usize) -> &mut Option<Window> {
+        if self.windows.len() <= cpu {
+            self.windows.resize_with(cpu + 1, || None);
         }
-        &mut self.cpus[i]
+        &mut self.windows[cpu]
     }
 
     fn lock(&mut self, i: usize) -> &mut LockProfile {
@@ -368,7 +284,7 @@ impl ProfCore {
         self.profile.events += 1;
         match event {
             SimEvent::AcquireStart { lock, cpu, .. } => {
-                self.cpu(cpu.index()).window = Some(Window {
+                *self.window(cpu.index()) = Some(Window {
                     lock,
                     start: at,
                     backoff_local: 0,
@@ -377,12 +293,12 @@ impl ProfCore {
                     coh_global: 0,
                 });
             }
-            // The two highest-volume events. `get_mut`, not `cpu()`: a CPU
-            // without state yet cannot have an open window (`AcquireStart`
-            // creates the state), so the grow-on-miss branch would only
-            // cost — never fire — here.
+            // The two highest-volume events. `get_mut`, not `window()`: a
+            // CPU without a slot yet cannot have an open window
+            // (`AcquireStart` creates the slot), so the grow-on-miss branch
+            // would only cost — never fire — here.
             SimEvent::BackoffSleep { cpu, cycles, class, .. } => {
-                if let Some(w) = self.cpus.get_mut(cpu.index()).and_then(|s| s.window.as_mut()) {
+                if let Some(w) = self.windows.get_mut(cpu.index()).and_then(Option::as_mut) {
                     match class {
                         BackoffClass::Local => w.backoff_local += cycles,
                         BackoffClass::Remote => w.backoff_remote += cycles,
@@ -393,7 +309,7 @@ impl ProfCore {
                 // Only transactions inside an acquire window count toward
                 // the acquire phase split; critical-section and private
                 // traffic is not acquire latency.
-                if let Some(w) = self.cpus.get_mut(cpu.index()).and_then(|s| s.window.as_mut()) {
+                if let Some(w) = self.windows.get_mut(cpu.index()).and_then(Option::as_mut) {
                     if global {
                         w.coh_global += 1;
                     } else {
@@ -402,23 +318,21 @@ impl ProfCore {
                 }
             }
             SimEvent::LockAcquire { lock, cpu, node } => {
-                let state = self.cpu(cpu.index());
-                let window = match state.window.take() {
+                let slot = self.window(cpu.index());
+                let window = match slot.take() {
                     Some(w) if w.lock == lock => Some(w),
                     other => {
                         // Window for a different lock: put it back (a
                         // nested workload may interleave lock indices).
-                        state.window = other;
+                        *slot = other;
                         None
                     }
                 };
-                state.held.push((lock, at));
                 let lp = self.lock(lock);
-                lp.on_acquire(cpu.index(), node);
+                lp.on_acquire(node);
                 if let Some(w) = window {
                     let wait = at - w.start;
                     let backoff = w.backoff_local + w.backoff_remote;
-                    lp.wait.record(wait);
                     // The residual saturates at zero; count the windows
                     // where it actually clamped (recorded backoff longer
                     // than the window) rather than silently absorbing them.
@@ -432,22 +346,16 @@ impl ProfCore {
                     lp.coh_global += w.coh_global;
                 }
             }
-            SimEvent::LockRelease { lock, cpu, .. } => {
-                let state = self.cpu(cpu.index());
-                if let Some(pos) = state.held.iter().rposition(|&(l, _)| l == lock) {
-                    let (_, acquired_at) = state.held.swap_remove(pos);
-                    let lp = self.lock(lock);
-                    lp.holds += 1;
-                    lp.hold_cycles += at - acquired_at;
-                }
-            }
-            SimEvent::GotAngry { .. } => self.profile.anger_episodes += 1,
-            SimEvent::ThrottleSpin { .. } => self.profile.throttle_spins += 1,
-            SimEvent::Preempt { .. } => self.profile.preemptions += 1,
-            SimEvent::Migrate { .. } => self.profile.migrations += 1,
-            SimEvent::Upgrade { .. } => self.profile.upgrades += 1,
-            SimEvent::Eviction { .. } => self.profile.evictions += 1,
-            SimEvent::UpdateBroadcast { .. } => self.profile.update_broadcasts += 1,
+            // Counted by `SimStats` (or, for releases, already in the
+            // hold histogram); here they only add to `events`.
+            SimEvent::LockRelease { .. }
+            | SimEvent::GotAngry { .. }
+            | SimEvent::ThrottleSpin { .. }
+            | SimEvent::Preempt { .. }
+            | SimEvent::Migrate { .. }
+            | SimEvent::Upgrade { .. }
+            | SimEvent::Eviction { .. }
+            | SimEvent::UpdateBroadcast { .. } => {}
         }
     }
 
@@ -457,8 +365,15 @@ impl ProfCore {
         for lock in &mut self.profile.locks {
             lock.flush();
         }
-        self.cpus.clear();
+        self.windows.clear();
         std::mem::take(&mut self.profile)
+    }
+}
+
+impl TraceSink for ProfCore {
+    #[inline]
+    fn record(&mut self, at: u64, event: SimEvent) {
+        self.on_event(at, event);
     }
 }
 
@@ -507,16 +422,17 @@ impl TraceSink for ProfileCollector {
 /// Whether [`enable_global_profiling`] has been called.
 static GLOBAL_ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Label-keyed merged profiles from every machine run since global
+/// Label-keyed merged accounts from every machine reported since global
 /// profiling was enabled.
-static GLOBAL_PROFILES: Mutex<BTreeMap<String, Profile>> = Mutex::new(BTreeMap::new());
+static GLOBAL_PROFILES: Mutex<BTreeMap<String, LabelProfile>> = Mutex::new(BTreeMap::new());
 
 /// Label machines merge under when no profile label was set.
 pub const UNLABELED: &str = "_other";
 
 /// Turns on process-wide streaming profiling: every [`crate::Machine`]
-/// subsequently run without an explicit trace sink installs a profiler
-/// whose results merge into the global table under the machine's
+/// subsequently run without an explicit trace sink installs a profiler,
+/// and [`crate::Machine::into_report`] merges the machine's report and
+/// profile into the global table under its
 /// [`crate::Machine::set_profile_label`] (or [`UNLABELED`]). Profiling
 /// only observes — simulation results are bit-identical either way.
 /// Idempotent; there is deliberately no way to turn it off mid-process
@@ -530,50 +446,38 @@ pub fn global_profiling_enabled() -> bool {
     GLOBAL_ENABLED.load(Ordering::Relaxed)
 }
 
-/// Moves the globally-aggregated profiles out, sorted by label. Merging
+/// Moves the globally-aggregated accounts out, sorted by label. Merging
 /// is commutative, so the result is deterministic no matter how many
 /// threads the contributing runs were spread over.
-pub fn take_global_profiles() -> Vec<(String, Profile)> {
+pub fn take_global_profiles() -> Vec<(String, LabelProfile)> {
     let mut table = GLOBAL_PROFILES.lock().expect("global profiles poisoned");
     std::mem::take(&mut *table).into_iter().collect()
 }
 
-/// The sink the engine installs on globally-profiled machines: a plain
-/// analyzer that merges into the global table when the machine (and with
-/// it the boxed sink) is dropped.
-#[derive(Debug)]
-struct GlobalSink {
-    core: ProfCore,
-    label: String,
-}
-
-impl TraceSink for GlobalSink {
-    #[inline]
-    fn record(&mut self, at: u64, event: SimEvent) {
-        self.core.on_event(at, event);
-    }
-}
-
-impl Drop for GlobalSink {
-    fn drop(&mut self) {
-        let profile = self.core.finish();
-        if profile.events == 0 {
-            return;
-        }
-        let mut table = GLOBAL_PROFILES.lock().expect("global profiles poisoned");
-        table
-            .entry(std::mem::take(&mut self.label))
-            .or_default()
-            .merge(&profile);
-    }
-}
-
 /// Builds the engine-side global sink (see [`crate::Machine::run`]).
-pub(crate) fn global_sink(label: Option<&str>) -> Box<dyn TraceSink> {
-    Box::new(GlobalSink {
-        core: ProfCore::default(),
-        label: label.unwrap_or(UNLABELED).to_owned(),
-    })
+pub(crate) fn global_sink() -> Box<dyn TraceSink> {
+    Box::new(ProfCore::default())
+}
+
+/// Merges a finished machine into the global table under `label` (or
+/// [`UNLABELED`]): its report's per-lock statistics and counters together
+/// with the stream-only profile `sink` folded — if `sink` is the profiler
+/// [`global_sink`] built. A machine that emitted no event publishes
+/// nothing.
+pub(crate) fn publish(sink: Box<dyn TraceSink>, label: Option<&str>, report: &SimReport) {
+    let sink: Box<dyn Any> = sink;
+    let Ok(mut core) = sink.downcast::<ProfCore>() else {
+        return;
+    };
+    let profile = core.finish();
+    if profile.events == 0 {
+        return;
+    }
+    let mut table = GLOBAL_PROFILES.lock().expect("global profiles poisoned");
+    table
+        .entry(label.unwrap_or(UNLABELED).to_owned())
+        .or_default()
+        .add(report, &profile);
 }
 
 #[cfg(test)]
@@ -598,27 +502,16 @@ mod tests {
     }
 
     #[test]
-    fn handoff_chain_splits_local_and_remote() {
+    fn residency_runs_split_at_node_changes() {
         let prof = ProfileCollector::new();
         let mut sink: Box<dyn TraceSink> = Box::new(prof.clone());
-        // Nodes: 0, 0, 1, 1, 1, 0 → handoffs: local, remote, local, local,
-        // remote; runs: 2, 3, then an open run of 1 flushed at finish.
+        // Nodes: 0, 0, 1, 1, 1, 0 → runs 2, 3, then an open run of 1
+        // flushed at finish.
         for (i, node) in [0usize, 0, 1, 1, 1, 0].iter().enumerate() {
             sink.record(i as u64 * 10, acquire(0, *node * 2, *node));
         }
         let p = prof.finish();
         let lock = &p.locks[0];
-        assert_eq!(lock.acquires, 6);
-        assert_eq!(lock.local_handoffs, 3);
-        assert_eq!(lock.remote_handoffs, 2);
-        assert_eq!(lock.remote_handoff_rate(), Some(2.0 / 5.0));
-        assert_eq!(lock.handoff_locality(), Some(1.0 - 2.0 / 5.0));
-        assert_eq!(lock.node_acquires, vec![3, 3]);
-        // The two acquiring CPUs were 0 and 2; CPUs 1 and 3 never won.
-        assert_eq!(lock.cpu_acquires, vec![3, 0, 3]);
-        assert_eq!(lock.starved_cpus(4), 2);
-        assert_eq!(lock.starved_cpus(2), 1);
-        // Runs 2, 3 and the flushed tail run 1.
         assert_eq!(lock.residency_runs.count(), 3);
         assert_eq!(lock.residency_runs.sum(), 6);
         assert_eq!(lock.mean_residency_run(), Some(2.0));
@@ -657,16 +550,10 @@ mod tests {
             },
         );
         sink.record(300, acquire(0, 1, 0));
-        sink.record(350, SimEvent::LockRelease {
-            lock: 0,
-            cpu: CpuId(1),
-            node: NodeId(0),
-        });
         let p = prof.finish();
         let lock = &p.locks[0];
         // Window = 200 cycles: 40 local backoff + 100 remote backoff +
         // 60 residual spin.
-        assert_eq!(lock.wait_cycles(), 200);
         assert_eq!(lock.backoff_local_cycles, 40);
         assert_eq!(lock.backoff_remote_cycles, 100);
         assert_eq!(lock.spin_cycles, 60);
@@ -674,14 +561,7 @@ mod tests {
         assert_eq!(lock.coh_global, 1);
         assert_eq!(lock.coh_local, 0);
         assert_eq!(lock.critical_path(), "backoff_remote");
-        let (spin, bl, br) = lock.phase_fractions().unwrap();
-        assert!((spin - 0.3).abs() < 1e-12);
-        assert!((bl - 0.2).abs() < 1e-12);
-        assert!((br - 0.5).abs() < 1e-12);
-        // Hold accounting: 300 → 350.
-        assert_eq!(lock.holds, 1);
-        assert_eq!(lock.hold_cycles, 50);
-        assert_eq!(lock.mean_hold(), Some(50.0));
+        assert_eq!(LockProfile::default().critical_path(), "idle");
     }
 
     #[test]
@@ -735,30 +615,8 @@ mod tests {
         sink.record(20, acquire(0, 0, 0));
         let p = prof.finish();
         assert_eq!(p.locks[0].coh_local, 0);
-        assert_eq!(p.locks[0].wait_cycles(), 10);
+        assert_eq!(p.locks[0].spin_cycles, 10);
         assert_eq!(p.events, 3);
-    }
-
-    #[test]
-    fn episode_counters_accumulate() {
-        let prof = ProfileCollector::new();
-        let mut sink: Box<dyn TraceSink> = Box::new(prof.clone());
-        sink.record(1, SimEvent::GotAngry { cpu: CpuId(0), node: NodeId(0) });
-        sink.record(2, SimEvent::ThrottleSpin { cpu: CpuId(1), node: NodeId(0) });
-        sink.record(3, SimEvent::Preempt { cpu: CpuId(2), cycles: 99 });
-        sink.record(
-            4,
-            SimEvent::Migrate {
-                cpu: CpuId(3),
-                from: NodeId(0),
-                to: NodeId(1),
-            },
-        );
-        let p = prof.finish();
-        assert_eq!(
-            (p.anger_episodes, p.throttle_spins, p.preemptions, p.migrations),
-            (1, 1, 1, 1)
-        );
     }
 
     #[test]
@@ -778,7 +636,7 @@ mod tests {
         let mut ba = b.clone();
         ba.merge(&a);
         assert_eq!(ab, ba);
-        assert_eq!(ab.locks[0].acquires, 7);
+        assert_eq!(ab.locks[0].residency_runs.sum(), 7);
     }
 
     #[test]
@@ -827,18 +685,32 @@ mod tests {
         enable_global_profiling();
         assert!(global_profiling_enabled());
         let label = "test:profile-global";
+        for _ in 0..2 {
+            let mut m = Machine::new(MachineConfig::wildfire(1, 2));
+            m.set_profile_label(label);
+            m.add_program(nuca_topology::CpuId(0), Box::new(OneAcquire(false)));
+            let status = m.run(1_000);
+            assert!(status.finished_all);
+            drop(m.into_report());
+        }
+        // A machine that emitted no event publishes nothing.
+        let silent = "test:profile-silent";
         let mut m = Machine::new(MachineConfig::wildfire(1, 2));
-        m.set_profile_label(label);
-        m.add_program(nuca_topology::CpuId(0), Box::new(OneAcquire(false)));
-        let status = m.run(1_000);
-        assert!(status.finished_all);
+        m.set_profile_label(silent);
+        m.run(1_000);
         drop(m.into_report());
+
         let profiles = take_global_profiles();
+        assert!(profiles.iter().all(|(l, _)| l != silent));
         let (_, p) = profiles
             .iter()
             .find(|(l, _)| l == label)
             .expect("labeled profile registered");
-        assert_eq!(p.locks[0].acquires, 1);
+        assert_eq!(p.locks[0].acquisitions, 2);
+        assert_eq!(p.locks[0].cpu_acquires, vec![2]);
+        assert_eq!(p.chains, vec![2], "one chain per machine");
+        assert_eq!(p.profile.events, 4);
+        assert_eq!(p.profile.locks[0].residency_runs.count(), 2);
         // Other concurrently-running tests may have contributed profiles
         // under other labels; sorted order is all we assert about them.
         let labels: Vec<&String> = profiles.iter().map(|(l, _)| l).collect();

@@ -133,7 +133,7 @@ impl<'a> CpuCtx<'a> {
     /// statistics (Figs. 3 and 5, right panels). `lock` is a workload-
     /// chosen dense index.
     pub fn record_acquire(&mut self, lock: usize) {
-        self.stats.record_acquire(lock, self.node);
+        self.stats.record_acquire(lock, self.cpu, self.node);
         // Holder-targeted preemption keys off this: the new holder may be
         // marked to lose a quantum at its next resume, mid-critical-section.
         if let Some(f) = self.faults.as_deref_mut() {
@@ -156,10 +156,10 @@ impl<'a> CpuCtx<'a> {
     /// layer. Workloads with huge lock index spaces (the lockserver's
     /// per-object tallies) use this: tracing consumers size state by the
     /// largest lock index they observe — the streaming profiler keeps a
-    /// dense `Vec` of ~1.7 KiB profiles — so sparse indices must never
+    /// dense `Vec` of per-lock profiles — so sparse indices must never
     /// reach them.
     pub fn tally_acquire(&mut self, lock: usize) {
-        self.stats.record_acquire(lock, self.node);
+        self.stats.record_acquire(lock, self.cpu, self.node);
     }
 
     /// Records how long an acquisition waited (cycles from the first
@@ -215,9 +215,11 @@ impl<'a> CpuCtx<'a> {
         }
     }
 
-    /// Traces an HBO_GT spin announcement (the spinner publishing itself
-    /// as eligible for throttling). Pure trace.
+    /// Records an HBO_GT spin announcement (the spinner publishing itself
+    /// as eligible for throttling): counted always, traced when a sink is
+    /// installed.
     pub fn trace_throttle_spin(&mut self) {
+        self.stats.count_throttle_spin();
         if let Some(t) = self.trace.as_deref_mut() {
             t.record(
                 self.now,
@@ -312,5 +314,6 @@ mod tests {
         );
         assert_eq!(stats.lock_trace(0).unwrap().hold.count(), 1);
         assert_eq!(stats.anger_episodes(), 1);
+        assert_eq!(stats.throttle_spins(), 1);
     }
 }

@@ -3,15 +3,15 @@
 //! Per-lock statistics are **tiered**. Lock indices below a configurable
 //! bound ([`crate::MachineConfig::hot_locks`], default
 //! [`DEFAULT_HOT_LOCKS`]) get a full [`LockTrace`] — wait/hold histograms
-//! and a per-node acquire vector, ~1 KiB each, stored densely. Indices at
-//! or above the bound get a compact [`LockTally`] — eight scalar counters
-//! — in a sparse ordered map. A million-object lock service would need
+//! and per-node and per-CPU acquire vectors, ~1 KiB each, stored densely.
+//! Indices at or above the bound get a compact [`LockTally`] — eight
+//! scalar counters — in a sparse ordered map. A million-object lock service would need
 //! ~1 GiB of dense traces; the tallies keep it to tens of megabytes while
 //! preserving the counts and means every aggregate metric is built from.
 
 use std::collections::BTreeMap;
 
-use nuca_topology::NodeId;
+use nuca_topology::{CpuId, NodeId};
 
 use crate::metrics::Histogram;
 
@@ -39,7 +39,7 @@ impl TrafficCounts {
 
 /// Per-lock acquisition trace: acquisition count, node handoffs, and
 /// latency distributions.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LockTrace {
     /// Successful acquisitions recorded via [`crate::CpuCtx::record_acquire`].
     pub acquisitions: u64,
@@ -53,6 +53,10 @@ pub struct LockTrace {
     pub hold: Histogram,
     /// Acquisitions per node (index = node id; grown on demand).
     pub node_acquires: Vec<u64>,
+    /// Acquisitions per CPU (index = cpu id; grown on demand). A zero for
+    /// a contending CPU is the starvation tell: a lock can post a perfect
+    /// node-handoff ratio simply by never granting some CPUs at all.
+    pub cpu_acquires: Vec<u64>,
     last_node: Option<NodeId>,
 }
 
@@ -67,7 +71,17 @@ impl LockTrace {
         }
     }
 
-    fn record(&mut self, node: NodeId) {
+    /// How many of the first `cpus` CPUs never acquired this lock — the
+    /// starved-CPU count the `handoff` artifact prints next to the
+    /// node-handoff ratio, so a low ratio earned by starving whole CPUs is
+    /// visibly different from one earned by locality.
+    pub fn starved_cpus(&self, cpus: usize) -> usize {
+        (0..cpus)
+            .filter(|&c| self.cpu_acquires.get(c).copied().unwrap_or(0) == 0)
+            .count()
+    }
+
+    fn record(&mut self, cpu: CpuId, node: NodeId) {
         self.acquisitions += 1;
         if let Some(prev) = self.last_node {
             if prev != node {
@@ -75,10 +89,21 @@ impl LockTrace {
             }
         }
         self.last_node = Some(node);
-        if self.node_acquires.len() <= node.index() {
-            self.node_acquires.resize(node.index() + 1, 0);
-        }
-        self.node_acquires[node.index()] += 1;
+        bump(&mut self.node_acquires, node.index());
+        bump(&mut self.cpu_acquires, cpu.index());
+    }
+
+    /// Folds `other` into `self`, like [`LockTally::merge`]: commutative
+    /// and associative, every field a sum (element-wise for the vectors and
+    /// histograms), and the holder-continuity marker cleared.
+    pub fn merge(&mut self, other: &LockTrace) {
+        self.acquisitions += other.acquisitions;
+        self.node_handoffs += other.node_handoffs;
+        self.wait.merge(&other.wait);
+        self.hold.merge(&other.hold);
+        add_into(&mut self.node_acquires, &other.node_acquires);
+        add_into(&mut self.cpu_acquires, &other.cpu_acquires);
+        self.last_node = None;
     }
 
     /// The compact [`LockTally`] carrying the same scalar aggregates this
@@ -100,10 +125,28 @@ impl LockTrace {
     }
 }
 
+/// Increments `v[i]`, growing `v` with zeros as needed.
+fn bump(v: &mut Vec<u64>, i: usize) {
+    if v.len() <= i {
+        v.resize(i + 1, 0);
+    }
+    v[i] += 1;
+}
+
+/// Adds `other` into `v` element-wise, growing `v` with zeros as needed.
+fn add_into(v: &mut Vec<u64>, other: &[u64]) {
+    if v.len() < other.len() {
+        v.resize(other.len(), 0);
+    }
+    for (a, b) in v.iter_mut().zip(other) {
+        *a += b;
+    }
+}
+
 /// Compact per-lock statistics for the sparse (cold) tier: everything a
-/// [`LockTrace`] counts, minus the histograms and the per-node vector.
-/// Eight words instead of ~1 KiB — cheap enough for millions of lock
-/// indices.
+/// [`LockTrace`] counts, minus the histograms and the per-node and per-CPU
+/// vectors. Eight words instead of ~1 KiB — cheap enough for millions of
+/// lock indices.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LockTally {
     /// Successful acquisitions recorded for this index.
@@ -210,6 +253,14 @@ pub struct SimStats {
     migrations: u64,
     /// Total HBO_GT_SD anger episodes recorded.
     anger_episodes: u64,
+    /// Total HBO_GT throttled-spin announcements recorded.
+    throttle_spins: u64,
+    /// Total MESI shared→exclusive upgrades.
+    upgrades: u64,
+    /// Total set-associative cache evictions.
+    evictions: u64,
+    /// Total Dragon update broadcasts.
+    update_broadcasts: u64,
     /// Total program-resume events the engine processed.
     events: u64,
 }
@@ -243,6 +294,10 @@ impl SimStats {
             preemptions: 0,
             migrations: 0,
             anger_episodes: 0,
+            throttle_spins: 0,
+            upgrades: 0,
+            evictions: 0,
+            update_broadcasts: 0,
             events: 0,
         }
     }
@@ -269,6 +324,26 @@ impl SimStats {
     /// starvation countermeasure firing).
     pub fn anger_episodes(&self) -> u64 {
         self.anger_episodes
+    }
+
+    /// HBO_GT throttled-spin announcements recorded so far.
+    pub fn throttle_spins(&self) -> u64 {
+        self.throttle_spins
+    }
+
+    /// MESI shared→exclusive upgrades so far.
+    pub fn upgrades(&self) -> u64 {
+        self.upgrades
+    }
+
+    /// Set-associative cache evictions so far.
+    pub fn evictions(&self) -> u64 {
+        self.evictions
+    }
+
+    /// Dragon update broadcasts so far.
+    pub fn update_broadcasts(&self) -> u64 {
+        self.update_broadcasts
     }
 
     /// Cache hits (transactions that generated no coherence traffic).
@@ -348,7 +423,9 @@ impl SimStats {
             + self
                 .locks
                 .iter()
-                .map(|t| t.node_acquires.capacity() * size_of::<u64>())
+                .map(|t| {
+                    (t.node_acquires.capacity() + t.cpu_acquires.capacity()) * size_of::<u64>()
+                })
                 .sum::<usize>();
         // B-tree nodes hold up to 11 entries with some slack and pointer
         // overhead; 2x the payload is a fair upper bound.
@@ -376,6 +453,22 @@ impl SimStats {
 
     pub(crate) fn count_anger(&mut self) {
         self.anger_episodes += 1;
+    }
+
+    pub(crate) fn count_throttle_spin(&mut self) {
+        self.throttle_spins += 1;
+    }
+
+    pub(crate) fn count_upgrade(&mut self) {
+        self.upgrades += 1;
+    }
+
+    pub(crate) fn count_eviction(&mut self) {
+        self.evictions += 1;
+    }
+
+    pub(crate) fn count_update_broadcast(&mut self) {
+        self.update_broadcasts += 1;
     }
 
     pub(crate) fn count_hit(&mut self) {
@@ -414,9 +507,9 @@ impl SimStats {
         &mut self.locks[lock]
     }
 
-    pub(crate) fn record_acquire(&mut self, lock: usize, node: NodeId) {
+    pub(crate) fn record_acquire(&mut self, lock: usize, cpu: CpuId, node: NodeId) {
         if lock < self.hot_limit {
-            self.lock_slot(lock).record(node);
+            self.lock_slot(lock).record(cpu, node);
         } else {
             self.cold.entry(lock).or_default().record(node);
         }
@@ -475,7 +568,7 @@ mod tests {
     fn lock_trace_handoffs() {
         let mut s = SimStats::new();
         for n in [0, 0, 1, 0] {
-            s.record_acquire(0, NodeId(n));
+            s.record_acquire(0, CpuId(0), NodeId(n));
         }
         let t = s.lock_trace(0).unwrap();
         assert_eq!(t.acquisitions, 4);
@@ -486,14 +579,14 @@ mod tests {
     #[test]
     fn ratio_none_below_two() {
         let mut s = SimStats::new();
-        s.record_acquire(0, NodeId(0));
+        s.record_acquire(0, CpuId(0), NodeId(0));
         assert_eq!(s.lock_trace(0).unwrap().handoff_ratio(), None);
     }
 
     #[test]
     fn sparse_lock_indices() {
         let mut s = SimStats::new();
-        s.record_acquire(5, NodeId(1));
+        s.record_acquire(5, CpuId(0), NodeId(1));
         assert_eq!(s.lock_traces().len(), 6);
         assert_eq!(s.lock_trace(5).unwrap().acquisitions, 1);
         assert_eq!(s.lock_trace(0).unwrap().acquisitions, 0);
@@ -505,11 +598,11 @@ mod tests {
         let mut s = SimStats::new();
         // Lock 0: 3 acquisitions, 2 handoffs.
         for n in [0, 1, 0] {
-            s.record_acquire(0, NodeId(n));
+            s.record_acquire(0, CpuId(0), NodeId(n));
         }
         // Lock 1: 2 acquisitions, 0 handoffs.
         for n in [1, 1] {
-            s.record_acquire(1, NodeId(n));
+            s.record_acquire(1, CpuId(0), NodeId(n));
         }
         assert_eq!(s.aggregate_handoff_ratio(), Some(2.0 / 3.0));
     }
@@ -527,7 +620,7 @@ mod tests {
         assert_eq!(s.aggregate_handoff_ratio(), None, "no locks at all");
 
         let mut s = SimStats::new();
-        s.record_acquire(0, NodeId(0));
+        s.record_acquire(0, CpuId(0), NodeId(0));
         assert_eq!(
             s.aggregate_handoff_ratio(),
             None,
@@ -539,7 +632,7 @@ mod tests {
     fn aggregate_ratio_single_lock_matches_per_lock() {
         let mut s = SimStats::new();
         for n in [0, 1, 1, 0] {
-            s.record_acquire(0, NodeId(n));
+            s.record_acquire(0, CpuId(0), NodeId(n));
         }
         assert_eq!(
             s.aggregate_handoff_ratio(),
@@ -552,10 +645,10 @@ mod tests {
         let mut s = SimStats::new();
         // Lock 0: 1 acquisition — no handover opportunity, must not count
         // toward the denominator.
-        s.record_acquire(0, NodeId(0));
+        s.record_acquire(0, CpuId(0), NodeId(0));
         // Lock 1: 3 acquisitions, 2 handoffs.
         for n in [0, 1, 0] {
-            s.record_acquire(1, NodeId(n));
+            s.record_acquire(1, CpuId(0), NodeId(n));
         }
         assert_eq!(s.aggregate_handoff_ratio(), Some(1.0));
     }
@@ -564,9 +657,26 @@ mod tests {
     fn per_node_acquisitions_recorded() {
         let mut s = SimStats::new();
         for n in [0, 0, 1, 0] {
-            s.record_acquire(0, NodeId(n));
+            s.record_acquire(0, CpuId(0), NodeId(n));
         }
         assert_eq!(s.lock_trace(0).unwrap().node_acquires, vec![3, 1]);
+    }
+
+    #[test]
+    fn per_cpu_acquisitions_expose_starved_cpus() {
+        let mut s = SimStats::new();
+        for n in [0usize, 0, 1, 1, 1, 0] {
+            s.record_acquire(0, CpuId(n * 2), NodeId(n));
+        }
+        let t = s.lock_trace(0).unwrap();
+        // The two acquiring CPUs were 0 and 2; CPUs 1 and 3 never won.
+        assert_eq!(t.cpu_acquires, vec![3, 0, 3]);
+        assert_eq!(t.starved_cpus(4), 2);
+        assert_eq!(t.starved_cpus(2), 1);
+        // The cold tier keeps no per-CPU vector.
+        let mut cold = SimStats::with_hot_limit(0);
+        cold.record_acquire(0, CpuId(3), NodeId(1));
+        assert_eq!(cold.lock_traces().len(), 0);
     }
 
     #[test]
@@ -585,9 +695,9 @@ mod tests {
     #[test]
     fn indices_above_the_hot_limit_land_in_the_cold_tier() {
         let mut s = SimStats::with_hot_limit(2);
-        s.record_acquire(1, NodeId(0));
-        s.record_acquire(2, NodeId(0));
-        s.record_acquire(2, NodeId(1));
+        s.record_acquire(1, CpuId(0), NodeId(0));
+        s.record_acquire(2, CpuId(0), NodeId(0));
+        s.record_acquire(2, CpuId(0), NodeId(1));
         s.record_wait(2, 100);
         s.record_hold(2, 40);
         // Hot index: full trace, no tally.
@@ -611,7 +721,7 @@ mod tests {
     fn cold_tier_iterates_in_index_order() {
         let mut s = SimStats::with_hot_limit(0);
         for lock in [907, 3, 500_000, 42] {
-            s.record_acquire(lock, NodeId(0));
+            s.record_acquire(lock, CpuId(0), NodeId(0));
         }
         let order: Vec<usize> = s.lock_tallies().map(|(i, _)| i).collect();
         assert_eq!(order, vec![3, 42, 907, 500_000]);
@@ -631,8 +741,8 @@ mod tests {
                 let node = NodeId(rng.next_below(4) as usize);
                 match rng.next_below(3) {
                     0 => {
-                        hot.record_acquire(7, node);
-                        cold.record_acquire(7, node);
+                        hot.record_acquire(7, CpuId(0), node);
+                        cold.record_acquire(7, CpuId(0), node);
                     }
                     1 => {
                         let c = rng.next_below(10_000);
@@ -660,41 +770,65 @@ mod tests {
 
     #[test]
     fn tally_merge_commutes_and_associates() {
-        // Property: merging per-shard tallies must not depend on shard
-        // order, or multi-job runs would produce different reports than
-        // single-job runs.
+        // Property: merging per-shard tallies, and per-machine traces (the
+        // profiler's label table), must not depend on merge order, or
+        // multi-job runs would produce different reports than single-job
+        // runs. Returns `a` merged with `b`.
+        fn check<T: Clone + PartialEq + std::fmt::Debug>(
+            a: &T,
+            b: &T,
+            c: &T,
+            merge: fn(&mut T, &T),
+        ) -> T {
+            let mut ab = a.clone();
+            merge(&mut ab, b);
+            let mut ba = b.clone();
+            merge(&mut ba, a);
+            assert_eq!(ab, ba, "merge must commute");
+            let mut ab_c = ab.clone();
+            merge(&mut ab_c, c);
+            let mut bc = b.clone();
+            merge(&mut bc, c);
+            let mut a_bc = a.clone();
+            merge(&mut a_bc, &bc);
+            assert_eq!(ab_c, a_bc, "merge must associate");
+            ab
+        }
+        // The same random events, recorded into a tally and into a trace.
         let mk = |seed: u64| {
             let mut rng = crate::SplitMix64::new(seed);
-            let mut t = LockTally::default();
+            let (mut t, mut trace) = (LockTally::default(), LockTrace::default());
             for _ in 0..50 {
-                match rng.next_below(3) {
-                    0 => t.record(NodeId(rng.next_below(4) as usize)),
-                    1 => t.record_wait(rng.next_below(10_000)),
-                    _ => t.record_hold(rng.next_below(3_000)),
+                let (kind, x) = (rng.next_below(3), rng.next_below(3_000));
+                match kind {
+                    0 => {
+                        let cpu = (x % 8) as usize;
+                        t.record(NodeId(cpu / 2));
+                        trace.record(CpuId(cpu), NodeId(cpu / 2));
+                    }
+                    1 => {
+                        t.record_wait(x);
+                        trace.wait.record(x);
+                    }
+                    _ => {
+                        t.record_hold(x);
+                        trace.hold.record(x);
+                    }
                 }
             }
-            t
+            (t, trace)
         };
         for seed in 0..8u64 {
-            let (a, b, c) = (mk(seed), mk(seed ^ 0xAB), mk(seed ^ 0xCD));
-            let mut ab = a;
-            ab.merge(&b);
-            let mut ba = b;
-            ba.merge(&a);
-            assert_eq!(ab, ba, "seed {seed}: merge must commute");
-
-            let mut ab_c = ab;
-            ab_c.merge(&c);
-            let mut bc = b;
-            bc.merge(&c);
-            let mut a_bc = a;
-            a_bc.merge(&bc);
-            assert_eq!(ab_c, a_bc, "seed {seed}: merge must associate");
-
+            let ((a, ta), (b, tb), (c, tc)) = (mk(seed), mk(seed ^ 0xAB), mk(seed ^ 0xCD));
+            let ab = check(&a, &b, &c, LockTally::merge);
+            let tab = check(&ta, &tb, &tc, LockTrace::merge);
+            // A merged trace reports exactly the merged tally.
+            assert_eq!(tab.tally(), ab, "seed {seed}");
             // Counts always sum exactly across the merge.
             assert_eq!(ab.acquisitions, a.acquisitions + b.acquisitions);
             assert_eq!(ab.wait_sum, a.wait_sum + b.wait_sum);
             assert_eq!(ab.wait_max, a.wait_max.max(b.wait_max));
+            assert_eq!(tab.cpu_acquires.iter().sum::<u64>(), ab.acquisitions);
         }
     }
 
@@ -707,7 +841,7 @@ mod tests {
         let mut s = SimStats::with_hot_limit(64);
         for i in 0..1_000_000usize {
             let node = NodeId(i % 4);
-            s.record_acquire(64 + i, node);
+            s.record_acquire(64 + i, CpuId(0), node);
             s.record_wait(64 + i, (i as u64) % 10_000);
             s.record_hold(64 + i, (i as u64) % 1_000);
         }

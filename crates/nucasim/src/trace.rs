@@ -160,8 +160,10 @@ pub enum SimEvent {
 /// Implementations must be cheap: the engine calls [`TraceSink::record`]
 /// inline on the simulation path. `at` is the simulated time in cycles
 /// (convert with [`crate::cycles_to_ns`]); events for one CPU arrive in
-/// nondecreasing `at` order.
-pub trait TraceSink {
+/// nondecreasing `at` order. The [`Any`](std::any::Any) supertrait lets
+/// the engine recognize the profiler it installs itself under global
+/// profiling (see [`crate::profile`]).
+pub trait TraceSink: std::any::Any {
     /// Records `event` observed at simulated cycle `at`.
     fn record(&mut self, at: u64, event: SimEvent);
 }

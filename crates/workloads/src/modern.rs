@@ -304,7 +304,7 @@ pub fn run_modern_traced(cfg: &ModernConfig) -> (SimReport, Vec<TraceRecord>) {
 
 /// Like [`run_modern_raw`] but with the streaming profiler
 /// ([`nucasim::profile`]) attached: returns the run's [`Profile`] —
-/// handoff-chain and acquire-phase analysis — alongside the report.
+/// node-residency runs and the acquire-phase split — alongside the report.
 /// Memory stays bounded by machine shape (no event is buffered), and the
 /// simulated run itself is unchanged — profiling only observes.
 pub fn run_modern_profiled(cfg: &ModernConfig) -> (SimReport, Profile) {
@@ -476,7 +476,7 @@ mod tests {
                 ..ModernConfig::default()
             };
             let (_, profile) = run_modern_profiled(&cfg);
-            assert!(profile.locks[0].acquires > 0, "{kind}: empty profile");
+            assert!(!profile.locks.is_empty(), "{kind}: empty profile");
             for (i, lock) in profile.locks.iter().enumerate() {
                 debug_assert_eq!(
                     lock.spin_clamped, 0,

@@ -20,6 +20,25 @@ cargo test --offline -q --manifest-path hbobench/Cargo.toml
 echo "==> harness smoke run (all artifacts, fast scale, 2 jobs)"
 ./target/release/experiments all --fast --jobs 2 --out target/ci-experiments >/dev/null
 
+echo "==> cell cache (shared cells give the bytes each artifact makes alone)"
+# These artifacts share simulation cells with one another inside `all`;
+# run alone and serially, each must write the same TSVs.
+rm -rf target/ci-alone
+for id in fig5 table2 lat_hist table4 table5 table6 fig6 fig7 fig9 fig10 \
+    colloc ticket; do
+    ./target/release/experiments "$id" --fast --jobs 1 --out target/ci-alone >/dev/null
+done
+for tsv in target/ci-alone/*.tsv; do
+    cmp "$tsv" "target/ci-experiments/$(basename "$tsv")"
+done
+# A TSV that cannot be written (here --out names a regular file) must fail
+# the run.
+touch target/ci-out-is-a-file
+if ./target/release/experiments table3 --out target/ci-out-is-a-file >/dev/null 2>&1; then
+    echo "expected an unwritable --out to fail the run"
+    exit 1
+fi
+
 echo "==> robustness smoke (faulted sweep deterministic across --jobs)"
 ./target/release/experiments robustness --fast --jobs 1 \
     --out target/ci-rob-j1 >/dev/null
@@ -65,11 +84,12 @@ echo "==> profiler smoke (nuca-prof observes without changing a byte)"
 # fig5 with and without --profile must be byte-identical: profiling only
 # observes. The profile itself must be byte-identical across --jobs:
 # every label merges as a commutative integer fold. table4 runs under OS
-# preemption, so it covers the preemption counter's merge.
+# preemption, so it covers the preemption counter's merge. lat_hist reads
+# fig5's cells, so each shared cell must be profiled once at any --jobs.
 ./target/release/experiments fig5 --fast --jobs 2 \
     --out target/ci-prof-off >/dev/null
 for jobs in 1 4; do
-    ./target/release/experiments fig5 table4 --fast --jobs "$jobs" \
+    ./target/release/experiments fig5 lat_hist table4 --fast --jobs "$jobs" \
         --out "target/ci-prof-j$jobs" \
         --profile "target/ci-prof-j$jobs/profile.json" >/dev/null
 done

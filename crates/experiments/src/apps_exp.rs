@@ -1,11 +1,15 @@
 //! Tables 5 and 6 and Figure 6 — the application study at 28 processors.
+//! All three read the same application runs, so within one invocation
+//! they share their cells.
+
+use std::sync::Arc;
 
 use hbo_locks::LockKind;
-use nuca_workloads::apps::{run_app, studied_apps, AppModel, AppReport, AppRunConfig};
+use nuca_workloads::apps::{studied_apps, AppModel, AppReport, AppRunConfig};
 use nucasim::{MachineConfig, PreemptionConfig};
 
 use crate::report::{fmt_secs, Report};
-use crate::{runner, Scale};
+use crate::{runner, Cells, Scale};
 
 pub(crate) fn app_cfg(scale: Scale, kind: LockKind, threads: usize) -> AppRunConfig {
     let per_node = scale.pick(14, 4);
@@ -23,14 +27,14 @@ pub(crate) fn app_cfg(scale: Scale, kind: LockKind, threads: usize) -> AppRunCon
     }
 }
 
-fn run_all(scale: Scale, threads: usize) -> Vec<(AppModel, Vec<AppReport>)> {
+fn run_all(scale: Scale, threads: usize, cells: &Cells) -> Vec<(AppModel, Vec<Arc<AppReport>>)> {
     // Full app × lock grid as independent jobs, regrouped per app in
     // fixed grid order.
     let apps = studied_apps();
     let jobs: Vec<_> = apps
         .iter()
         .flat_map(|app| hbo_locks::LockCatalog::paper().iter().map(|&kind| (app.clone(), kind)))
-        .map(|(app, kind)| move || run_app(&app, &app_cfg(scale, kind, threads)))
+        .map(|(app, kind)| move || cells.app(&app, &app_cfg(scale, kind, threads)))
         .collect();
     let mut results = runner::run_jobs(jobs).into_iter();
     apps.into_iter()
@@ -51,7 +55,7 @@ fn lock_header() -> Vec<&'static str> {
 }
 
 /// Table 5 — execution time in (simulated) seconds for 28-processor runs.
-pub fn run_table5(scale: Scale) -> Report {
+pub fn run_table5(scale: Scale, cells: &Cells) -> Report {
     let threads = scale.pick(28, 8);
     let mut report = Report::new(
         "table5",
@@ -59,7 +63,7 @@ pub fn run_table5(scale: Scale) -> Report {
         &lock_header(),
     );
     let mut sums = vec![0.0f64; hbo_locks::LockCatalog::paper().len()];
-    let all = run_all(scale, threads);
+    let all = run_all(scale, threads, cells);
     for (app, runs) in &all {
         let mut row = vec![app.name.to_owned()];
         for (i, r) in runs.iter().enumerate() {
@@ -82,7 +86,7 @@ pub fn run_table5(scale: Scale) -> Report {
 
 /// Figure 6 — speedup (1-CPU time / 28-CPU time), normalized to
 /// TATAS_EXP, for the five locks the paper plots.
-pub fn run_fig6(scale: Scale) -> Report {
+pub fn run_fig6(scale: Scale, cells: &Cells) -> Report {
     let threads = scale.pick(28, 8);
     let kinds = [
         LockKind::Tatas,
@@ -105,11 +109,11 @@ pub fn run_fig6(scale: Scale) -> Report {
     let jobs: Vec<_> = apps
         .iter()
         .flat_map(|app| {
-            let mut cells = vec![(app.clone(), LockKind::TatasExp, 1)];
-            cells.extend(kinds.iter().map(|&kind| (app.clone(), kind, threads)));
-            cells
+            let mut runs = vec![(app.clone(), LockKind::TatasExp, 1)];
+            runs.extend(kinds.iter().map(|&kind| (app.clone(), kind, threads)));
+            runs
         })
-        .map(|(app, kind, th)| move || run_app(&app, &app_cfg(scale, kind, th)))
+        .map(|(app, kind, th)| move || cells.app(&app, &app_cfg(scale, kind, th)))
         .collect();
     let results = runner::run_jobs(jobs);
     let stride = 1 + kinds.len();
@@ -135,14 +139,14 @@ pub fn run_fig6(scale: Scale) -> Report {
 }
 
 /// Table 6 — normalized local/global traffic per application.
-pub fn run_table6(scale: Scale) -> Report {
+pub fn run_table6(scale: Scale, cells: &Cells) -> Report {
     let threads = scale.pick(28, 8);
     let mut report = Report::new(
         "table6",
         "Normalized traffic (local/global) per application, 28-processor runs",
         &lock_header(),
     );
-    for (app, runs) in run_all(scale, threads) {
+    for (app, runs) in run_all(scale, threads, cells) {
         let base = &runs[1]; // TATAS_EXP
         let mut row = vec![app.name.to_owned()];
         for r in &runs {
@@ -166,7 +170,7 @@ mod tests {
 
     #[test]
     fn table5_has_seven_apps_plus_average() {
-        let r = run_table5(Scale::Fast);
+        let r = run_table5(Scale::Fast, &Cells::new());
         assert_eq!(r.rows(), 8);
         assert!(r.row_by_key("Average").is_some());
         assert!(r.row_by_key("Raytrace").is_some());
@@ -174,7 +178,7 @@ mod tests {
 
     #[test]
     fn fig6_normalizes_tatas_exp_to_one() {
-        let r = run_fig6(Scale::Fast);
+        let r = run_fig6(Scale::Fast, &Cells::new());
         for i in 0..r.rows() {
             assert_eq!(r.cell(i, 2), Some("1.00"), "row {i}");
         }
@@ -182,7 +186,7 @@ mod tests {
 
     #[test]
     fn table6_rows_have_local_global_pairs() {
-        let r = run_table6(Scale::Fast);
+        let r = run_table6(Scale::Fast, &Cells::new());
         assert_eq!(r.rows(), 7);
         let cell = r.cell(0, 2).unwrap();
         assert_eq!(cell, "1.00 / 1.00", "TATAS_EXP column is the baseline");

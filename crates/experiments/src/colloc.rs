@@ -12,12 +12,11 @@
 //! collocation is a no-op — it serves as the control).
 
 use hbo_locks::LockKind;
-use nuca_workloads::modern::{run_modern_raw, ModernConfig};
-use nuca_workloads::MicroReport;
+use nuca_workloads::modern::ModernConfig;
 use nucasim::MachineConfig;
 
 use crate::report::Report;
-use crate::Scale;
+use crate::{Cells, Scale};
 
 fn cfg(scale: Scale, kind: LockKind, critical_work: u32, collocate: bool) -> ModernConfig {
     let (per_node, iters) = scale.pick((14, 40), (4, 15));
@@ -33,7 +32,7 @@ fn cfg(scale: Scale, kind: LockKind, critical_work: u32, collocate: bool) -> Mod
 }
 
 /// Runs the collocation ablation across contention levels.
-pub fn run(scale: Scale) -> Report {
+pub fn run(scale: Scale, cells: &Cells) -> Report {
     let cws = [8u32, 100, 1500];
     let mut header = vec!["Configuration".to_owned()];
     header.extend(cws.iter().map(|c| format!("cw={c} ns/iter")));
@@ -52,9 +51,7 @@ pub fn run(scale: Scale) -> Report {
     ] {
         let mut row = vec![label.to_owned()];
         for &cw in &cws {
-            let c = cfg(scale, kind, cw, colloc);
-            let (sim, _) = run_modern_raw(&c);
-            let r = MicroReport::from_sim(kind, c.threads, &sim, 0);
+            let r = &cells.modern(&cfg(scale, kind, cw, colloc)).micro;
             row.push(format!("{:.0}", r.ns_per_iteration));
         }
         report.push_row(row);
@@ -72,13 +69,13 @@ mod tests {
 
     #[test]
     fn four_configurations() {
-        let r = run(Scale::Fast);
+        let r = run(Scale::Fast, &Cells::new());
         assert_eq!(r.rows(), 4);
     }
 
     #[test]
     fn collocation_helps_tiny_critical_sections() {
-        let r = run(Scale::Fast);
+        let r = run(Scale::Fast, &Cells::new());
         let ns = |k: &str| -> f64 { r.row_by_key(k).unwrap()[1].parse().unwrap() };
         assert!(
             ns("HBO_GT+colloc") <= ns("HBO_GT") * 1.05,
@@ -90,7 +87,7 @@ mod tests {
 
     #[test]
     fn collocation_is_noop_for_queue_locks() {
-        let r = run(Scale::Fast);
+        let r = run(Scale::Fast, &Cells::new());
         let ns = |k: &str| -> f64 { r.row_by_key(k).unwrap()[1].parse().unwrap() };
         let plain = ns("MCS (control)");
         let colloc = ns("MCS+colloc (no-op)");

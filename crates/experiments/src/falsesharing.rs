@@ -36,7 +36,7 @@ use nucasim::{Addr, Command, CpuCtx, Machine, MachineConfig, MemorySystem, Progr
 use nucasim_locks::{build_lock, DriveResult, GtSlots, SessionDriver, SimLockParams, TwaHash};
 
 use crate::report::Report;
-use crate::Scale;
+use crate::{Cells, Scale};
 
 /// Data-word updates per critical section. One write would be a wash
 /// (the QOLB effect — `colloc` — pays it back at handover); the storm
@@ -221,8 +221,8 @@ fn run_fs(scale: Scale, kind: LockKind, layout: Layout, proto: ProtocolKind) -> 
 }
 
 /// Runs the layout × protocol sweep plus the TWA-geometry table.
-pub fn run(scale: Scale) -> Vec<Report> {
-    vec![run_layouts(scale), run_twa_geometry(scale)]
+pub fn run(scale: Scale, cells: &Cells) -> Vec<Report> {
+    vec![run_layouts(scale), run_twa_geometry(scale, cells)]
 }
 
 /// The main table: lock kind × layout rows, per-protocol columns.
@@ -266,13 +266,13 @@ fn run_layouts(scale: Scale) -> Report {
 
 /// The TWA waiting-array geometry sweep, under MESI where slot adjacency
 /// is a line-sharing question.
-fn run_twa_geometry(scale: Scale) -> Report {
+fn run_twa_geometry(scale: Scale, cells: &Cells) -> Report {
     let mut report = Report::new(
         "falsesharing_twa",
         "TWA waiting-array geometry under MESI (slots x ticket hash)",
         &["Geometry", "ns/acq", "global txns"],
     );
-    use nuca_workloads::modern::{run_modern, ModernConfig};
+    use nuca_workloads::modern::ModernConfig;
     let (per_node, iters) = scale.pick((14, 40), (4, 15));
     for slots in [4usize, 16, 64] {
         for hash in TwaHash::ALL {
@@ -286,7 +286,7 @@ fn run_twa_geometry(scale: Scale) -> Report {
                 params: SimLockParams::default().with_twa(slots, hash),
                 ..ModernConfig::default()
             };
-            let r = run_modern(&cfg);
+            let r = &cells.modern(&cfg).micro;
             assert!(r.finished, "TWA slots={slots} {hash} hit the cycle limit");
             report.push_row(vec![
                 format!("slots={slots} {hash}"),
@@ -313,7 +313,7 @@ mod tests {
 
     #[test]
     fn both_tables_have_every_row() {
-        let reports = run(Scale::Fast);
+        let reports = run(Scale::Fast, &Cells::new());
         assert_eq!(reports.len(), 2);
         assert_eq!(reports[0].rows(), 6, "3 kinds x 2 layouts");
         assert_eq!(reports[1].rows(), 6, "3 slot counts x 2 hashes");
@@ -355,7 +355,7 @@ mod tests {
 
     #[test]
     fn twa_geometry_changes_the_run() {
-        let r = run_twa_geometry(Scale::Fast);
+        let r = run_twa_geometry(Scale::Fast, &Cells::new());
         // Not asserting a direction (collision vs line-sharing trade), only
         // that the knob is live: the 6 geometries cannot all agree.
         let all: Vec<String> =

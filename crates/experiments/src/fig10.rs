@@ -2,11 +2,11 @@
 //! (26-processor new-microbenchmark runs, HBO_GT for comparison).
 
 use hbo_locks::LockKind;
-use nuca_workloads::modern::{run_modern, ModernConfig};
+use nuca_workloads::modern::ModernConfig;
 use nucasim::MachineConfig;
 
 use crate::report::Report;
-use crate::{runner, Scale};
+use crate::{runner, Cells, Scale};
 
 fn base_config(scale: Scale, kind: LockKind) -> ModernConfig {
     let (per_node, iters) = scale.pick((13, 40), (4, 20));
@@ -21,7 +21,7 @@ fn base_config(scale: Scale, kind: LockKind) -> ModernConfig {
 }
 
 /// Sweeps the anger threshold; values normalized to HBO_GT.
-pub fn run(scale: Scale) -> Report {
+pub fn run(scale: Scale, cells: &Cells) -> Report {
     let limits: Vec<u32> = scale.pick(vec![2, 4, 8, 16, 32, 64, 128], vec![2, 16, 128]);
     let mut header = vec!["Lock Type".to_owned()];
     header.extend(limits.iter().map(|l| format!("limit={l}")));
@@ -34,14 +34,17 @@ pub fn run(scale: Scale) -> Report {
 
     // Jobs: [reference HBO_GT] + one per swept limit; normalization
     // happens at assembly against the shared reference run.
-    let mut jobs: Vec<Box<dyn FnOnce() -> f64 + Send>> = vec![Box::new(move || {
-        run_modern(&base_config(scale, LockKind::HboGt)).ns_per_iteration
+    let mut jobs: Vec<Box<dyn FnOnce() -> f64 + Send + '_>> = vec![Box::new(move || {
+        cells
+            .modern(&base_config(scale, LockKind::HboGt))
+            .micro
+            .ns_per_iteration
     })];
     for &limit in &limits {
         jobs.push(Box::new(move || {
             let mut cfg = base_config(scale, LockKind::HboGtSd);
             cfg.params = cfg.params.with_get_angry_limit(limit);
-            run_modern(&cfg).ns_per_iteration
+            cells.modern(&cfg).micro.ns_per_iteration
         }));
     }
     let results = runner::run_jobs(jobs);
@@ -74,13 +77,13 @@ mod tests {
 
     #[test]
     fn rows_present() {
-        let r = run(Scale::Fast);
+        let r = run(Scale::Fast, &Cells::new());
         assert_eq!(r.rows(), 2);
     }
 
     #[test]
     fn large_limit_approaches_hbo_gt() {
-        let r = run(Scale::Fast);
+        let r = run(Scale::Fast, &Cells::new());
         let sd = r.row_by_key("HBO_GT_SD").unwrap();
         let at_max: f64 = sd.last().unwrap().parse().unwrap();
         // With a huge limit, anger never triggers: within 40% of HBO_GT.

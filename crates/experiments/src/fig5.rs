@@ -7,14 +7,15 @@
 //! on the catalog's paper set, normalized to TATAS_EXP as published.
 
 use hbo_locks::{LockCatalog, LockKind};
-use nuca_workloads::modern::{run_modern, ModernConfig};
-use nuca_workloads::MicroReport;
+use nuca_workloads::modern::ModernConfig;
 use nucasim::MachineConfig;
 
 use crate::report::{fmt_ratio, Report};
-use crate::{kinds, runner, Scale};
+use crate::{kinds, runner, Cells, Scale};
 
-pub(crate) fn config(scale: Scale, kind: LockKind, critical_work: u32) -> ModernConfig {
+/// The Fig. 5 cell for `kind` at `critical_work` (28 CPUs at full
+/// scale, 8 at fast).
+pub fn config(scale: Scale, kind: LockKind, critical_work: u32) -> ModernConfig {
     let (per_node, iters) = scale.pick((14, 60), (4, 20));
     ModernConfig {
         kind,
@@ -37,7 +38,7 @@ pub(crate) fn sweep(scale: Scale) -> Vec<u32> {
 ///
 /// Like the paper, TATAS is only measured up to `critical_work = 1300`
 /// "because its performance is poor for higher levels of contention".
-pub fn run(scale: Scale) -> Vec<Report> {
+pub fn run(scale: Scale, cells: &Cells) -> Vec<Report> {
     let cws = sweep(scale);
     let mut header = vec!["Lock Type".to_owned()];
     header.extend(cws.iter().map(|c| format!("cw={c}")));
@@ -65,7 +66,7 @@ pub fn run(scale: Scale) -> Vec<Report> {
                 if kind == LockKind::Tatas && cw > 1300 {
                     None
                 } else {
-                    Some(run_modern(&config(scale, kind, cw)))
+                    Some(cells.modern(&config(scale, kind, cw)))
                 }
             }
         })
@@ -77,9 +78,9 @@ pub fn run(scale: Scale) -> Vec<Report> {
         let mut hrow = vec![kind.as_str().to_owned()];
         for r in &results[ki * cws.len()..(ki + 1) * cws.len()] {
             match r {
-                Some(r) => {
-                    trow.push(format!("{:.0}", r.ns_per_iteration));
-                    hrow.push(fmt_ratio(r.handoff_ratio));
+                Some(cell) => {
+                    trow.push(format!("{:.0}", cell.micro.ns_per_iteration));
+                    hrow.push(fmt_ratio(cell.micro.handoff_ratio));
                 }
                 None => {
                     trow.push("-".to_owned());
@@ -99,26 +100,27 @@ pub fn run(scale: Scale) -> Vec<Report> {
 
 /// Table 2 — local/global transactions at `critical_work = 1500`,
 /// normalized to TATAS_EXP.
-pub fn run_table2(scale: Scale) -> Report {
+pub fn run_table2(scale: Scale, cells: &Cells) -> Report {
     let cw = 1500;
     let table_kinds = LockCatalog::paper();
-    let results: Vec<MicroReport> = runner::run_jobs(
+    let results: Vec<_> = runner::run_jobs(
         table_kinds
             .iter()
-            .map(|&kind| move || run_modern(&config(scale, kind, cw)))
+            .map(|&kind| move || cells.modern(&config(scale, kind, cw)))
             .collect(),
     );
     let baseline_idx = table_kinds
         .iter()
         .position(|&k| k == LockKind::TatasExp)
         .expect("TATAS_EXP is in the paper set");
-    let baseline = &results[baseline_idx];
+    let baseline = &results[baseline_idx].micro;
     let mut report = Report::new(
         "table2",
         "Normalized local and global traffic, new microbenchmark (critical_work=1500)",
         &["Lock Type", "Local Transactions", "Global Transactions"],
     );
-    for (kind, r) in table_kinds.iter().zip(&results) {
+    for (kind, cell) in table_kinds.iter().zip(&results) {
+        let r = &cell.micro;
         report.push_row(vec![
             kind.as_str().to_owned(),
             format!("{:.2}", r.traffic.local as f64 / baseline.traffic.local as f64),
@@ -145,7 +147,7 @@ mod tests {
 
     #[test]
     fn panels_cover_all_selected_locks() {
-        let reports = run(Scale::Fast);
+        let reports = run(Scale::Fast, &Cells::new());
         assert_eq!(reports.len(), 2);
         assert_eq!(reports[0].rows(), kinds::selected().len());
         // The modern contenders ride alongside the paper's eight.
@@ -158,7 +160,7 @@ mod tests {
 
     #[test]
     fn table2_normalizes_baseline_to_one() {
-        let t = run_table2(Scale::Fast);
+        let t = run_table2(Scale::Fast, &Cells::new());
         let exp = t.row_by_key("TATAS_EXP").unwrap();
         assert_eq!(exp[1], "1.00");
         assert_eq!(exp[2], "1.00");

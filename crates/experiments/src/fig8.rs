@@ -1,14 +1,14 @@
 //! Figure 8 — fairness: the spread between the first and last thread to
 //! finish the new microbenchmark.
 
-use nuca_workloads::modern::{run_modern, ModernConfig};
+use nuca_workloads::modern::ModernConfig;
 use nucasim::MachineConfig;
 
 use crate::report::Report;
-use crate::{runner, Scale};
+use crate::{runner, Cells, Scale};
 
 /// Runs the fairness study for all eight locks.
-pub fn run(scale: Scale) -> Report {
+pub fn run(scale: Scale, cells: &Cells) -> Report {
     let (per_node, iters) = scale.pick((14, 250), (4, 25));
     let mut report = Report::new(
         "fig8",
@@ -20,7 +20,7 @@ pub fn run(scale: Scale) -> Report {
             .iter()
             .map(|&kind| {
                 move || {
-                    run_modern(&ModernConfig {
+                    cells.modern(&ModernConfig {
                         kind,
                         machine: MachineConfig::wildfire(2, per_node),
                         threads: per_node * 2,
@@ -33,7 +33,7 @@ pub fn run(scale: Scale) -> Report {
             .collect(),
     );
     for (kind, r) in hbo_locks::LockCatalog::paper().iter().zip(&results) {
-        let spread = r.finish_spread.unwrap_or(f64::NAN) * 100.0;
+        let spread = r.micro.finish_spread.unwrap_or(f64::NAN) * 100.0;
         report.push_row(vec![kind.as_str().to_owned(), format!("{spread:.1}")]);
     }
     report.push_note(
@@ -50,7 +50,7 @@ mod tests {
     fn queue_locks_fairer_than_backoff_locks() {
         // Paper Fig. 8: queue locks 2.1% spread (fairest); TATAS_EXP the
         // most unfair at 28.9%; HBO locks in between.
-        let r = run(Scale::Fast);
+        let r = run(Scale::Fast, &Cells::new());
         let get = |k: &str| -> f64 { r.row_by_key(k).unwrap()[1].parse().unwrap() };
         let mcs = get("MCS");
         assert!(
@@ -65,7 +65,7 @@ mod tests {
 
     #[test]
     fn all_rows_present() {
-        let r = run(Scale::Fast);
+        let r = run(Scale::Fast, &Cells::new());
         assert_eq!(r.rows(), 8);
     }
 }

@@ -3,12 +3,12 @@
 //! comparison).
 
 use hbo_locks::LockKind;
-use nuca_workloads::modern::{run_modern, ModernConfig};
+use nuca_workloads::modern::ModernConfig;
 use nucasim::MachineConfig;
 use nucasim_locks::SimLockParams;
 
 use crate::report::Report;
-use crate::{runner, Scale};
+use crate::{runner, Cells, Scale};
 
 fn base_config(scale: Scale, kind: LockKind) -> ModernConfig {
     let (per_node, iters) = scale.pick((13, 40), (4, 20));
@@ -23,7 +23,7 @@ fn base_config(scale: Scale, kind: LockKind) -> ModernConfig {
 }
 
 /// Sweeps the remote backoff cap; values normalized to the default cap.
-pub fn run(scale: Scale) -> Report {
+pub fn run(scale: Scale, cells: &Cells) -> Report {
     let caps: Vec<u32> = scale.pick(
         vec![3_200, 6_400, 12_800, 25_600, 51_200, 102_400, 204_800],
         vec![6_400, 51_200, 204_800],
@@ -41,18 +41,24 @@ pub fn run(scale: Scale) -> Report {
     // Jobs: [reference HBO_GT_SD at default cap] + one per swept cap +
     // [MCS comparison]; normalization happens at assembly so every cell
     // divides by the same reference run.
-    let mut jobs: Vec<Box<dyn FnOnce() -> f64 + Send>> = vec![Box::new(move || {
-        run_modern(&base_config(scale, LockKind::HboGtSd)).ns_per_iteration
+    let mut jobs: Vec<Box<dyn FnOnce() -> f64 + Send + '_>> = vec![Box::new(move || {
+        cells
+            .modern(&base_config(scale, LockKind::HboGtSd))
+            .micro
+            .ns_per_iteration
     })];
     for &cap in &caps {
         jobs.push(Box::new(move || {
             let mut cfg = base_config(scale, LockKind::HboGtSd);
             cfg.params = cfg.params.with_remote_cap(cap);
-            run_modern(&cfg).ns_per_iteration
+            cells.modern(&cfg).micro.ns_per_iteration
         }));
     }
     jobs.push(Box::new(move || {
-        run_modern(&base_config(scale, LockKind::Mcs)).ns_per_iteration
+        cells
+            .modern(&base_config(scale, LockKind::Mcs))
+            .micro
+            .ns_per_iteration
     }));
     let results = runner::run_jobs(jobs);
 
@@ -87,7 +93,7 @@ mod tests {
 
     #[test]
     fn sd_and_mcs_rows_present() {
-        let r = run(Scale::Fast);
+        let r = run(Scale::Fast, &Cells::new());
         assert_eq!(r.rows(), 2);
         assert!(r.row_by_key("HBO_GT_SD").is_some());
         assert!(r.row_by_key("MCS").is_some());
@@ -95,7 +101,7 @@ mod tests {
 
     #[test]
     fn sd_beats_mcs_at_default_cap() {
-        let r = run(Scale::Fast);
+        let r = run(Scale::Fast, &Cells::new());
         // Column for cap=51200 (the default) in the fast sweep.
         let sd: f64 = r.row_by_key("HBO_GT_SD").unwrap()[2].parse().unwrap();
         let mcs: f64 = r.row_by_key("MCS").unwrap()[2].parse().unwrap();

@@ -14,13 +14,12 @@
 
 use hbo_locks::{BackoffConfig, LevelBackoff, LockKind};
 use nuca_topology::{NodeId, Topology};
-use nuca_workloads::modern::{run_modern, run_modern_with, ModernConfig};
-use nuca_workloads::MicroReport;
+use nuca_workloads::modern::ModernConfig;
 use nucasim::{LatencyModel, MachineConfig};
 use nucasim_locks::SimHierHbo;
 
 use crate::report::{fmt_ratio, Report};
-use crate::Scale;
+use crate::{Cells, Scale};
 
 fn cmp_numa_machine(scale: Scale) -> (MachineConfig, usize) {
     let (chips, cpus) = scale.pick((2, 7), (2, 2));
@@ -52,7 +51,7 @@ fn base_cfg(scale: Scale, kind: LockKind, critical_work: u32) -> ModernConfig {
 }
 
 /// Runs the hierarchy ablation across two contention levels.
-pub fn run(scale: Scale) -> Report {
+pub fn run(scale: Scale, cells: &Cells) -> Report {
     let cws = [400u32, 1500];
     let mut header = vec!["Lock".to_owned()];
     for cw in cws {
@@ -69,7 +68,7 @@ pub fn run(scale: Scale) -> Report {
     for kind in [LockKind::TatasExp, LockKind::Mcs, LockKind::Hbo] {
         let mut row = vec![kind.as_str().to_owned()];
         for cw in cws {
-            let r = run_modern(&base_cfg(scale, kind, cw));
+            let r = &cells.modern(&base_cfg(scale, kind, cw)).micro;
             row.push(format!("{:.0}", r.ns_per_iteration));
             row.push(fmt_ratio(r.handoff_ratio));
         }
@@ -87,7 +86,7 @@ pub fn run(scale: Scale) -> Report {
             cfg.params.local,
             cfg.params.remote,
         ]);
-        let (sim, _) = run_modern_with(&cfg, &|mem, topo, _gt| {
+        let cell = cells.custom("HBO_HIER", &cfg, &|mem, topo, _gt| {
             Box::new(SimHierHbo::alloc(
                 mem,
                 std::sync::Arc::new(topo.clone()),
@@ -95,7 +94,7 @@ pub fn run(scale: Scale) -> Report {
                 table.clone(),
             ))
         });
-        let r = MicroReport::from_sim(LockKind::Hbo, cfg.threads, &sim, 0);
+        let r = &cell.micro;
         row.push(format!("{:.0}", r.ns_per_iteration));
         row.push(fmt_ratio(r.handoff_ratio));
     }
@@ -115,14 +114,14 @@ mod tests {
 
     #[test]
     fn four_rows_produced() {
-        let r = run(Scale::Fast);
+        let r = run(Scale::Fast, &Cells::new());
         assert_eq!(r.rows(), 4);
         assert!(r.row_by_key("HBO_HIER").is_some());
     }
 
     #[test]
     fn nuca_aware_beats_blind_baselines_at_high_cw() {
-        let r = run(Scale::Fast);
+        let r = run(Scale::Fast, &Cells::new());
         let ns = |k: &str| -> f64 { r.row_by_key(k).unwrap()[3].parse().unwrap() };
         assert!(ns("HBO_HIER") < ns("MCS"));
         assert!(ns("HBO") < ns("MCS"));

@@ -11,13 +11,11 @@
 use hbo_locks::LockKind;
 use nucasim::cycles_to_ns;
 
-use nuca_workloads::modern::run_modern_raw;
-
 use crate::report::Report;
-use crate::{fig5, kinds, runner, Scale};
+use crate::{fig5, kinds, runner, Cells, Scale};
 
 /// Runs the sweep and renders the percentile table.
-pub fn run(scale: Scale) -> Report {
+pub fn run(scale: Scale, cells: &Cells) -> Report {
     let cws = fig5::sweep(scale);
     let mut header = vec!["Lock Type".to_owned()];
     header.extend(cws.iter().map(|c| format!("cw={c}")));
@@ -29,7 +27,8 @@ pub fn run(scale: Scale) -> Report {
         &header_refs,
     );
 
-    // Same grid — and same TATAS dash rule — as Fig. 5.
+    // Same grid — and same TATAS dash rule — as Fig. 5, so within one
+    // invocation these are Fig. 5's cells.
     let sweep_kinds = kinds::selected();
     let jobs: Vec<_> = sweep_kinds
         .iter()
@@ -39,8 +38,7 @@ pub fn run(scale: Scale) -> Report {
                 if kind == LockKind::Tatas && cw > 1300 {
                     None
                 } else {
-                    let (sim, _) = run_modern_raw(&fig5::config(scale, kind, cw));
-                    Some(sim)
+                    Some(cells.modern(&fig5::config(scale, kind, cw)))
                 }
             }
         })
@@ -51,8 +49,8 @@ pub fn run(scale: Scale) -> Report {
         let mut row = vec![kind.as_str().to_owned()];
         for r in &results[ki * cws.len()..(ki + 1) * cws.len()] {
             row.push(match r {
-                Some(sim) => {
-                    let wait = &sim.lock_traces[0].wait;
+                Some(cell) => {
+                    let wait = &cell.wait;
                     match (wait.percentile(50.0), wait.percentile(99.0)) {
                         (Some(p50), Some(p99)) => format!(
                             "{}/{}/{}",
@@ -83,7 +81,7 @@ mod tests {
 
     #[test]
     fn covers_all_locks_with_percentile_cells() {
-        let r = run(Scale::Fast);
+        let r = run(Scale::Fast, &Cells::new());
         assert_eq!(r.rows(), kinds::selected().len());
         for &kind in kinds::selected() {
             let row = r.row_by_key(kind.as_str()).unwrap();
@@ -109,7 +107,7 @@ mod tests {
     fn queue_lock_tail_is_bounded_vs_backoff() {
         // FIFO order bounds the p99/p50 spread; plain TATAS does not. A
         // shape check at the last column TATAS is still measured at.
-        let r = run(Scale::Fast);
+        let r = run(Scale::Fast, &Cells::new());
         let tatas = r.row_by_key("TATAS").unwrap();
         let col = tatas
             .iter()

@@ -20,6 +20,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod apps_exp;
+pub mod cells;
 pub mod cli;
 pub mod colloc;
 pub mod falsesharing;
@@ -48,6 +49,7 @@ pub mod tracecap;
 use std::error::Error;
 use std::fmt;
 
+pub use cells::Cells;
 pub use report::Report;
 
 /// How big to run: `Full` approximates the paper's workload volume;
@@ -108,44 +110,60 @@ pub const EXTENSIONS: [&str; 10] = [
     "showdown",
 ];
 
-/// Runs one experiment (or `all`) and returns its report(s).
+/// Runs one experiment (or `all`) and returns its report(s). The call
+/// has its own [`Cells`], so every cell it needs is simulated here, once.
 ///
 /// # Errors
 ///
 /// Returns [`UnknownExperiment`] if `id` is not a known artifact id.
 pub fn run_experiment(id: &str, scale: Scale) -> Result<Vec<Report>, UnknownExperiment> {
+    run_experiment_in(id, scale, &Cells::new())
+}
+
+/// Like [`run_experiment`], but reads and fills `cells`: artifacts run
+/// against the same [`Cells`] simulate each shared cell once between
+/// them.
+///
+/// # Errors
+///
+/// Returns [`UnknownExperiment`] if `id` is not a known artifact id.
+pub fn run_experiment_in(
+    id: &str,
+    scale: Scale,
+    cells: &Cells,
+) -> Result<Vec<Report>, UnknownExperiment> {
     match id {
         "table1" => Ok(vec![table1::run(scale)]),
         "fig3" => Ok(fig3::run(scale)),
-        "fig5" => Ok(fig5::run(scale)),
-        "table2" => Ok(vec![fig5::run_table2(scale)]),
+        "fig5" => Ok(fig5::run(scale, cells)),
+        "table2" => Ok(vec![fig5::run_table2(scale, cells)]),
         "table3" => Ok(vec![table3::run()]),
-        "table4" => Ok(vec![raytrace_exp::run_table4(scale)]),
-        "table5" => Ok(vec![apps_exp::run_table5(scale)]),
-        "table6" => Ok(vec![apps_exp::run_table6(scale)]),
-        "fig6" => Ok(vec![apps_exp::run_fig6(scale)]),
-        "fig7" => Ok(vec![raytrace_exp::run_fig7(scale)]),
-        "fig8" => Ok(vec![fig8::run(scale)]),
-        "fig9" => Ok(vec![fig9::run(scale)]),
-        "fig10" => Ok(vec![fig10::run(scale)]),
-        "nuca_ratio" => Ok(vec![nuca_ratio::run(scale)]),
-        "hier" => Ok(vec![hier_exp::run(scale)]),
-        "colloc" => Ok(vec![colloc::run(scale)]),
-        "falsesharing" => Ok(falsesharing::run(scale)),
-        "ticket" => Ok(vec![ticket_exp::run(scale)]),
-        "lat_hist" => Ok(vec![lat_hist::run(scale)]),
-        "robustness" => Ok(vec![robustness::run(scale)]),
-        "handoff" => Ok(vec![profiler::run_handoff(scale)]),
+        "table4" => Ok(vec![raytrace_exp::run_table4(scale, cells)]),
+        "table5" => Ok(vec![apps_exp::run_table5(scale, cells)]),
+        "table6" => Ok(vec![apps_exp::run_table6(scale, cells)]),
+        "fig6" => Ok(vec![apps_exp::run_fig6(scale, cells)]),
+        "fig7" => Ok(vec![raytrace_exp::run_fig7(scale, cells)]),
+        "fig8" => Ok(vec![fig8::run(scale, cells)]),
+        "fig9" => Ok(vec![fig9::run(scale, cells)]),
+        "fig10" => Ok(vec![fig10::run(scale, cells)]),
+        "nuca_ratio" => Ok(vec![nuca_ratio::run(scale, cells)]),
+        "hier" => Ok(vec![hier_exp::run(scale, cells)]),
+        "colloc" => Ok(vec![colloc::run(scale, cells)]),
+        "falsesharing" => Ok(falsesharing::run(scale, cells)),
+        "ticket" => Ok(vec![ticket_exp::run(scale, cells)]),
+        "lat_hist" => Ok(vec![lat_hist::run(scale, cells)]),
+        "robustness" => Ok(vec![robustness::run(scale, cells)]),
+        "handoff" => Ok(vec![profiler::run_handoff(scale, cells)]),
         "lockserver" => Ok(vec![lockserver::run(scale)]),
-        "showdown" => Ok(vec![showdown::run(scale)]),
+        "showdown" => Ok(vec![showdown::run(scale, cells)]),
         "all" => {
             // Fan the artifacts out across orchestration threads (their
-            // leaf sim jobs share the global --jobs budget) and flatten
-            // the reports in the fixed id order.
+            // leaf sim jobs share the global --jobs budget and `cells`)
+            // and flatten the reports in the fixed id order.
             let tasks: Vec<_> = EXPERIMENTS
                 .iter()
                 .chain(EXTENSIONS.iter())
-                .map(|&id| move || run_experiment(id, scale))
+                .map(|&id| move || run_experiment_in(id, scale, cells))
                 .collect();
             let mut out = Vec::new();
             for reports in runner::run_fanout(tasks) {

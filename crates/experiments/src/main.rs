@@ -13,7 +13,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use nuca_experiments::{run_experiment, runner, tracecap, Report, Scale, EXPERIMENTS, EXTENSIONS};
+use nuca_experiments::{
+    run_experiment_in, runner, tracecap, Cells, Report, Scale, EXPERIMENTS, EXTENSIONS,
+};
 use nuca_experiments::UnknownExperiment;
 
 const USAGE: &str = "usage: experiments [--fast] [--out DIR] [--jobs N] \
@@ -203,22 +205,29 @@ fn main() -> ExitCode {
     }
 
     // One orchestration task per artifact; leaf simulation jobs inside
-    // each artifact share the global --jobs budget. Results come back in
-    // request order, so rendering and TSV writes stay deterministic.
+    // each artifact share the global --jobs budget, and every artifact
+    // shares one cell cache, so a run two artifacts need happens once.
+    // Results come back in request order, so rendering and TSV writes stay
+    // deterministic.
+    let cells = Cells::new();
     type ArtifactRun = (Duration, Result<Vec<Report>, UnknownExperiment>);
     let tasks: Vec<_> = ids
         .iter()
         .map(|id| {
-            let id = id.clone();
+            let (id, cells) = (id.clone(), &cells);
             move || -> ArtifactRun {
                 let started = Instant::now();
-                let result = run_experiment(&id, scale);
+                let result = run_experiment_in(&id, scale, cells);
                 (started.elapsed(), result)
             }
         })
         .collect();
     let results = runner::run_fanout(tasks);
+    drop(cells); // every artifact has read its cells
 
+    // A TSV that cannot be written fails the run, after every artifact
+    // has been reported.
+    let mut tsv_failed = false;
     for (id, (elapsed, result)) in ids.iter().zip(results) {
         match result {
             Ok(reports) => {
@@ -226,7 +235,10 @@ fn main() -> ExitCode {
                     println!("{}", report.render());
                     match report.write_tsv(&out_dir) {
                         Ok(path) => println!("wrote {}\n", path.display()),
-                        Err(err) => eprintln!("could not write TSV: {err}"),
+                        Err(err) => {
+                            eprintln!("could not write TSV: {err}");
+                            tsv_failed = true;
+                        }
                     }
                 }
                 eprintln!("[{id} done in {elapsed:.1?}]");
@@ -261,6 +273,9 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
+    }
+    if tsv_failed {
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

@@ -7,14 +7,14 @@
 //! advantage grows with the ratio and vanishes on a UMA machine.
 
 use hbo_locks::LockKind;
-use nuca_workloads::modern::{run_modern, ModernConfig};
+use nuca_workloads::modern::ModernConfig;
 use nucasim::{LatencyModel, MachineConfig};
 
 use crate::report::Report;
-use crate::{runner, Scale};
+use crate::{runner, Cells, Scale};
 
 /// Runs the NUCA-ratio ablation.
-pub fn run(scale: Scale) -> Report {
+pub fn run(scale: Scale, cells: &Cells) -> Report {
     let presets: [(&str, LatencyModel); 5] = [
         ("E6000 (UMA)", LatencyModel::e6000()),
         ("DS-320-like (3.5)", LatencyModel::wildfire().with_nuca_ratio(3.5)),
@@ -41,7 +41,7 @@ pub fn run(scale: Scale) -> Report {
         .flat_map(|&(_, latency)| kinds.iter().map(move |&kind| (latency, kind)))
         .map(|(latency, kind)| {
             move || {
-                run_modern(&ModernConfig {
+                cells.modern(&ModernConfig {
                     kind,
                     machine: MachineConfig::wildfire(2, per_node).with_latency(latency),
                     threads: per_node * 2,
@@ -57,6 +57,7 @@ pub fn run(scale: Scale) -> Report {
         let [hbo, mcs, exp] = &results[pi * kinds.len()..(pi + 1) * kinds.len()] else {
             unreachable!("three runs per preset");
         };
+        let (hbo, mcs, exp) = (&hbo.micro, &mcs.micro, &exp.micro);
         report.push_row(vec![
             (*name).to_owned(),
             format!("{:.1}", latency.nuca_ratio()),
@@ -75,7 +76,7 @@ mod tests {
 
     #[test]
     fn advantage_grows_with_ratio() {
-        let r = run(Scale::Fast);
+        let r = run(Scale::Fast, &Cells::new());
         assert_eq!(r.rows(), 5);
         let ratio = |row: usize| -> f64 { r.cell(row, 3).unwrap().parse().unwrap() };
         // NUMA-Q advantage must exceed the UMA advantage.

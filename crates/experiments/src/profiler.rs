@@ -20,13 +20,13 @@
 //! TSVs are byte-identical with or without it.
 
 use hbo_locks::LockKind;
-use nuca_workloads::modern::{run_modern_profiled, ModernConfig};
+use nuca_workloads::modern::ModernConfig;
 use nucasim::{LabelProfile, MachineConfig};
 
 use crate::json::JsonWriter;
 use crate::report::{fmt_ratio, Report};
 use crate::tracecap::CAPTURE_CRITICAL_WORK;
-use crate::{kinds, runner, tracecap, Scale};
+use crate::{kinds, runner, tracecap, Cells, Scale};
 
 /// Version stamp of the `--profile` JSON document (bump on any
 /// field/shape change; ci.sh validates against it). v2 added the
@@ -63,7 +63,7 @@ fn pct(part: u64, total: u64) -> String {
 }
 
 /// Runs the handoff-locality × phase-breakdown sweep.
-pub fn run_handoff(scale: Scale) -> Report {
+pub fn run_handoff(scale: Scale, cells: &Cells) -> Report {
     let per_nodes = per_node_sweep(scale);
     let mut report = Report::new(
         "handoff",
@@ -93,19 +93,16 @@ pub fn run_handoff(scale: Scale) -> Report {
     let jobs: Vec<_> = sweep_kinds
         .iter()
         .flat_map(|&kind| per_nodes.iter().map(move |&pn| (kind, pn)))
-        .map(|(kind, pn)| {
-            move || run_modern_profiled(&config(scale, kind, pn))
-        })
+        .map(|(kind, pn)| move || cells.profiled(&config(scale, kind, pn)))
         .collect();
     let results = runner::run_jobs(jobs);
 
-    for ((kind, pn), (sim, profile)) in sweep_kinds
+    for ((kind, pn), cell) in sweep_kinds
         .iter()
         .flat_map(|&kind| per_nodes.iter().map(move |&pn| (kind, pn)))
         .zip(&results)
     {
-        let trace = &sim.lock_traces[0];
-        let lock = &profile.locks[0];
+        let (trace, lock) = (&cell.trace, &cell.lock);
         let wait = trace.wait.sum();
         report.push_row(vec![
             kind.as_str().to_owned(),
@@ -250,6 +247,7 @@ fn write_run_histogram(w: &mut JsonWriter, h: &nucasim::Histogram) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nuca_workloads::modern::run_modern_profiled;
     use nucasim::{Profile, SimReport};
 
     fn cell(kind: LockKind) -> (SimReport, Profile) {
@@ -258,7 +256,7 @@ mod tests {
 
     #[test]
     fn handoff_grid_covers_all_kinds_and_cpu_counts() {
-        let report = run_handoff(Scale::Fast);
+        let report = run_handoff(Scale::Fast, &Cells::new());
         assert_eq!(report.rows(), kinds::selected().len() * 2);
         let hbo = report.row_by_key("HBO_GT_SD").unwrap();
         assert_ne!(hbo[5], "-", "HBO_GT_SD remote rate missing");

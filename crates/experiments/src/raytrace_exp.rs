@@ -1,14 +1,17 @@
 //! Table 4 and Figure 7 — the Raytrace deep-dive: execution time at 1, 28
 //! and 30 processors (the 30-processor runs suffer OS preemption, which
-//! collapses the queue locks), and the speedup curve.
+//! collapses the queue locks), and the speedup curve. Both read
+//! Raytrace's 1-CPU and 28-CPU runs, the application study's cells.
+
+use std::sync::Arc;
 
 use nuca_topology::Topology;
-use nuca_workloads::apps::{app_by_name, run_app, AppReport, AppRunConfig};
+use nuca_workloads::apps::{app_by_name, AppReport, AppRunConfig};
 use nucasim::{MachineConfig, PreemptionConfig};
 
 use crate::apps_exp::app_cfg;
 use crate::report::{fmt_secs, Report};
-use crate::{runner, Scale};
+use crate::{runner, Cells, Scale};
 
 /// The paper's 30-processor machine: the 16 + 14 WildFire prototype, with
 /// daemon preemption enabled (a fully populated machine leaves the OS
@@ -35,7 +38,7 @@ fn prototype_30p(scale: Scale) -> MachineConfig {
 }
 
 /// Table 4 — Raytrace execution time at 1, 28 and 30 CPUs.
-pub fn run_table4(scale: Scale) -> Report {
+pub fn run_table4(scale: Scale, cells: &Cells) -> Report {
     let ray = app_by_name("Raytrace").expect("raytrace is studied");
     let mut report = Report::new(
         "table4",
@@ -47,12 +50,14 @@ pub fn run_table4(scale: Scale) -> Report {
     let budget = scale.pick(12_500_000_000u64, 1_500_000_000u64);
     // Three independent runs per lock (1p, 28p, 30p-preempted), flattened
     // into one job list and read back per lock in fixed order.
-    let mut jobs: Vec<Box<dyn FnOnce() -> AppReport + Send>> = Vec::new();
+    let mut jobs: Vec<Box<dyn FnOnce() -> Arc<AppReport> + Send + '_>> = Vec::new();
     for &kind in hbo_locks::LockCatalog::paper() {
         let ray1 = ray.clone();
-        jobs.push(Box::new(move || run_app(&ray1, &app_cfg(scale, kind, 1))));
+        jobs.push(Box::new(move || cells.app(&ray1, &app_cfg(scale, kind, 1))));
         let ray28 = ray.clone();
-        jobs.push(Box::new(move || run_app(&ray28, &app_cfg(scale, kind, 28))));
+        jobs.push(Box::new(move || {
+            cells.app(&ray28, &app_cfg(scale, kind, 28))
+        }));
         let ray30 = ray.clone();
         jobs.push(Box::new(move || {
             let mut cfg30 = AppRunConfig {
@@ -61,7 +66,7 @@ pub fn run_table4(scale: Scale) -> Report {
                 ..app_cfg(scale, kind, 28)
             };
             cfg30.threads = cfg30.machine.topology.num_cpus();
-            run_app(&ray30, &cfg30)
+            cells.app(&ray30, &cfg30)
         }));
     }
     let results = runner::run_jobs(jobs);
@@ -84,7 +89,7 @@ pub fn run_table4(scale: Scale) -> Report {
 }
 
 /// Figure 7 — Raytrace speedup vs processor count.
-pub fn run_fig7(scale: Scale) -> Report {
+pub fn run_fig7(scale: Scale, cells: &Cells) -> Report {
     let ray = app_by_name("Raytrace").expect("raytrace is studied");
     let counts: Vec<usize> = scale.pick(vec![1, 4, 8, 12, 16, 20, 24, 28], vec![1, 4, 8]);
     let mut header = vec!["Lock Type".to_owned()];
@@ -92,19 +97,16 @@ pub fn run_fig7(scale: Scale) -> Report {
     let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
     let mut report = Report::new("fig7", "Speedup for Raytrace", &header_refs);
 
-    // Per lock: the sequential baseline plus each swept processor count
-    // (the p=1 sweep point reruns the baseline config, as the serial code
-    // did, keeping the output byte-identical).
+    // Per lock: the sequential baseline plus each swept processor count.
+    // The p=1 sweep point is the baseline's cell, so it runs once.
     let jobs: Vec<_> = hbo_locks::LockCatalog::paper()
         .iter()
         .flat_map(|&kind| {
-            let mut cells = vec![(kind, 1usize)];
-            cells.extend(counts.iter().map(|&p| (kind, p)));
-            cells
+            std::iter::once((kind, 1usize)).chain(counts.iter().map(move |&p| (kind, p)))
         })
         .map(|(kind, p)| {
             let ray = ray.clone();
-            move || run_app(&ray, &app_cfg(scale, kind, p))
+            move || cells.app(&ray, &app_cfg(scale, kind, p))
         })
         .collect();
     let results = runner::run_jobs(jobs);
@@ -135,13 +137,13 @@ mod tests {
 
     #[test]
     fn table4_runs_all_locks() {
-        let r = run_table4(Scale::Fast);
+        let r = run_table4(Scale::Fast, &Cells::new());
         assert_eq!(r.rows(), 8);
     }
 
     #[test]
     fn fig7_speedup_at_one_cpu_is_one() {
-        let r = run_fig7(Scale::Fast);
+        let r = run_fig7(Scale::Fast, &Cells::new());
         for i in 0..r.rows() {
             let s: f64 = r.cell(i, 1).unwrap().parse().unwrap();
             assert!((s - 1.0).abs() < 1e-9);

@@ -11,14 +11,14 @@
 //! jitter ([`nucasim::FaultConfig`]) — and the ordering survives.
 
 use hbo_locks::LockKind;
-use nuca_workloads::modern::{run_modern_raw, ModernConfig};
+use nuca_workloads::modern::ModernConfig;
 use nucasim::{
     cycles_to_ns, FaultConfig, HolderPreemptConfig, JitterConfig, MachineConfig, MigrationConfig,
     PreemptionConfig, SlowNodeConfig,
 };
 
 use crate::report::{fmt_secs, Report};
-use crate::{kinds, runner, Scale};
+use crate::{kinds, runner, Cells, Scale};
 
 /// One disturbance level of the sweep.
 #[derive(Debug, Clone, Copy)]
@@ -162,7 +162,7 @@ fn cell_cfg(scale: Scale, kind: LockKind, cpus: usize, d: &Disturbance) -> Moder
 /// processor count), each measured at every disturbance level. Leaf runs
 /// go through [`runner::run_jobs`], so results are deterministic and
 /// byte-identical for any `--jobs` setting.
-pub fn sweep(scale: Scale) -> Vec<SweepRow> {
+pub fn sweep(scale: Scale, cells: &Cells) -> Vec<SweepRow> {
     let cpu_counts: Vec<usize> = scale.pick(vec![8, 28], vec![4, 8]);
     let lv = levels(scale);
     let grid: Vec<(LockKind, usize)> = kinds::selected()
@@ -174,17 +174,14 @@ pub fn sweep(scale: Scale) -> Vec<SweepRow> {
         .flat_map(|&(kind, cpus)| lv.iter().map(move |d| (kind, cpus, *d)))
         .map(|(kind, cpus, d)| {
             move || {
-                let cfg = cell_cfg(scale, kind, cpus, &d);
-                let (report, _) = run_modern_raw(&cfg);
+                let run = cells.modern(&cell_cfg(scale, kind, cpus, &d));
                 Cell {
                     level: d.name,
-                    seconds: report.seconds(),
-                    finished: report.finished_all,
-                    p99_wait_ns: cycles_to_ns(
-                        report.lock_traces[0].wait.percentile(99.0).unwrap_or(0),
-                    ),
-                    preemptions: report.preemptions,
-                    migrations: report.migrations,
+                    seconds: run.seconds,
+                    finished: run.micro.finished,
+                    p99_wait_ns: cycles_to_ns(run.wait.percentile(99.0).unwrap_or(0)),
+                    preemptions: run.preemptions,
+                    migrations: run.migrations,
                 }
             }
         })
@@ -202,7 +199,7 @@ pub fn sweep(scale: Scale) -> Vec<SweepRow> {
 
 /// The `robustness` artifact: completion time per disturbance level plus
 /// the undisturbed and heaviest p99 time-to-acquire.
-pub fn run(scale: Scale) -> Report {
+pub fn run(scale: Scale, cells: &Cells) -> Report {
     let lv = levels(scale);
     let mut header = vec!["Lock Type".to_owned(), "CPUs".to_owned()];
     header.extend(lv.iter().map(|d| format!("{} (s)", d.name)));
@@ -214,7 +211,7 @@ pub fn run(scale: Scale) -> Report {
         "Lock robustness under preemption and injected faults",
         &header_refs,
     );
-    for row in sweep(scale) {
+    for row in sweep(scale, cells) {
         let mut cells = vec![row.kind.as_str().to_owned(), row.cpus.to_string()];
         cells.extend(
             row.cells
@@ -253,7 +250,7 @@ mod tests {
 
     #[test]
     fn queue_locks_collapse_an_order_of_magnitude_harder() {
-        let rows = sweep(Scale::Fast);
+        let rows = sweep(Scale::Fast, &Cells::new());
         for level in ["heavy", "heavy+faults"] {
             for queue in [LockKind::Mcs, LockKind::Clh] {
                 let q = max_degradation(&rows, queue, level);
@@ -271,7 +268,7 @@ mod tests {
 
     #[test]
     fn fault_layers_fire_in_the_heaviest_level() {
-        let rows = sweep(Scale::Fast);
+        let rows = sweep(Scale::Fast, &Cells::new());
         let faulted: Vec<&Cell> = rows
             .iter()
             .flat_map(|r| r.cells.iter().filter(|c| c.level == "heavy+faults"))
@@ -287,7 +284,7 @@ mod tests {
 
     #[test]
     fn report_has_one_row_per_kind_and_cpu_count() {
-        let r = run(Scale::Fast);
+        let r = run(Scale::Fast, &Cells::new());
         assert_eq!(r.rows(), kinds::selected().len() * 2);
     }
 }

@@ -23,7 +23,13 @@
 //! the CLI's `--jobs N` flag via [`set_max_jobs`]. With a budget of 1,
 //! both entry points run strictly serially on the calling thread — that is
 //! the reference ordering the determinism test compares against.
+//!
+//! A leaf job that has to wait for another job's result (a shared
+//! [`crate::cells`] cell still being simulated) gives its permit back
+//! while it waits, via `unmetered`, so waiting never occupies the
+//! budget that the job it waits on may need.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::thread;
@@ -58,27 +64,67 @@ static GATE: Gate = Gate {
     freed: Condvar::new(),
 };
 
-/// RAII permit for one executing leaf job.
-struct Permit;
+thread_local! {
+    /// Whether this thread's current leaf job holds a gate permit.
+    static METERED: Cell<bool> = const { Cell::new(false) };
+}
 
 impl Gate {
-    fn acquire(&self) -> Permit {
+    fn enter(&self) {
         let mut running = self.running.lock().expect("gate poisoned");
         while *running >= max_jobs() {
             running = self.freed.wait(running).expect("gate poisoned");
         }
         *running += 1;
+        METERED.set(true);
+    }
+
+    fn leave(&self) {
+        METERED.set(false);
+        let mut running = self.running.lock().expect("gate poisoned");
+        *running -= 1;
+        drop(running);
+        self.freed.notify_one();
+    }
+}
+
+/// RAII permit for one executing leaf job.
+struct Permit;
+
+impl Permit {
+    fn acquire() -> Permit {
+        GATE.enter();
         Permit
     }
 }
 
 impl Drop for Permit {
     fn drop(&mut self) {
-        let mut running = GATE.running.lock().expect("gate poisoned");
-        *running -= 1;
-        drop(running);
-        GATE.freed.notify_one();
+        GATE.leave();
     }
+}
+
+/// Takes the gate permit back when an [`unmetered`] wait ends, including
+/// by unwinding, so the job's own [`Permit`] always has one to return.
+struct Reenter;
+
+impl Drop for Reenter {
+    fn drop(&mut self) {
+        GATE.enter();
+    }
+}
+
+/// Runs `wait` — a blocking wait for another job's result — with the
+/// calling leaf job's permit handed back to the gate, and takes a permit
+/// again before returning. Outside a metered leaf job (serial runs,
+/// orchestration threads) it just runs `wait`.
+pub(crate) fn unmetered<T>(wait: impl FnOnce() -> T) -> T {
+    if !METERED.get() {
+        return wait();
+    }
+    GATE.leave();
+    let _reenter = Reenter;
+    wait()
 }
 
 /// Runs `jobs` — independent, self-contained closures — and returns their
@@ -112,7 +158,7 @@ where
                     .expect("job slot poisoned")
                     .take()
                     .expect("each job index is claimed once");
-                let permit = GATE.acquire();
+                let permit = Permit::acquire();
                 let out = job();
                 drop(permit);
                 *slots[i].lock().expect("result slot poisoned") = Some(out);
@@ -236,6 +282,24 @@ mod tests {
         });
         let peak = PEAK.load(Ordering::SeqCst);
         assert!(peak <= budget, "peak {peak} exceeded budget {budget}");
+    }
+
+    #[test]
+    fn unmetered_waits_hand_the_permit_back() {
+        with_budget(2, || {
+            run_jobs(
+                (0..2)
+                    .map(|_| {
+                        || {
+                            assert!(METERED.get());
+                            unmetered(|| assert!(!METERED.get()));
+                            assert!(METERED.get(), "the permit is taken again");
+                        }
+                    })
+                    .collect::<Vec<_>>(),
+            )
+        });
+        assert!(!METERED.get(), "the calling thread holds no permit");
     }
 
     #[test]

@@ -23,12 +23,12 @@
 //! TSV is byte-identical for any `--jobs` setting.
 
 use hbo_locks::{LockCatalog, LockKind};
-use nuca_workloads::modern::{run_modern_raw, ModernConfig};
+use nuca_workloads::modern::ModernConfig;
 use nucasim::{cycles_to_ns, MachineConfig};
 
 use crate::report::{fmt_ratio, fmt_secs, Report};
 use crate::robustness::{levels, Disturbance};
-use crate::{kinds, runner, Scale};
+use crate::{kinds, runner, Cells, Scale};
 
 /// The two showdown disturbance levels: undisturbed, and the robustness
 /// sweep's heaviest (heavy multiprogramming + every fault layer).
@@ -98,7 +98,7 @@ fn cell_cfg(scale: Scale, kind: LockKind, cpus: usize, d: &Disturbance) -> Moder
 
 /// Runs the full sweep over [`kinds::selected`] × processor count ×
 /// disturbance level; deterministic for any `--jobs` setting.
-pub fn sweep(scale: Scale) -> Vec<SweepRow> {
+pub fn sweep(scale: Scale, cells: &Cells) -> Vec<SweepRow> {
     let cpu_counts: Vec<usize> = scale.pick(vec![8, 28], vec![4, 8]);
     let dist = disturbances(scale);
     let grid: Vec<(LockKind, usize)> = kinds::selected()
@@ -110,16 +110,13 @@ pub fn sweep(scale: Scale) -> Vec<SweepRow> {
         .flat_map(|&(kind, cpus)| dist.iter().map(move |d| (kind, cpus, *d)))
         .map(|(kind, cpus, d)| {
             move || {
-                let cfg = cell_cfg(scale, kind, cpus, &d);
-                let (report, _) = run_modern_raw(&cfg);
+                let run = cells.modern(&cell_cfg(scale, kind, cpus, &d));
                 Cell {
                     level: d.name,
-                    seconds: report.seconds(),
-                    finished: report.finished_all,
-                    p99_wait_ns: cycles_to_ns(
-                        report.lock_traces[0].wait.percentile(99.0).unwrap_or(0),
-                    ),
-                    handoff_ratio: report.lock_traces[0].handoff_ratio(),
+                    seconds: run.seconds,
+                    finished: run.micro.finished,
+                    p99_wait_ns: cycles_to_ns(run.wait.percentile(99.0).unwrap_or(0)),
+                    handoff_ratio: run.micro.handoff_ratio,
                 }
             }
         })
@@ -136,7 +133,7 @@ pub fn sweep(scale: Scale) -> Vec<SweepRow> {
 }
 
 /// The `showdown` artifact table.
-pub fn run(scale: Scale) -> Report {
+pub fn run(scale: Scale, cells: &Cells) -> Report {
     let dist = disturbances(scale);
     let mut header = vec![
         "Lock Type".to_owned(),
@@ -157,7 +154,7 @@ pub fn run(scale: Scale) -> Report {
          and under the full fault stack (critical_work=1500)",
         &header_refs,
     );
-    for row in sweep(scale) {
+    for row in sweep(scale, cells) {
         let info = LockCatalog::info(row.kind);
         let mut cells = vec![
             info.name.to_owned(),
@@ -193,7 +190,7 @@ mod tests {
 
     #[test]
     fn report_covers_the_selected_grid_with_catalog_metadata() {
-        let r = run(Scale::Fast);
+        let r = run(Scale::Fast, &Cells::new());
         assert_eq!(r.rows(), kinds::selected().len() * 2);
         // Modern contenders ride alongside every 2003 kind, with their
         // catalog family/year in the row.
@@ -209,7 +206,7 @@ mod tests {
 
     #[test]
     fn faults_never_speed_a_lock_up() {
-        for row in sweep(Scale::Fast) {
+        for row in sweep(Scale::Fast, &Cells::new()) {
             assert!(
                 row.degradation() >= 1.0,
                 "{} at {} cpus sped up under faults: {:.2}",
@@ -225,7 +222,7 @@ mod tests {
         // The tentpole physics, visible in the artifact itself: CNA's
         // secondary queue keeps handoffs node-local; TWA inherits the
         // ticket lock's node-blind FIFO order.
-        let rows = sweep(Scale::Fast);
+        let rows = sweep(Scale::Fast, &Cells::new());
         let rate = |kind: LockKind| {
             rows.iter()
                 .filter(|r| r.kind == kind)

@@ -9,13 +9,12 @@
 
 use hbo_locks::LockKind;
 use nuca_topology::NodeId;
-use nuca_workloads::modern::{run_modern, run_modern_with, ModernConfig};
-use nuca_workloads::MicroReport;
+use nuca_workloads::modern::ModernConfig;
 use nucasim::MachineConfig;
 use nucasim_locks::SimTicket;
 
 use crate::report::{fmt_ratio, Report};
-use crate::Scale;
+use crate::{Cells, Scale};
 
 fn cfg(scale: Scale, kind: LockKind, critical_work: u32) -> ModernConfig {
     let (per_node, iters) = scale.pick((14, 40), (4, 15));
@@ -30,7 +29,7 @@ fn cfg(scale: Scale, kind: LockKind, critical_work: u32) -> ModernConfig {
 }
 
 /// Runs TICKET vs MCS vs TATAS_EXP vs HBO_GT on the new microbenchmark.
-pub fn run(scale: Scale) -> Report {
+pub fn run(scale: Scale, cells: &Cells) -> Report {
     let cws = [100u32, 1500];
     let mut header = vec!["Lock".to_owned()];
     for cw in cws {
@@ -48,7 +47,7 @@ pub fn run(scale: Scale) -> Report {
     for kind in [LockKind::TatasExp, LockKind::Mcs, LockKind::HboGt] {
         let mut row = vec![kind.as_str().to_owned()];
         for cw in cws {
-            let r = run_modern(&cfg(scale, kind, cw));
+            let r = &cells.modern(&cfg(scale, kind, cw)).micro;
             row.push(format!("{:.0}", r.ns_per_iteration));
             row.push(fmt_ratio(r.handoff_ratio));
             row.push(r.traffic.total().to_string());
@@ -59,9 +58,10 @@ pub fn run(scale: Scale) -> Report {
     let mut row = vec!["TICKET".to_owned()];
     for cw in cws {
         let c = cfg(scale, LockKind::Mcs, cw);
-        let (sim, _) =
-            run_modern_with(&c, &|mem, _topo, _gt| Box::new(SimTicket::alloc(mem, NodeId(0))));
-        let r = MicroReport::from_sim(LockKind::Mcs, c.threads, &sim, 0);
+        let cell = cells.custom("TICKET", &c, &|mem, _topo, _gt| {
+            Box::new(SimTicket::alloc(mem, NodeId(0)))
+        });
+        let r = &cell.micro;
         row.push(format!("{:.0}", r.ns_per_iteration));
         row.push(fmt_ratio(r.handoff_ratio));
         row.push(r.traffic.total().to_string());
@@ -81,7 +81,7 @@ mod tests {
 
     #[test]
     fn four_rows() {
-        let r = run(Scale::Fast);
+        let r = run(Scale::Fast, &Cells::new());
         assert_eq!(r.rows(), 4);
     }
 
@@ -90,7 +90,7 @@ mod tests {
         // The per-handover storm needs many waiters to dominate, so the
         // traffic comparison is a full-scale result (see EXPERIMENTS.md);
         // at smoke scale we assert the FIFO signature both ways.
-        let r = run(Scale::Fast);
+        let r = run(Scale::Fast, &Cells::new());
         let handoff = |k: &str| -> f64 { r.row_by_key(k).unwrap()[2].parse().unwrap() };
         assert!(handoff("TICKET") > 0.3, "FIFO handoff expected");
         assert!(

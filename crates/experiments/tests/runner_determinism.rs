@@ -1,10 +1,11 @@
 //! Regression test for the parallel runner's core guarantee: the TSV
 //! bytes of an artifact are identical whether its simulation jobs ran
-//! serially or on several threads.
+//! serially or on several threads — also when artifacts of one
+//! invocation share cells, and whichever of them computes a shared cell.
 
 use std::sync::Mutex;
 
-use nuca_experiments::{run_experiment, runner, Scale};
+use nuca_experiments::{run_experiment, run_experiment_in, runner, Cells, Scale};
 
 /// Serializes the tests in this file: they reconfigure the process-global
 /// job budget.
@@ -16,6 +17,23 @@ fn tsv_bytes(id: &str, jobs: usize) -> Vec<String> {
     let reports = run_experiment(id, Scale::Fast).expect("known artifact");
     runner::set_max_jobs(0);
     reports.iter().map(|r| r.to_tsv()).collect()
+}
+
+/// Renders every report of `ids`, run as one invocation (one cell cache,
+/// one orchestration thread per id, like the CLI) under the job budget.
+fn tsv_bytes_together(ids: &[&'static str], jobs: usize) -> Vec<String> {
+    runner::set_max_jobs(jobs);
+    let cells = Cells::new();
+    let tasks: Vec<_> = ids
+        .iter()
+        .map(|&id| {
+            let cells = &cells;
+            move || run_experiment_in(id, Scale::Fast, cells).expect("known artifact")
+        })
+        .collect();
+    let reports = runner::run_fanout(tasks);
+    runner::set_max_jobs(0);
+    reports.iter().flatten().map(|r| r.to_tsv()).collect()
 }
 
 #[test]
@@ -51,4 +69,38 @@ fn robustness_tsv_identical_serial_vs_parallel() {
     // streams are seeded per run, never shared across jobs.
     let _guard = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     assert_eq!(tsv_bytes("robustness", 1), tsv_bytes("robustness", 4));
+}
+
+#[test]
+fn lat_hist_tsv_identical_serial_vs_parallel() {
+    let _guard = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    assert_eq!(tsv_bytes("lat_hist", 1), tsv_bytes("lat_hist", 4));
+}
+
+#[test]
+fn table6_tsv_identical_serial_vs_parallel() {
+    let _guard = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    assert_eq!(tsv_bytes("table6", 1), tsv_bytes("table6", 4));
+}
+
+#[test]
+fn fig7_tsv_identical_serial_vs_parallel() {
+    // fig7 asks for each kind's p=1 cell twice (the baseline and the
+    // first sweep point); in parallel the second request waits on the
+    // first.
+    let _guard = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    assert_eq!(tsv_bytes("fig7", 1), tsv_bytes("fig7", 4));
+}
+
+#[test]
+fn shared_cell_invocation_identical_serial_vs_parallel_and_alone() {
+    // fig5, lat_hist and table2 share most of their cells. Run together,
+    // each artifact's bytes must match the serial run and its own
+    // separate run.
+    let _guard = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let ids = ["fig5", "lat_hist", "table2"];
+    let serial = tsv_bytes_together(&ids, 1);
+    assert_eq!(serial, tsv_bytes_together(&ids, 4));
+    let alone: Vec<String> = ids.iter().flat_map(|id| tsv_bytes(id, 1)).collect();
+    assert_eq!(serial, alone);
 }

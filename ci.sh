@@ -208,7 +208,7 @@ print(f"showdown OK: {len(kinds)} kinds x {len(body)//len(kinds)} cpu counts")
 EOF
 fi
 
-echo "==> protocol smoke (flat default byte-identity, MESI determinism, falsesharing headline)"
+echo "==> protocol smoke (flat default byte-identity, MESI/Dragon determinism, falsesharing headline)"
 # The flat default and an explicit --protocol flat are the same model:
 # every artifact TSV must be byte-identical to the default-run output.
 ./target/release/experiments colloc fig5 --fast --jobs 2 --protocol flat \
@@ -239,6 +239,16 @@ for bad in "--protocol splay" "--binding diagonal" "--twa-slots 0" \
 done
 ./target/release/experiments fig5 --fast --jobs 2 --binding clustered \
     --twa-slots 64 --twa-hash stride --out target/ci-proto-flags >/dev/null
+# Faults under the set-associative protocols: robustness injects thread
+# migrations, which move CPUs between the per-node sharer masks. The
+# faulted sweep must stay byte-identical across --jobs under each.
+for proto in mesi dragon; do
+    for jobs in 1 4; do
+        ./target/release/experiments robustness --fast --jobs "$jobs" --protocol "$proto" \
+            --out "target/ci-rob-$proto-j$jobs" >/dev/null
+    done
+    cmp "target/ci-rob-$proto-j1/robustness.tsv" "target/ci-rob-$proto-j4/robustness.tsv"
+done
 if command -v python3 >/dev/null 2>&1; then
     python3 - <<'EOF'
 # The falsesharing headline: under MESI the colocated layout pays for
@@ -332,6 +342,32 @@ print(f"mcheck states OK: {len(mcheck['args'])} subjects match hbobench/expected
 EOF
 else
     echo "python3 not found; skipping the mcheck state-count check"
+fi
+
+echo "==> coherence cell digests at the benchmark's seed"
+# Every protocol/KIND/critical_work cell of the benchmark's coherence grid
+# must report exactly the elapsed time and traffic recorded in
+# hbobench/expected.json (read, never rewritten here).
+cargo build --offline --release --manifest-path hbobench/Cargo.toml
+if command -v python3 >/dev/null 2>&1; then
+    python3 - <<'EOF'
+import json, subprocess, sys
+coherence = json.load(open("hbobench/expected.json"))["coherence"]
+out = subprocess.run(["hbobench/target/release/hbo-bench", "coherence",
+                      "--seed", str(coherence["seed"]), "--seconds", "0.001"],
+                     capture_output=True, text=True, check=True).stdout
+cells = {f"{p}/{k}/{cw}": f"{e} {l} {g}"
+         for p, k, cw, e, l, g in json.loads(out.strip().splitlines()[-1])["cells"]}
+expected = coherence["cells"]
+bad = sorted(k for k in set(cells) | set(expected) if cells.get(k) != expected.get(k))
+if bad:
+    for k in bad:
+        print(f"{k}: got {cells.get(k)}, expected {expected.get(k)}")
+    sys.exit(1)
+print(f"coherence digests OK: {len(cells)} cells match hbobench/expected.json")
+EOF
+else
+    echo "python3 not found; skipping the coherence digest check"
 fi
 
 echo "==> ci OK"

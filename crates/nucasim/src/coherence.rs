@@ -32,6 +32,14 @@
 //! classes from [`crate::LatencyModel`], per-line occupancy, per-node
 //! bus and shared link horizons, and the fault layers.
 //!
+//! Traffic is priced per node, so every sharer set is folded onto nodes
+//! through the memory system's per-node CPU masks (`node_cpus`, one
+//! `u128` per node): the invalidation and update targets are one AND
+//! per node, and the same-node tests (a miss's preferred server, an
+//! upgrade's remote copies) are one mask operation. The memory system
+//! builds the masks from the topology and `migrate_cpu`, the only place
+//! a CPU changes node, keeps them current.
+//!
 //! # Watchers, evictions and false sharing
 //!
 //! Parked spinners ([`crate::Command::WaitWhile`]) stay in the memory
@@ -265,15 +273,9 @@ fn pick_server(d: &LineDir, mem: &MemorySystem, me: u32, my_node: NodeId) -> Opt
     if others == 0 {
         return None;
     }
-    let mut h = others;
-    while h != 0 {
-        let c = h.trailing_zeros() as usize;
-        h &= h - 1;
-        if mem.node_of(CpuId(c)) == my_node {
-            return Some(CpuId(c));
-        }
-    }
-    Some(CpuId(others.trailing_zeros() as usize))
+    let near = others & mem.cpus_on(my_node);
+    let pool = if near != 0 { near } else { others };
+    Some(CpuId(pool.trailing_zeros() as usize))
 }
 
 /// Arbitrates one data-moving transaction (fetch, upgrade request or
@@ -433,13 +435,11 @@ impl SetAssoc {
             holders |= 1u128 << d.owner;
         }
         holders &= !(1u128 << me);
-        let mut node_mask = 0u64;
+        let mut node_mask = mem.nodes_of(holders);
         let mut h = holders;
         while h != 0 {
-            let cidx = h.trailing_zeros() as usize;
+            self.remove(h.trailing_zeros() as usize, line);
             h &= h - 1;
-            self.remove(cidx, line);
-            node_mask |= 1 << mem.node_of(CpuId(cidx)).index();
         }
         let mut invalidated = 0;
         while node_mask != 0 {
@@ -617,15 +617,7 @@ impl SetAssoc {
             if d.owner != NO_OWNER {
                 others |= 1u128 << d.owner;
             }
-            let mut any_remote = false;
-            let mut h = others;
-            while h != 0 {
-                let cidx = h.trailing_zeros() as usize;
-                h &= h - 1;
-                if mem.node_of(CpuId(cidx)) != my_node {
-                    any_remote = true;
-                }
-            }
+            let any_remote = others & !mem.cpus_on(my_node) != 0;
             let base = if any_remote { lat.remote_transfer } else { lat.same_node_transfer };
             let served_by = if any_remote { home } else { my_node };
             let mut busy = d.busy_until;
@@ -776,13 +768,7 @@ impl SetAssoc {
         // watchers parked on the written word (the subscription is
         // delivered with the same broadcast even if the watcher's copy
         // was evicted).
-        let mut node_mask = 0u64;
-        let mut h = others;
-        while h != 0 {
-            let cidx = h.trailing_zeros() as usize;
-            h &= h - 1;
-            node_mask |= 1 << mem.node_of(CpuId(cidx)).index();
-        }
+        let mut node_mask = mem.nodes_of(others);
         let mut id = mem.watch_head[word];
         while id != WNIL {
             let n = mem.wnodes[id as usize];
@@ -1168,6 +1154,84 @@ mod tests {
             })
             .collect::<Vec<_>>();
         assert_eq!(report_hits_before, vec![1], "one broadcast to one remote node");
+    }
+
+    /// A bare 2×2 WildFire memory system (CPUs 0–1 on node 0, 2–3 on
+    /// node 1) under `kind`, with one word homed on node 0.
+    fn mem2x2(kind: ProtocolKind) -> (MemorySystem, Addr) {
+        let topo = std::sync::Arc::new(nuca_topology::Topology::symmetric(2, 2));
+        let mut mem = MemorySystem::new(
+            topo,
+            crate::LatencyModel::wildfire(),
+            kind,
+            CacheGeometry::default_geometry(),
+        );
+        let a = mem.alloc(NodeId(0));
+        (mem, a)
+    }
+
+    fn access(
+        mem: &mut MemorySystem,
+        now: u64,
+        cpu: usize,
+        a: Addr,
+        op: MemOp,
+        st: &mut SimStats,
+    ) -> AccessOutcome {
+        mem.access(now, CpuId(cpu), a, op, st, None, &mut Vec::new())
+    }
+
+    #[test]
+    fn migrated_holder_is_invalidated_or_updated_on_its_new_node() {
+        // CPU 1 caches the line on node 0, then migrates to node 1. CPU 0's
+        // write must reach the copy where CPU 1 now runs: the invalidation
+        // (MESI) or update (Dragon) is global traffic charged to node 1.
+        // With and without a copy of its own, the writer takes the miss
+        // path and the upgrade (MESI) or held-write (Dragon) path.
+        for kind in [ProtocolKind::Mesi, ProtocolKind::Dragon] {
+            for writer_reads_first in [false, true] {
+                let (mut mem, a) = mem2x2(kind);
+                let mut st = SimStats::new();
+                if writer_reads_first {
+                    access(&mut mem, 0, 0, a, MemOp::Read, &mut st);
+                }
+                access(&mut mem, 10_000, 1, a, MemOp::Read, &mut st);
+                assert!(st.node_traffic().get(1).is_none(), "{kind}: node 1 untouched so far");
+                mem.migrate_cpu(CpuId(1), NodeId(1));
+                access(&mut mem, 20_000, 0, a, MemOp::Write(5), &mut st);
+                let node1 = st.node_traffic()[1];
+                assert_eq!(
+                    (node1.local, node1.global),
+                    (0, 1),
+                    "{kind} (writer read first: {writer_reads_first}): one global \
+                     invalidation/update on node 1"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn migrated_sharer_serves_its_new_node_mates() {
+        // CPUs 0 and 1 share the line on node 0; CPU 1 then moves to
+        // node 1. A read miss by CPU 3 (node 1) prefers a sharer on its own
+        // node, so CPU 1 serves it: a same-node transfer, no global traffic.
+        // Served by CPU 0 it would cost a remote transfer.
+        for kind in [ProtocolKind::Mesi, ProtocolKind::Dragon] {
+            let (mut mem, a) = mem2x2(kind);
+            let mut st = SimStats::new();
+            access(&mut mem, 0, 0, a, MemOp::Read, &mut st);
+            access(&mut mem, 10_000, 1, a, MemOp::Read, &mut st);
+            mem.migrate_cpu(CpuId(1), NodeId(1));
+            let global_before = st.traffic().global;
+            let out = access(&mut mem, 20_000, 3, a, MemOp::Read, &mut st);
+            assert_eq!(
+                out.complete_at - 20_000,
+                crate::LatencyModel::wildfire().same_node_transfer,
+                "{kind}: CPU 3's miss is served on node 1"
+            );
+            assert_eq!(st.traffic().global, global_before, "{kind}: no global fetch");
+            assert_eq!(st.node_traffic()[1].local, 1, "{kind}: one local fetch on node 1");
+        }
     }
 
     #[test]

@@ -340,16 +340,19 @@ pub struct MachineConfig {
 
 impl MachineConfig {
     /// Checks machine-wide invariants that individual builder methods
-    /// cannot see. Today that is the CPU-count ceiling: the memory
-    /// system's sharer sets are `u128` bitmasks indexed by CPU id
-    /// ([`crate::MAX_SIM_CPUS`]), so topologies beyond 128 CPUs would
-    /// corrupt coherence state via wrapping shifts. [`crate::Machine::new`]
+    /// cannot see: the topology ceilings and the cache geometry. The
+    /// memory system's sharer sets are `u128` bitmasks indexed by CPU id
+    /// ([`crate::MAX_SIM_CPUS`]) and its node sets `u64` bitmasks indexed
+    /// by node id ([`crate::MAX_SIM_NODES`]), so a topology beyond 128 CPUs
+    /// or 64 nodes would corrupt coherence state or alias one node's
+    /// traffic onto another's via wrapping shifts. [`crate::Machine::new`]
     /// calls this and panics with the message on error.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the offending CPU count when the topology
-    /// exceeds the simulator's limit.
+    /// Returns a message naming the offending CPU or node count when the
+    /// topology exceeds the simulator's limits, or the offending field of
+    /// a degenerate cache geometry.
     pub fn validate(&self) -> Result<(), String> {
         let cpus = self.topology.num_cpus();
         if cpus > crate::MAX_SIM_CPUS {
@@ -358,6 +361,15 @@ impl MachineConfig {
                  (sharer sets are u128 bitmasks; shrink the topology or split \
                  the experiment across machines)",
                 crate::MAX_SIM_CPUS
+            ));
+        }
+        let nodes = self.topology.num_nodes();
+        if nodes > crate::MAX_SIM_NODES {
+            return Err(format!(
+                "topology has {nodes} nodes but the simulator supports at most {} \
+                 (node sets are u64 bitmasks; merge nodes or split the \
+                 experiment across machines)",
+                crate::MAX_SIM_NODES
             ));
         }
         let g = &self.geometry;
@@ -564,6 +576,18 @@ mod tests {
         assert!(err.contains("128"), "{err}");
         let err = MachineConfig::e6000(129).validate().unwrap_err();
         assert!(err.contains("129"), "{err}");
+    }
+
+    #[test]
+    fn node_ceiling_is_exactly_the_node_mask_width() {
+        // 64 nodes fill the u64 node bitmask exactly: still valid.
+        assert!(MachineConfig::wildfire(64, 1).validate().is_ok());
+        assert!(MachineConfig::wildfire(64, 2).validate().is_ok());
+        // A 65th node would alias its traffic onto node 0's: rejected with
+        // a message naming the node count.
+        let err = MachineConfig::wildfire(65, 1).validate().unwrap_err();
+        assert!(err.contains("65 nodes"), "{err}");
+        assert!(err.contains("64"), "{err}");
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub use engine::{Machine, RunStatus, SimReport};
 pub use faults::{
     FaultConfig, HolderPreemptConfig, JitterConfig, MigrationConfig, SlowNodeConfig,
 };
-pub use mem::{Addr, MemOp, MemorySystem, MAX_SIM_CPUS};
+pub use mem::{Addr, MemOp, MemorySystem, MAX_SIM_CPUS, MAX_SIM_NODES};
 pub use metrics::Histogram;
 pub use preempt::PreemptionConfig;
 pub use profile::{LabelProfile, LockProfile, Profile, ProfileCollector};

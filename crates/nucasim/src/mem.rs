@@ -141,6 +141,13 @@ enum Source {
 /// topologies up front with a clear error instead.
 pub const MAX_SIM_CPUS: usize = 128;
 
+/// Largest node count one machine may simulate. Node sets (the nodes an
+/// invalidation or update reaches) are `u64` bitmasks indexed by node id,
+/// so a 65th node would shift past the mask width — a debug-build panic,
+/// and in release its traffic aliases onto node 0's. [`crate::MachineConfig`]
+/// validation rejects bigger topologies up front with a clear error.
+pub const MAX_SIM_NODES: usize = 64;
+
 /// "No exclusive owner" sentinel in [`MemorySystem::owners`].
 pub(crate) const NO_OWNER: u32 = u32::MAX;
 /// Null link / empty-chain sentinel for watcher arena indices.
@@ -206,6 +213,11 @@ pub struct MemorySystem {
     /// Node each CPU's thread currently runs on (index = CPU id). Starts
     /// as the topology mapping; injected migrations rewrite entries.
     cpu_nodes: Vec<NodeId>,
+    /// The inverse of `cpu_nodes`: the CPUs running on each node, as a
+    /// sharer-style bitmask (index = node id). Folding a sharer set onto
+    /// nodes is one AND per node ([`MemorySystem::nodes_of`]).
+    /// [`MemorySystem::migrate_cpu`] keeps the two in step.
+    node_cpus: Vec<u128>,
     /// Whether any migration has happened. While false (the overwhelmingly
     /// common case) topology-derived shortcuts like the same-chip class
     /// stay valid.
@@ -235,9 +247,20 @@ impl MemorySystem {
             topo.num_cpus(),
             MAX_SIM_CPUS
         );
+        assert!(
+            topo.num_nodes() <= MAX_SIM_NODES,
+            "topology has {} nodes but the memory system supports at most {} \
+             (u64 node bitmask)",
+            topo.num_nodes(),
+            MAX_SIM_NODES
+        );
         let nodes = topo.num_nodes();
         let num_cpus = topo.num_cpus();
-        let cpu_nodes = (0..topo.num_cpus()).map(|c| topo.node_of(CpuId(c))).collect();
+        let cpu_nodes: Vec<NodeId> = (0..num_cpus).map(|c| topo.node_of(CpuId(c))).collect();
+        let mut node_cpus = vec![0u128; nodes];
+        for (c, n) in cpu_nodes.iter().enumerate() {
+            node_cpus[n.index()] |= 1 << c;
+        }
         MemorySystem {
             topo,
             latency,
@@ -254,6 +277,7 @@ impl MemorySystem {
             link_until: 0,
             read_scratch: Vec::new(),
             cpu_nodes,
+            node_cpus,
             migrated: false,
             slow_node: None,
             jitter: None,
@@ -267,10 +291,35 @@ impl MemorySystem {
         self.cpu_nodes[cpu.index()]
     }
 
+    /// The CPUs whose threads currently run on `node` (bitmask by CPU id).
+    pub(crate) fn cpus_on(&self, node: NodeId) -> u128 {
+        self.node_cpus[node.index()]
+    }
+
+    /// The nodes the CPUs in `cpus` currently run on, as a bitmask by node
+    /// id: one AND per node, stopping once every CPU is placed.
+    pub(crate) fn nodes_of(&self, cpus: u128) -> u64 {
+        let mut rest = cpus;
+        let mut nodes = 0u64;
+        for (n, &on) in self.node_cpus.iter().enumerate() {
+            if rest == 0 {
+                break;
+            }
+            if rest & on != 0 {
+                nodes |= 1 << n;
+                rest &= !on;
+            }
+        }
+        nodes
+    }
+
     /// Re-homes `cpu`'s thread to `node` (injected migration). Subsequent
     /// accesses by that CPU pay latencies and traffic as from `node`.
     pub(crate) fn migrate_cpu(&mut self, cpu: CpuId, node: NodeId) {
         debug_assert!(node.index() < self.topo.num_nodes());
+        let bit = 1u128 << cpu.index();
+        self.node_cpus[self.cpu_nodes[cpu.index()].index()] &= !bit;
+        self.node_cpus[node.index()] |= bit;
         self.cpu_nodes[cpu.index()] = node;
         self.migrated = true;
     }
@@ -700,15 +749,7 @@ impl MemorySystem {
         // shared sends one invalidation per other node holding a copy (the
         // data fetch above already paid for reaching a modified owner).
         if op.is_write() && prev_owner == NO_OWNER {
-            let mut inval_nodes = 0u64; // bitmask over nodes
-            let mut sharers = prev_sharers;
-            while sharers != 0 {
-                let c = sharers.trailing_zeros() as usize;
-                sharers &= sharers - 1;
-                if c != cpu.index() {
-                    inval_nodes |= 1 << self.node_of(CpuId(c)).index();
-                }
-            }
+            let mut inval_nodes = self.nodes_of(prev_sharers & !(1u128 << cpu.index()));
             while inval_nodes != 0 {
                 let n = inval_nodes.trailing_zeros() as usize;
                 inval_nodes &= inval_nodes - 1;
@@ -1184,6 +1225,74 @@ mod tests {
         let g_mid = st.traffic().global;
         access(&mut mem, 30_000, CpuId(0), a, MemOp::Write(4), &mut st);
         assert_eq!(st.traffic().global, g_mid, "post-migration fetch is local");
+    }
+
+    #[test]
+    fn node_masks_fold_like_node_of_across_migrations() {
+        // Property: after any sequence of migrations, folding a sharer set
+        // through the per-node masks yields the same node set as asking
+        // each sharer's node one CPU at a time.
+        let reference = |mem: &MemorySystem, cpus: u128| {
+            let mut nodes = 0u64;
+            for c in 0..128 {
+                if cpus & (1u128 << c) != 0 {
+                    nodes |= 1 << mem.node_of(CpuId(c)).index();
+                }
+            }
+            nodes
+        };
+        let mut rng = SplitMix64::new(0x6E0D_E5ED);
+        // The extremes (one node; 64 nodes; 128 CPUs on two nodes) plus
+        // random shapes within the ceilings.
+        let mut shapes = vec![(1, 4), (64, 2), (2, 64)];
+        for _ in 0..20 {
+            let nodes = 1 + rng.next_below(16) as usize;
+            let per = 1 + rng.next_below((MAX_SIM_CPUS / nodes).min(16) as u64) as usize;
+            shapes.push((nodes, per));
+        }
+        for (nodes, per) in shapes {
+            let topo = Arc::new(Topology::symmetric(nodes, per));
+            let cpus = nodes * per;
+            let mut mem = MemorySystem::new(
+                topo,
+                LatencyModel::wildfire(),
+                ProtocolKind::Flat,
+                CacheGeometry::default_geometry(),
+            );
+            let live = if cpus == 128 { u128::MAX } else { (1u128 << cpus) - 1 };
+            for step in 0..200 {
+                if step % 4 == 0 {
+                    let cpu = CpuId(rng.next_below(cpus as u64) as usize);
+                    let to = NodeId(rng.next_below(nodes as u64) as usize);
+                    mem.migrate_cpu(cpu, to);
+                }
+                let sharers = ((rng.next_u64() as u128) << 64 | rng.next_u64() as u128) & live;
+                assert_eq!(
+                    mem.nodes_of(sharers),
+                    reference(&mem, sharers),
+                    "{nodes}x{per} machine, sharers {sharers:#x}"
+                );
+                for n in 0..nodes {
+                    let on: u128 = (0..cpus)
+                        .filter(|&c| mem.node_of(CpuId(c)) == NodeId(n))
+                        .map(|c| 1u128 << c)
+                        .sum();
+                    assert_eq!(mem.cpus_on(NodeId(n)), on, "node {n} of {nodes}x{per}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "65 nodes")]
+    fn oversized_node_count_rejected_by_memory_system() {
+        let topo = Arc::new(Topology::symmetric(65, 1));
+        let _ = MemorySystem::new(
+            topo,
+            LatencyModel::wildfire(),
+            ProtocolKind::Flat,
+            CacheGeometry::default_geometry(),
+        );
     }
 
     #[test]

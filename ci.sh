@@ -39,6 +39,26 @@ if ./target/release/experiments table3 --out target/ci-out-is-a-file >/dev/null 
     exit 1
 fi
 
+echo "==> every settings flag at once (deterministic across --jobs)"
+# Each flag reaches the artifacts through one parsed settings value; with
+# all of them set, every TSV must still be byte-identical at any --jobs.
+settings_flags=(--protocol dragon --binding clustered --twa-slots 64 --twa-hash stride
+    --kinds TATAS,MCS,TWA,CNA --shards 4 --zipf 0.5 --arrival-gap 8000)
+for jobs in 1 4; do
+    rm -rf "target/ci-settings-j$jobs"
+    ./target/release/experiments all --fast --jobs "$jobs" "${settings_flags[@]}" \
+        --out "target/ci-settings-j$jobs" >/dev/null
+done
+settings_j1=(target/ci-settings-j1/*.tsv)
+settings_j4=(target/ci-settings-j4/*.tsv)
+if [ "${#settings_j1[@]}" != "${#settings_j4[@]}" ]; then
+    echo "expected the same TSVs at --jobs 1 and 4"
+    exit 1
+fi
+for tsv in "${settings_j1[@]}"; do
+    cmp "$tsv" "target/ci-settings-j4/$(basename "$tsv")"
+done
+
 echo "==> robustness smoke (faulted sweep deterministic across --jobs)"
 ./target/release/experiments robustness --fast --jobs 1 \
     --out target/ci-rob-j1 >/dev/null

@@ -9,32 +9,43 @@ use nuca_workloads::apps::{studied_apps, AppModel, AppReport, AppRunConfig};
 use nucasim::{MachineConfig, PreemptionConfig};
 
 use crate::report::{fmt_secs, Report};
-use crate::{runner, Cells, Scale};
+use crate::{runner, Cells, Scale, Settings};
 
-pub(crate) fn app_cfg(scale: Scale, kind: LockKind, threads: usize) -> AppRunConfig {
+pub(crate) fn app_cfg(
+    settings: &Settings,
+    scale: Scale,
+    kind: LockKind,
+    threads: usize,
+) -> AppRunConfig {
     let per_node = scale.pick(14, 4);
     // 28-processor runs leave two of the prototype's 30 CPUs free for
     // Solaris daemons, so benchmark threads are never descheduled (which
     // is why the paper's queue locks survive 28p but collapse at 30p).
-    let machine = MachineConfig::wildfire(2, per_node);
+    let machine = settings.machine(MachineConfig::wildfire(2, per_node));
     let _ = PreemptionConfig::solaris_daemons;
     AppRunConfig {
         kind,
         machine,
         threads: threads.min(per_node * 2),
+        params: settings.params(),
         scale: scale.pick(0.2, 0.004),
         ..AppRunConfig::default()
     }
 }
 
-fn run_all(scale: Scale, threads: usize, cells: &Cells) -> Vec<(AppModel, Vec<Arc<AppReport>>)> {
+fn run_all(
+    settings: &Settings,
+    scale: Scale,
+    threads: usize,
+    cells: &Cells,
+) -> Vec<(AppModel, Vec<Arc<AppReport>>)> {
     // Full app × lock grid as independent jobs, regrouped per app in
     // fixed grid order.
     let apps = studied_apps();
     let jobs: Vec<_> = apps
         .iter()
         .flat_map(|app| hbo_locks::LockCatalog::paper().iter().map(|&kind| (app.clone(), kind)))
-        .map(|(app, kind)| move || cells.app(&app, &app_cfg(scale, kind, threads)))
+        .map(|(app, kind)| move || cells.app(&app, &app_cfg(settings, scale, kind, threads)))
         .collect();
     let mut results = runner::run_jobs(jobs).into_iter();
     apps.into_iter()
@@ -55,7 +66,7 @@ fn lock_header() -> Vec<&'static str> {
 }
 
 /// Table 5 — execution time in (simulated) seconds for 28-processor runs.
-pub fn run_table5(scale: Scale, cells: &Cells) -> Report {
+pub fn run_table5(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
     let threads = scale.pick(28, 8);
     let mut report = Report::new(
         "table5",
@@ -63,7 +74,7 @@ pub fn run_table5(scale: Scale, cells: &Cells) -> Report {
         &lock_header(),
     );
     let mut sums = vec![0.0f64; hbo_locks::LockCatalog::paper().len()];
-    let all = run_all(scale, threads, cells);
+    let all = run_all(settings, scale, threads, cells);
     for (app, runs) in &all {
         let mut row = vec![app.name.to_owned()];
         for (i, r) in runs.iter().enumerate() {
@@ -86,7 +97,7 @@ pub fn run_table5(scale: Scale, cells: &Cells) -> Report {
 
 /// Figure 6 — speedup (1-CPU time / 28-CPU time), normalized to
 /// TATAS_EXP, for the five locks the paper plots.
-pub fn run_fig6(scale: Scale, cells: &Cells) -> Report {
+pub fn run_fig6(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
     let threads = scale.pick(28, 8);
     let kinds = [
         LockKind::Tatas,
@@ -113,7 +124,7 @@ pub fn run_fig6(scale: Scale, cells: &Cells) -> Report {
             runs.extend(kinds.iter().map(|&kind| (app.clone(), kind, threads)));
             runs
         })
-        .map(|(app, kind, th)| move || cells.app(&app, &app_cfg(scale, kind, th)))
+        .map(|(app, kind, th)| move || cells.app(&app, &app_cfg(settings, scale, kind, th)))
         .collect();
     let results = runner::run_jobs(jobs);
     let stride = 1 + kinds.len();
@@ -139,14 +150,14 @@ pub fn run_fig6(scale: Scale, cells: &Cells) -> Report {
 }
 
 /// Table 6 — normalized local/global traffic per application.
-pub fn run_table6(scale: Scale, cells: &Cells) -> Report {
+pub fn run_table6(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
     let threads = scale.pick(28, 8);
     let mut report = Report::new(
         "table6",
         "Normalized traffic (local/global) per application, 28-processor runs",
         &lock_header(),
     );
-    for (app, runs) in run_all(scale, threads, cells) {
+    for (app, runs) in run_all(settings, scale, threads, cells) {
         let base = &runs[1]; // TATAS_EXP
         let mut row = vec![app.name.to_owned()];
         for r in &runs {
@@ -170,7 +181,7 @@ mod tests {
 
     #[test]
     fn table5_has_seven_apps_plus_average() {
-        let r = run_table5(Scale::Fast, &Cells::new());
+        let r = run_table5(&Settings::default(), Scale::Fast, &Cells::new());
         assert_eq!(r.rows(), 8);
         assert!(r.row_by_key("Average").is_some());
         assert!(r.row_by_key("Raytrace").is_some());
@@ -178,7 +189,7 @@ mod tests {
 
     #[test]
     fn fig6_normalizes_tatas_exp_to_one() {
-        let r = run_fig6(Scale::Fast, &Cells::new());
+        let r = run_fig6(&Settings::default(), Scale::Fast, &Cells::new());
         for i in 0..r.rows() {
             assert_eq!(r.cell(i, 2), Some("1.00"), "row {i}");
         }
@@ -186,7 +197,7 @@ mod tests {
 
     #[test]
     fn table6_rows_have_local_global_pairs() {
-        let r = run_table6(Scale::Fast, &Cells::new());
+        let r = run_table6(&Settings::default(), Scale::Fast, &Cells::new());
         assert_eq!(r.rows(), 7);
         let cell = r.cell(0, 2).unwrap();
         assert_eq!(cell, "1.00 / 1.00", "TATAS_EXP column is the baseline");

@@ -7,14 +7,12 @@
 //! share Raytrace's. Artifacts ask a [`Cells`] for each run instead of
 //! simulating it themselves:
 //!
-//! * **Key.** A cell is keyed by its full canonical config: the `Debug`
-//!   rendering of the config after every process default the run would
-//!   read is resolved into it (today the coherence protocol, which
-//!   `MachineConfig::protocol = None` takes from
-//!   [`nucasim::default_protocol`]). The resolved config is also what
-//!   runs, so the key is exactly what the run sees. Application cells key
-//!   on the [`AppModel`] too. Profiled runs and custom-lock runs are kept
-//!   apart from plain runs of the same config.
+//! * **Key.** A cell is keyed by the `Debug` rendering of its config.
+//!   Artifacts build complete configs from the invocation's
+//!   [`crate::Settings`] (protocol, binding, lock tunables), and the run
+//!   reads nothing else, so the key is exactly what the run sees.
+//!   Application cells key on the [`AppModel`] too. Profiled runs and
+//!   custom-lock runs are kept apart from plain runs of the same config.
 //! * **Scope.** One [`Cells`] per invocation: `main` makes one for every
 //!   requested id, and [`crate::run_experiment`] one per call. Two calls
 //!   never share, so each still simulates. The workload runners
@@ -37,7 +35,7 @@ use nuca_workloads::modern::{
     run_modern_profiled, run_modern_raw, run_modern_with, LockFactory, ModernConfig,
 };
 use nuca_workloads::MicroReport;
-use nucasim::{Histogram, LockProfile, LockTrace, MachineConfig, SimReport};
+use nucasim::{Histogram, LockProfile, LockTrace, SimReport};
 
 use crate::runner;
 
@@ -109,10 +107,9 @@ impl Cells {
 
     /// The microbenchmark run of `cfg` with its registered lock kind.
     pub fn modern(&self, cfg: &ModernConfig) -> Arc<ModernCell> {
-        let cfg = resolved(cfg);
         self.modern.get_or_run(format!("{cfg:?}"), || {
-            let (sim, _) = run_modern_raw(&cfg);
-            ModernCell::from_sim(&cfg, &sim)
+            let (sim, _) = run_modern_raw(cfg);
+            ModernCell::from_sim(cfg, &sim)
         })
     }
 
@@ -125,19 +122,17 @@ impl Cells {
         cfg: &ModernConfig,
         factory: &LockFactory<'_>,
     ) -> Arc<ModernCell> {
-        let cfg = resolved(cfg);
         self.modern.get_or_run(format!("{lock} {cfg:?}"), || {
-            let (sim, _) = run_modern_with(&cfg, factory);
-            ModernCell::from_sim(&cfg, &sim)
+            let (sim, _) = run_modern_with(cfg, factory);
+            ModernCell::from_sim(cfg, &sim)
         })
     }
 
     /// The microbenchmark run of `cfg` with the streaming profiler
     /// attached.
     pub fn profiled(&self, cfg: &ModernConfig) -> Arc<ProfiledCell> {
-        let cfg = resolved(cfg);
         self.profiled.get_or_run(format!("{cfg:?}"), || {
-            let (mut sim, mut profile) = run_modern_profiled(&cfg);
+            let (mut sim, mut profile) = run_modern_profiled(cfg);
             ProfiledCell {
                 trace: sim.lock_traces.swap_remove(0),
                 lock: profile.locks.swap_remove(0),
@@ -147,26 +142,9 @@ impl Cells {
 
     /// The run of application `model` under `cfg`.
     pub fn app(&self, model: &AppModel, cfg: &AppRunConfig) -> Arc<AppReport> {
-        let cfg = AppRunConfig {
-            machine: resolved_machine(&cfg.machine),
-            ..cfg.clone()
-        };
         self.apps
-            .get_or_run(format!("{model:?} {cfg:?}"), || run_app(model, &cfg))
+            .get_or_run(format!("{model:?} {cfg:?}"), || run_app(model, cfg))
     }
-}
-
-/// `cfg` with every process default its run would read filled in.
-fn resolved(cfg: &ModernConfig) -> ModernConfig {
-    ModernConfig {
-        machine: resolved_machine(&cfg.machine),
-        ..cfg.clone()
-    }
-}
-
-fn resolved_machine(machine: &MachineConfig) -> MachineConfig {
-    let protocol = machine.protocol.unwrap_or_else(nucasim::default_protocol);
-    machine.clone().with_protocol(protocol)
 }
 
 /// A single-flight map from key to shared result.

@@ -16,23 +16,28 @@ use nuca_workloads::modern::ModernConfig;
 use nucasim::MachineConfig;
 
 use crate::report::Report;
-use crate::{Cells, Scale};
+use crate::{Cells, Scale, Settings};
 
-fn cfg(scale: Scale, kind: LockKind, critical_work: u32, collocate: bool) -> ModernConfig {
+pub(crate) fn cfg(
+    settings: &Settings,
+    scale: Scale,
+    kind: LockKind,
+    critical_work: u32,
+    collocate: bool,
+) -> ModernConfig {
     let (per_node, iters) = scale.pick((14, 40), (4, 15));
     ModernConfig {
         kind,
-        machine: MachineConfig::wildfire(2, per_node),
         threads: per_node * 2,
         iterations: iters,
         critical_work,
         collocate,
-        ..ModernConfig::default()
+        ..settings.modern(MachineConfig::wildfire(2, per_node))
     }
 }
 
 /// Runs the collocation ablation across contention levels.
-pub fn run(scale: Scale, cells: &Cells) -> Report {
+pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
     let cws = [8u32, 100, 1500];
     let mut header = vec!["Configuration".to_owned()];
     header.extend(cws.iter().map(|c| format!("cw={c} ns/iter")));
@@ -51,7 +56,7 @@ pub fn run(scale: Scale, cells: &Cells) -> Report {
     ] {
         let mut row = vec![label.to_owned()];
         for &cw in &cws {
-            let r = &cells.modern(&cfg(scale, kind, cw, colloc)).micro;
+            let r = &cells.modern(&cfg(settings, scale, kind, cw, colloc)).micro;
             row.push(format!("{:.0}", r.ns_per_iteration));
         }
         report.push_row(row);
@@ -69,13 +74,13 @@ mod tests {
 
     #[test]
     fn four_configurations() {
-        let r = run(Scale::Fast, &Cells::new());
+        let r = run(&Settings::default(), Scale::Fast, &Cells::new());
         assert_eq!(r.rows(), 4);
     }
 
     #[test]
     fn collocation_helps_tiny_critical_sections() {
-        let r = run(Scale::Fast, &Cells::new());
+        let r = run(&Settings::default(), Scale::Fast, &Cells::new());
         let ns = |k: &str| -> f64 { r.row_by_key(k).unwrap()[1].parse().unwrap() };
         assert!(
             ns("HBO_GT+colloc") <= ns("HBO_GT") * 1.05,
@@ -87,7 +92,7 @@ mod tests {
 
     #[test]
     fn collocation_is_noop_for_queue_locks() {
-        let r = run(Scale::Fast, &Cells::new());
+        let r = run(&Settings::default(), Scale::Fast, &Cells::new());
         let ns = |k: &str| -> f64 { r.row_by_key(k).unwrap()[1].parse().unwrap() };
         let plain = ns("MCS (control)");
         let colloc = ns("MCS+colloc (no-op)");

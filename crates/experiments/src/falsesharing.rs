@@ -27,6 +27,10 @@
 //! promote bump falsely shares its line with the neighbouring slots; the
 //! `stride` hash scatters neighbours across lines at the same collision
 //! rate.
+//!
+//! Both tables name their own protocols and the second its own TWA
+//! geometry, so `--protocol`, `--twa-slots` and `--twa-hash` leave this
+//! artifact's TSVs unchanged.
 
 use std::sync::Arc;
 
@@ -36,7 +40,7 @@ use nucasim::{Addr, Command, CpuCtx, Machine, MachineConfig, MemorySystem, Progr
 use nucasim_locks::{build_lock, DriveResult, GtSlots, SessionDriver, SimLockParams, TwaHash};
 
 use crate::report::Report;
-use crate::{Cells, Scale};
+use crate::{Cells, Scale, Settings};
 
 /// Data-word updates per critical section. One write would be a wash
 /// (the QOLB effect — `colloc` — pays it back at handover); the storm
@@ -175,7 +179,13 @@ struct FsOutcome {
 }
 
 /// One cell of the sweep: `kind` × `layout` × `proto`.
-fn run_fs(scale: Scale, kind: LockKind, layout: Layout, proto: ProtocolKind) -> FsOutcome {
+fn run_fs(
+    settings: &Settings,
+    scale: Scale,
+    kind: LockKind,
+    layout: Layout,
+    proto: ProtocolKind,
+) -> FsOutcome {
     let (per_node, iters) = scale.pick((14, 24), (4, 8));
     let machine = MachineConfig::wildfire(2, per_node).with_protocol(proto);
     let line = machine.geometry.line_words;
@@ -186,14 +196,7 @@ fn run_fs(scale: Scale, kind: LockKind, layout: Layout, proto: ProtocolKind) -> 
     // means "on the lock's line" regardless of how many words the global
     // throttling slots consumed.
     align_to_line(m.mem_mut(), line);
-    let lock = build_lock(
-        kind,
-        m.mem_mut(),
-        &topo,
-        &gt,
-        NodeId(0),
-        &SimLockParams::default(),
-    );
+    let lock = build_lock(kind, m.mem_mut(), &topo, &gt, NodeId(0), &settings.params());
     if layout == Layout::Padded {
         align_to_line(m.mem_mut(), line);
     }
@@ -221,12 +224,15 @@ fn run_fs(scale: Scale, kind: LockKind, layout: Layout, proto: ProtocolKind) -> 
 }
 
 /// Runs the layout × protocol sweep plus the TWA-geometry table.
-pub fn run(scale: Scale, cells: &Cells) -> Vec<Report> {
-    vec![run_layouts(scale), run_twa_geometry(scale, cells)]
+pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Vec<Report> {
+    vec![
+        run_layouts(settings, scale),
+        run_twa_geometry(settings, scale, cells),
+    ]
 }
 
 /// The main table: lock kind × layout rows, per-protocol columns.
-fn run_layouts(scale: Scale) -> Report {
+fn run_layouts(settings: &Settings, scale: Scale) -> Report {
     let mut report = Report::new(
         "falsesharing",
         "Lock/data false sharing by layout and coherence protocol",
@@ -244,7 +250,7 @@ fn run_layouts(scale: Scale) -> Report {
         for layout in Layout::ALL {
             let mut row = vec![format!("{kind} {}", layout.name())];
             for proto in ProtocolKind::ALL {
-                let r = run_fs(scale, kind, layout, proto);
+                let r = run_fs(settings, scale, kind, layout, proto);
                 row.push(format!("{:.0}", r.ns_per_acquire));
                 row.push(format!("{}", r.global));
             }
@@ -266,7 +272,7 @@ fn run_layouts(scale: Scale) -> Report {
 
 /// The TWA waiting-array geometry sweep, under MESI where slot adjacency
 /// is a line-sharing question.
-fn run_twa_geometry(scale: Scale, cells: &Cells) -> Report {
+fn run_twa_geometry(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
     let mut report = Report::new(
         "falsesharing_twa",
         "TWA waiting-array geometry under MESI (slots x ticket hash)",
@@ -284,6 +290,7 @@ fn run_twa_geometry(scale: Scale, cells: &Cells) -> Report {
                 iterations: iters,
                 critical_work: 8,
                 params: SimLockParams::default().with_twa(slots, hash),
+                binding: settings.binding,
                 ..ModernConfig::default()
             };
             let r = &cells.modern(&cfg).micro;
@@ -313,7 +320,7 @@ mod tests {
 
     #[test]
     fn both_tables_have_every_row() {
-        let reports = run(Scale::Fast, &Cells::new());
+        let reports = run(&Settings::default(), Scale::Fast, &Cells::new());
         assert_eq!(reports.len(), 2);
         assert_eq!(reports[0].rows(), 6, "3 kinds x 2 layouts");
         assert_eq!(reports[1].rows(), 6, "3 slot counts x 2 hashes");
@@ -321,7 +328,7 @@ mod tests {
 
     #[test]
     fn flat_cannot_see_the_layout_but_mesi_pays_for_it() {
-        let r = run_layouts(Scale::Fast);
+        let r = run_layouts(&Settings::default(), Scale::Fast);
         for kind in ["TATAS_EXP", "HBO_GT", "MCS"] {
             let colocated = format!("{kind} colocated");
             let padded = format!("{kind} padded");
@@ -355,7 +362,7 @@ mod tests {
 
     #[test]
     fn twa_geometry_changes_the_run() {
-        let r = run_twa_geometry(Scale::Fast, &Cells::new());
+        let r = run_twa_geometry(&Settings::default(), Scale::Fast, &Cells::new());
         // Not asserting a direction (collision vs line-sharing trade), only
         // that the knob is live: the 6 geometries cannot all agree.
         let all: Vec<String> =

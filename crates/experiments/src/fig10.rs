@@ -2,26 +2,13 @@
 //! (26-processor new-microbenchmark runs, HBO_GT for comparison).
 
 use hbo_locks::LockKind;
-use nuca_workloads::modern::ModernConfig;
-use nucasim::MachineConfig;
 
+use crate::fig9::base_config;
 use crate::report::Report;
-use crate::{runner, Cells, Scale};
-
-fn base_config(scale: Scale, kind: LockKind) -> ModernConfig {
-    let (per_node, iters) = scale.pick((13, 40), (4, 20));
-    ModernConfig {
-        kind,
-        machine: MachineConfig::wildfire(2, per_node),
-        threads: per_node * 2,
-        iterations: iters,
-        critical_work: 1000,
-        ..ModernConfig::default()
-    }
-}
+use crate::{runner, Cells, Scale, Settings};
 
 /// Sweeps the anger threshold; values normalized to HBO_GT.
-pub fn run(scale: Scale, cells: &Cells) -> Report {
+pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
     let limits: Vec<u32> = scale.pick(vec![2, 4, 8, 16, 32, 64, 128], vec![2, 16, 128]);
     let mut header = vec!["Lock Type".to_owned()];
     header.extend(limits.iter().map(|l| format!("limit={l}")));
@@ -36,13 +23,13 @@ pub fn run(scale: Scale, cells: &Cells) -> Report {
     // happens at assembly against the shared reference run.
     let mut jobs: Vec<Box<dyn FnOnce() -> f64 + Send + '_>> = vec![Box::new(move || {
         cells
-            .modern(&base_config(scale, LockKind::HboGt))
+            .modern(&base_config(settings, scale, LockKind::HboGt))
             .micro
             .ns_per_iteration
     })];
     for &limit in &limits {
         jobs.push(Box::new(move || {
-            let mut cfg = base_config(scale, LockKind::HboGtSd);
+            let mut cfg = base_config(settings, scale, LockKind::HboGtSd);
             cfg.params = cfg.params.with_get_angry_limit(limit);
             cells.modern(&cfg).micro.ns_per_iteration
         }));
@@ -77,13 +64,13 @@ mod tests {
 
     #[test]
     fn rows_present() {
-        let r = run(Scale::Fast, &Cells::new());
+        let r = run(&Settings::default(), Scale::Fast, &Cells::new());
         assert_eq!(r.rows(), 2);
     }
 
     #[test]
     fn large_limit_approaches_hbo_gt() {
-        let r = run(Scale::Fast, &Cells::new());
+        let r = run(&Settings::default(), Scale::Fast, &Cells::new());
         let sd = r.row_by_key("HBO_GT_SD").unwrap();
         let at_max: f64 = sd.last().unwrap().parse().unwrap();
         // With a huge limit, anger never triggers: within 40% of HBO_GT.

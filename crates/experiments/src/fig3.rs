@@ -6,7 +6,7 @@ use nuca_workloads::traditional::{run_traditional, TraditionalConfig};
 use nucasim::MachineConfig;
 
 use crate::report::{fmt_ratio, Report};
-use crate::{runner, Scale};
+use crate::{runner, Scale, Settings};
 
 /// Runs the processor-count sweep for all eight locks; returns the two
 /// panels as separate reports.
@@ -16,7 +16,7 @@ use crate::{runner, Scale};
 /// [`runner::run_jobs`] and the rows are assembled from the results in
 /// fixed grid order, so the reports are identical however many threads ran
 /// the jobs.
-pub fn run(scale: Scale) -> Vec<Report> {
+pub fn run(settings: &Settings, scale: Scale) -> Vec<Report> {
     let (max_per_node, iters, step) = scale.pick((14, 50, 2), (4, 15, 2));
     let proc_counts: Vec<usize> = (2..=2 * max_per_node).step_by(step).collect();
 
@@ -38,9 +38,10 @@ pub fn run(scale: Scale) -> Vec<Report> {
             move || {
                 run_traditional(&TraditionalConfig {
                     kind,
-                    machine: MachineConfig::wildfire(2, max_per_node),
+                    machine: settings.machine(MachineConfig::wildfire(2, max_per_node)),
                     threads: p,
                     iterations: iters,
+                    params: settings.params(),
                     ..TraditionalConfig::default()
                 })
             }
@@ -85,7 +86,7 @@ mod tests {
 
     #[test]
     fn produces_two_panels_with_all_locks() {
-        let reports = run(Scale::Fast);
+        let reports = run(&Settings::default(), Scale::Fast);
         assert_eq!(reports.len(), 2);
         for r in &reports {
             assert_eq!(r.rows(), 8);
@@ -94,7 +95,7 @@ mod tests {
 
     #[test]
     fn queue_lock_handoff_exceeds_nuca_handoff_at_max_procs() {
-        let reports = run(Scale::Fast);
+        let reports = run(&Settings::default(), Scale::Fast);
         let handoff = &reports[1];
         let last = handoff.row_by_key("MCS").unwrap().len() - 1;
         let mcs: f64 = handoff.row_by_key("MCS").unwrap()[last].parse().unwrap();

@@ -6,24 +6,31 @@
 //! post-2003 contenders ride alongside the paper's eight); Table 2 stays
 //! on the catalog's paper set, normalized to TATAS_EXP as published.
 
+use std::sync::Arc;
+
 use hbo_locks::{LockCatalog, LockKind};
 use nuca_workloads::modern::ModernConfig;
 use nucasim::MachineConfig;
 
+use crate::cells::ModernCell;
 use crate::report::{fmt_ratio, Report};
-use crate::{kinds, runner, Cells, Scale};
+use crate::{runner, Cells, Scale, Settings};
 
 /// The Fig. 5 cell for `kind` at `critical_work` (28 CPUs at full
 /// scale, 8 at fast).
-pub fn config(scale: Scale, kind: LockKind, critical_work: u32) -> ModernConfig {
+pub fn config(
+    settings: &Settings,
+    scale: Scale,
+    kind: LockKind,
+    critical_work: u32,
+) -> ModernConfig {
     let (per_node, iters) = scale.pick((14, 60), (4, 20));
     ModernConfig {
         kind,
-        machine: MachineConfig::wildfire(2, per_node),
         threads: per_node * 2,
         iterations: iters,
         critical_work,
-        ..ModernConfig::default()
+        ..settings.modern(MachineConfig::wildfire(2, per_node))
     }
 }
 
@@ -34,11 +41,33 @@ pub(crate) fn sweep(scale: Scale) -> Vec<u32> {
     }
 }
 
+/// The sweep's cells, one job each, in row-major (kind, `critical_work`)
+/// order; TATAS cells beyond cw=1300 are `None`.
+pub(crate) fn grid(
+    settings: &Settings,
+    scale: Scale,
+    cells: &Cells,
+) -> Vec<Option<Arc<ModernCell>>> {
+    let cws = sweep(scale);
+    let jobs: Vec<_> = settings
+        .kinds
+        .iter()
+        .flat_map(|&kind| cws.iter().map(move |&cw| (kind, cw)))
+        .map(|(kind, cw)| {
+            move || {
+                (kind != LockKind::Tatas || cw <= 1300)
+                    .then(|| cells.modern(&config(settings, scale, kind, cw)))
+            }
+        })
+        .collect();
+    runner::run_jobs(jobs)
+}
+
 /// Runs the `critical_work` sweep for all locks; returns the two panels.
 ///
 /// Like the paper, TATAS is only measured up to `critical_work = 1300`
 /// "because its performance is poor for higher levels of contention".
-pub fn run(scale: Scale, cells: &Cells) -> Vec<Report> {
+pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Vec<Report> {
     let cws = sweep(scale);
     let mut header = vec!["Lock Type".to_owned()];
     header.extend(cws.iter().map(|c| format!("cw={c}")));
@@ -55,23 +84,8 @@ pub fn run(scale: Scale, cells: &Cells) -> Vec<Report> {
         &header_refs,
     );
 
-    // One job per (kind, critical_work) grid cell, reassembled in grid
-    // order; TATAS cells beyond cw=1300 stay `None` and render as "-".
-    let sweep_kinds = kinds::selected();
-    let jobs: Vec<_> = sweep_kinds
-        .iter()
-        .flat_map(|&kind| cws.iter().map(move |&cw| (kind, cw)))
-        .map(|(kind, cw)| {
-            move || {
-                if kind == LockKind::Tatas && cw > 1300 {
-                    None
-                } else {
-                    Some(cells.modern(&config(scale, kind, cw)))
-                }
-            }
-        })
-        .collect();
-    let results = runner::run_jobs(jobs);
+    let sweep_kinds = &settings.kinds;
+    let results = grid(settings, scale, cells);
 
     for (ki, kind) in sweep_kinds.iter().enumerate() {
         let mut trow = vec![kind.as_str().to_owned()];
@@ -100,13 +114,13 @@ pub fn run(scale: Scale, cells: &Cells) -> Vec<Report> {
 
 /// Table 2 — local/global transactions at `critical_work = 1500`,
 /// normalized to TATAS_EXP.
-pub fn run_table2(scale: Scale, cells: &Cells) -> Report {
+pub fn run_table2(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
     let cw = 1500;
     let table_kinds = LockCatalog::paper();
     let results: Vec<_> = runner::run_jobs(
         table_kinds
             .iter()
-            .map(|&kind| move || cells.modern(&config(scale, kind, cw)))
+            .map(|&kind| move || cells.modern(&config(settings, scale, kind, cw)))
             .collect(),
     );
     let baseline_idx = table_kinds
@@ -147,9 +161,9 @@ mod tests {
 
     #[test]
     fn panels_cover_all_selected_locks() {
-        let reports = run(Scale::Fast, &Cells::new());
+        let reports = run(&Settings::default(), Scale::Fast, &Cells::new());
         assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].rows(), kinds::selected().len());
+        assert_eq!(reports[0].rows(), LockCatalog::kinds().len());
         // The modern contenders ride alongside the paper's eight.
         assert!(reports[0].row_by_key("CNA").is_some());
         assert!(reports[0].row_by_key("RECIP").is_some());
@@ -160,7 +174,7 @@ mod tests {
 
     #[test]
     fn table2_normalizes_baseline_to_one() {
-        let t = run_table2(Scale::Fast, &Cells::new());
+        let t = run_table2(&Settings::default(), Scale::Fast, &Cells::new());
         let exp = t.row_by_key("TATAS_EXP").unwrap();
         assert_eq!(exp[1], "1.00");
         assert_eq!(exp[2], "1.00");

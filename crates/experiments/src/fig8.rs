@@ -5,10 +5,10 @@ use nuca_workloads::modern::ModernConfig;
 use nucasim::MachineConfig;
 
 use crate::report::Report;
-use crate::{runner, Cells, Scale};
+use crate::{runner, Cells, Scale, Settings};
 
 /// Runs the fairness study for all eight locks.
-pub fn run(scale: Scale, cells: &Cells) -> Report {
+pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
     let (per_node, iters) = scale.pick((14, 250), (4, 25));
     let mut report = Report::new(
         "fig8",
@@ -22,11 +22,10 @@ pub fn run(scale: Scale, cells: &Cells) -> Report {
                 move || {
                     cells.modern(&ModernConfig {
                         kind,
-                        machine: MachineConfig::wildfire(2, per_node),
                         threads: per_node * 2,
                         iterations: iters,
                         critical_work: 700,
-                        ..ModernConfig::default()
+                        ..settings.modern(MachineConfig::wildfire(2, per_node))
                     })
                 }
             })
@@ -50,7 +49,7 @@ mod tests {
     fn queue_locks_fairer_than_backoff_locks() {
         // Paper Fig. 8: queue locks 2.1% spread (fairest); TATAS_EXP the
         // most unfair at 28.9%; HBO locks in between.
-        let r = run(Scale::Fast, &Cells::new());
+        let r = run(&Settings::default(), Scale::Fast, &Cells::new());
         let get = |k: &str| -> f64 { r.row_by_key(k).unwrap()[1].parse().unwrap() };
         let mcs = get("MCS");
         assert!(
@@ -65,7 +64,7 @@ mod tests {
 
     #[test]
     fn all_rows_present() {
-        let r = run(Scale::Fast, &Cells::new());
+        let r = run(&Settings::default(), Scale::Fast, &Cells::new());
         assert_eq!(r.rows(), 8);
     }
 }

@@ -8,22 +8,23 @@ use nucasim::MachineConfig;
 use nucasim_locks::SimLockParams;
 
 use crate::report::Report;
-use crate::{runner, Cells, Scale};
+use crate::{runner, Cells, Scale, Settings};
 
-fn base_config(scale: Scale, kind: LockKind) -> ModernConfig {
+/// The 26-CPU cell at `critical_work = 1000` that Figs. 9 and 10 vary,
+/// at the default lock constants.
+pub(crate) fn base_config(settings: &Settings, scale: Scale, kind: LockKind) -> ModernConfig {
     let (per_node, iters) = scale.pick((13, 40), (4, 20));
     ModernConfig {
         kind,
-        machine: MachineConfig::wildfire(2, per_node),
         threads: per_node * 2,
         iterations: iters,
         critical_work: 1000,
-        ..ModernConfig::default()
+        ..settings.modern(MachineConfig::wildfire(2, per_node))
     }
 }
 
 /// Sweeps the remote backoff cap; values normalized to the default cap.
-pub fn run(scale: Scale, cells: &Cells) -> Report {
+pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
     let caps: Vec<u32> = scale.pick(
         vec![3_200, 6_400, 12_800, 25_600, 51_200, 102_400, 204_800],
         vec![6_400, 51_200, 204_800],
@@ -43,20 +44,20 @@ pub fn run(scale: Scale, cells: &Cells) -> Report {
     // divides by the same reference run.
     let mut jobs: Vec<Box<dyn FnOnce() -> f64 + Send + '_>> = vec![Box::new(move || {
         cells
-            .modern(&base_config(scale, LockKind::HboGtSd))
+            .modern(&base_config(settings, scale, LockKind::HboGtSd))
             .micro
             .ns_per_iteration
     })];
     for &cap in &caps {
         jobs.push(Box::new(move || {
-            let mut cfg = base_config(scale, LockKind::HboGtSd);
+            let mut cfg = base_config(settings, scale, LockKind::HboGtSd);
             cfg.params = cfg.params.with_remote_cap(cap);
             cells.modern(&cfg).micro.ns_per_iteration
         }));
     }
     jobs.push(Box::new(move || {
         cells
-            .modern(&base_config(scale, LockKind::Mcs))
+            .modern(&base_config(settings, scale, LockKind::Mcs))
             .micro
             .ns_per_iteration
     }));
@@ -93,7 +94,7 @@ mod tests {
 
     #[test]
     fn sd_and_mcs_rows_present() {
-        let r = run(Scale::Fast, &Cells::new());
+        let r = run(&Settings::default(), Scale::Fast, &Cells::new());
         assert_eq!(r.rows(), 2);
         assert!(r.row_by_key("HBO_GT_SD").is_some());
         assert!(r.row_by_key("MCS").is_some());
@@ -101,7 +102,7 @@ mod tests {
 
     #[test]
     fn sd_beats_mcs_at_default_cap() {
-        let r = run(Scale::Fast, &Cells::new());
+        let r = run(&Settings::default(), Scale::Fast, &Cells::new());
         // Column for cap=51200 (the default) in the fast sweep.
         let sd: f64 = r.row_by_key("HBO_GT_SD").unwrap()[2].parse().unwrap();
         let mcs: f64 = r.row_by_key("MCS").unwrap()[2].parse().unwrap();

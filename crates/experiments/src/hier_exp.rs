@@ -19,7 +19,7 @@ use nucasim::{LatencyModel, MachineConfig};
 use nucasim_locks::SimHierHbo;
 
 use crate::report::{fmt_ratio, Report};
-use crate::{Cells, Scale};
+use crate::{Cells, Scale, Settings};
 
 fn cmp_numa_machine(scale: Scale) -> (MachineConfig, usize) {
     let (chips, cpus) = scale.pick((2, 7), (2, 2));
@@ -38,20 +38,19 @@ fn cmp_numa_machine(scale: Scale) -> (MachineConfig, usize) {
     )
 }
 
-fn base_cfg(scale: Scale, kind: LockKind, critical_work: u32) -> ModernConfig {
+fn base_cfg(settings: &Settings, scale: Scale, kind: LockKind, critical_work: u32) -> ModernConfig {
     let (machine, threads) = cmp_numa_machine(scale);
     ModernConfig {
         kind,
-        machine,
         threads,
         iterations: scale.pick(40, 15),
         critical_work,
-        ..ModernConfig::default()
+        ..settings.modern(machine)
     }
 }
 
 /// Runs the hierarchy ablation across two contention levels.
-pub fn run(scale: Scale, cells: &Cells) -> Report {
+pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
     let cws = [400u32, 1500];
     let mut header = vec!["Lock".to_owned()];
     for cw in cws {
@@ -68,7 +67,7 @@ pub fn run(scale: Scale, cells: &Cells) -> Report {
     for kind in [LockKind::TatasExp, LockKind::Mcs, LockKind::Hbo] {
         let mut row = vec![kind.as_str().to_owned()];
         for cw in cws {
-            let r = &cells.modern(&base_cfg(scale, kind, cw)).micro;
+            let r = &cells.modern(&base_cfg(settings, scale, kind, cw)).micro;
             row.push(format!("{:.0}", r.ns_per_iteration));
             row.push(fmt_ratio(r.handoff_ratio));
         }
@@ -78,7 +77,7 @@ pub fn run(scale: Scale, cells: &Cells) -> Report {
     // The hierarchical variant: three distance classes, each 4x lazier.
     let mut row = vec!["HBO_HIER".to_owned()];
     for cw in cws {
-        let cfg = base_cfg(scale, LockKind::Hbo, cw);
+        let cfg = base_cfg(settings, scale, LockKind::Hbo, cw);
         // Same node/remote constants as flat HBO, plus an extra-eager
         // on-chip class — the hierarchy only *adds* a distinction.
         let table = LevelBackoff::new(vec![
@@ -114,14 +113,14 @@ mod tests {
 
     #[test]
     fn four_rows_produced() {
-        let r = run(Scale::Fast, &Cells::new());
+        let r = run(&Settings::default(), Scale::Fast, &Cells::new());
         assert_eq!(r.rows(), 4);
         assert!(r.row_by_key("HBO_HIER").is_some());
     }
 
     #[test]
     fn nuca_aware_beats_blind_baselines_at_high_cw() {
-        let r = run(Scale::Fast, &Cells::new());
+        let r = run(&Settings::default(), Scale::Fast, &Cells::new());
         let ns = |k: &str| -> f64 { r.row_by_key(k).unwrap()[3].parse().unwrap() };
         assert!(ns("HBO_HIER") < ns("MCS"));
         assert!(ns("HBO") < ns("MCS"));

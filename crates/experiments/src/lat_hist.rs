@@ -8,14 +8,13 @@
 //! clip that tail. Each cell shows `p50/p99/max` time-to-acquire in
 //! nanoseconds at the Fig. 5 sweep points.
 
-use hbo_locks::LockKind;
 use nucasim::cycles_to_ns;
 
 use crate::report::Report;
-use crate::{fig5, kinds, runner, Cells, Scale};
+use crate::{fig5, Cells, Scale, Settings};
 
 /// Runs the sweep and renders the percentile table.
-pub fn run(scale: Scale, cells: &Cells) -> Report {
+pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
     let cws = fig5::sweep(scale);
     let mut header = vec!["Lock Type".to_owned()];
     header.extend(cws.iter().map(|c| format!("cw={c}")));
@@ -27,23 +26,9 @@ pub fn run(scale: Scale, cells: &Cells) -> Report {
         &header_refs,
     );
 
-    // Same grid — and same TATAS dash rule — as Fig. 5, so within one
-    // invocation these are Fig. 5's cells.
-    let sweep_kinds = kinds::selected();
-    let jobs: Vec<_> = sweep_kinds
-        .iter()
-        .flat_map(|&kind| cws.iter().map(move |&cw| (kind, cw)))
-        .map(|(kind, cw)| {
-            move || {
-                if kind == LockKind::Tatas && cw > 1300 {
-                    None
-                } else {
-                    Some(cells.modern(&fig5::config(scale, kind, cw)))
-                }
-            }
-        })
-        .collect();
-    let results = runner::run_jobs(jobs);
+    // Fig. 5's grid, so within one invocation these are Fig. 5's cells.
+    let sweep_kinds = &settings.kinds;
+    let results = fig5::grid(settings, scale, cells);
 
     for (ki, kind) in sweep_kinds.iter().enumerate() {
         let mut row = vec![kind.as_str().to_owned()];
@@ -81,9 +66,10 @@ mod tests {
 
     #[test]
     fn covers_all_locks_with_percentile_cells() {
-        let r = run(Scale::Fast, &Cells::new());
-        assert_eq!(r.rows(), kinds::selected().len());
-        for &kind in kinds::selected() {
+        let settings = Settings::default();
+        let r = run(&settings, Scale::Fast, &Cells::new());
+        assert_eq!(r.rows(), settings.kinds.len());
+        for &kind in &settings.kinds {
             let row = r.row_by_key(kind.as_str()).unwrap();
             // Every measured cell is "p50/p99/max".
             let measured: Vec<&String> =
@@ -107,7 +93,7 @@ mod tests {
     fn queue_lock_tail_is_bounded_vs_backoff() {
         // FIFO order bounds the p99/p50 spread; plain TATAS does not. A
         // shape check at the last column TATAS is still measured at.
-        let r = run(Scale::Fast, &Cells::new());
+        let r = run(&Settings::default(), Scale::Fast, &Cells::new());
         let tatas = r.row_by_key("TATAS").unwrap();
         let col = tatas
             .iter()

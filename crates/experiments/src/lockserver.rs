@@ -17,94 +17,49 @@
 //! Leaf runs go through [`runner::run_jobs`], so the TSV is byte-identical
 //! for any `--jobs` setting.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
 use hbo_locks::LockKind;
 use nuca_workloads::lockserver::{run_lockserver, LockServerConfig};
 use nucasim::MachineConfig;
 
 use crate::report::{fmt_ratio, Report};
-use crate::robustness::{levels, Disturbance};
-use crate::{kinds, runner, Scale};
-
-/// `--shards` override; 0 means "use the sweep's default axis".
-static SHARDS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-/// `--zipf` override in millionths; 0 means default (0.99).
-static ZIPF_MICRO_OVERRIDE: AtomicU64 = AtomicU64::new(0);
-/// `--arrival-gap` override in cycles; 0 means the scale's default.
-static GAP_OVERRIDE: AtomicU64 = AtomicU64::new(0);
-
-/// Applies the `--shards` flag: replaces the shard-count axis with this
-/// single value for the whole sweep.
-pub fn set_shards(n: usize) {
-    SHARDS_OVERRIDE.store(n, Ordering::Relaxed);
-}
-
-/// Applies the `--zipf` flag: Zipfian skew θ for the key distribution.
-pub fn set_zipf_theta(theta: f64) {
-    ZIPF_MICRO_OVERRIDE.store((theta * 1e6) as u64, Ordering::Relaxed);
-}
-
-/// Applies the `--arrival-gap` flag: mean cycles between request batches.
-pub fn set_arrival_gap(cycles: u64) {
-    GAP_OVERRIDE.store(cycles, Ordering::Relaxed);
-}
+use crate::robustness::{extremes, Disturbance};
+use crate::{runner, Scale, Settings};
 
 /// The swept shard counts: a contended table (few shards) and a spread
-/// one, or the single `--shards` override.
-fn shard_axis(scale: Scale) -> Vec<usize> {
-    match SHARDS_OVERRIDE.load(Ordering::Relaxed) {
-        0 => scale.pick(vec![4, 64], vec![2, 8]),
-        n => vec![n],
+/// one, or the single `--shards` value.
+fn shard_axis(settings: &Settings, scale: Scale) -> Vec<usize> {
+    match settings.shards {
+        Some(n) => vec![n],
+        None => scale.pick(vec![4, 64], vec![2, 8]),
     }
 }
 
-fn zipf_theta() -> f64 {
-    match ZIPF_MICRO_OVERRIDE.load(Ordering::Relaxed) {
-        0 => 0.99,
-        micro => micro as f64 / 1e6,
-    }
-}
-
-fn mean_gap(scale: Scale) -> u64 {
-    match GAP_OVERRIDE.load(Ordering::Relaxed) {
-        // Default offered load sits above service capacity under
-        // contention: each served request costs several thousand cycles
-        // of lock traffic, each batch brings up to 4.
-        0 => scale.pick(6_000, 4_000),
-        gap => gap,
-    }
-}
-
-/// The disturbance levels the service is swept under: undisturbed and the
-/// full fault stack (reusing the robustness artifact's heaviest level).
-fn disturbances(scale: Scale) -> Vec<Disturbance> {
-    let lv = levels(scale);
-    vec![lv[0], *lv.last().expect("robustness always has levels")]
-}
-
-fn cell_cfg(scale: Scale, kind: LockKind, shards: usize, d: &Disturbance) -> LockServerConfig {
-    let mut machine = MachineConfig::wildfire(2, scale.pick(14, 4));
-    if let Some(p) = d.preemption {
-        machine = machine.with_preemption(p);
-    }
-    if d.faults.is_active() {
-        machine = machine.with_faults(d.faults);
-    }
+/// The config of one sweep cell.
+fn cell_cfg(
+    settings: &Settings,
+    scale: Scale,
+    kind: LockKind,
+    shards: usize,
+    d: &Disturbance,
+) -> LockServerConfig {
+    let machine = d.apply(MachineConfig::wildfire(2, scale.pick(14, 4)));
     LockServerConfig {
         kind,
-        machine,
+        machine: settings.machine(machine),
         threads: scale.pick(28, 8),
         shards,
         objects: scale.pick(1_000_000, 4_096),
-        zipf_theta: zipf_theta(),
+        zipf_theta: settings.zipf_theta.unwrap_or(0.99),
         write_pct: 50,
         requests: scale.pick(120, 25),
-        mean_gap: mean_gap(scale),
+        // The default offered load sits above service capacity under
+        // contention: each served request costs several thousand cycles
+        // of lock traffic, each batch brings up to 4.
+        mean_gap: settings.arrival_gap.unwrap_or(scale.pick(6_000, 4_000)),
         burst: 4,
         slo: scale.pick(400_000, 200_000),
+        params: settings.params(),
         cycle_limit: scale.pick(12_500_000_000, 3_000_000_000),
-        ..LockServerConfig::default()
     }
 }
 
@@ -139,16 +94,17 @@ pub struct SweepRow {
     pub kind: LockKind,
     /// Shard locks in the table.
     pub shards: usize,
-    /// One cell per [`disturbances`] entry, in order.
+    /// One cell per [`extremes`] entry, in order.
     pub cells: Vec<Cell>,
 }
 
 /// Runs the full sweep; deterministic and byte-identical for any `--jobs`
 /// setting.
-pub fn sweep(scale: Scale) -> Vec<SweepRow> {
-    let shard_counts = shard_axis(scale);
-    let dist = disturbances(scale);
-    let grid: Vec<(LockKind, usize)> = kinds::selected()
+pub fn sweep(settings: &Settings, scale: Scale) -> Vec<SweepRow> {
+    let shard_counts = shard_axis(settings, scale);
+    let dist = extremes(scale);
+    let grid: Vec<(LockKind, usize)> = settings
+        .kinds
         .iter()
         .flat_map(|&kind| shard_counts.iter().map(move |&s| (kind, s)))
         .collect();
@@ -157,7 +113,7 @@ pub fn sweep(scale: Scale) -> Vec<SweepRow> {
         .flat_map(|&(kind, shards)| dist.iter().map(move |d| (kind, shards, *d)))
         .map(|(kind, shards, d)| {
             move || {
-                let cfg = cell_cfg(scale, kind, shards, &d);
+                let cfg = cell_cfg(settings, scale, kind, shards, &d);
                 let r = run_lockserver(&cfg);
                 Cell {
                     level: d.name,
@@ -186,8 +142,8 @@ pub fn sweep(scale: Scale) -> Vec<SweepRow> {
 
 /// The `lockserver` artifact: request-latency tails, goodput and fairness
 /// per lock kind × shard count × disturbance level.
-pub fn run(scale: Scale) -> Report {
-    let dist = disturbances(scale);
+pub fn run(settings: &Settings, scale: Scale) -> Report {
+    let dist = extremes(scale);
     let mut header = vec!["Lock Type".to_owned(), "Shards".to_owned()];
     for d in &dist {
         for col in ["p50", "p99", "p999"] {
@@ -203,7 +159,7 @@ pub fn run(scale: Scale) -> Report {
         "Sharded lock service: latency tails, goodput and fairness under overload",
         &header_refs,
     );
-    for row in sweep(scale) {
+    for row in sweep(settings, scale) {
         let mut cells = vec![row.kind.as_str().to_owned(), row.shards.to_string()];
         for c in &row.cells {
             let mark = |v: u64| {
@@ -243,13 +199,33 @@ mod tests {
 
     #[test]
     fn report_covers_the_grid() {
-        let r = run(Scale::Fast);
-        assert_eq!(r.rows(), kinds::selected().len() * 2);
+        let settings = Settings::default();
+        let r = run(&settings, Scale::Fast);
+        assert_eq!(r.rows(), settings.kinds.len() * 2);
+    }
+
+    #[test]
+    fn settings_reach_the_cell_unrounded() {
+        // Every θ in (0, 1) reaches the cell exactly, even below 1e-6.
+        let settings = Settings {
+            shards: Some(3),
+            zipf_theta: Some(1e-7),
+            arrival_gap: Some(8_000),
+            ..Settings::default()
+        };
+        let d = extremes(Scale::Fast)[0];
+        let cfg = cell_cfg(&settings, Scale::Fast, LockKind::Mcs, 3, &d);
+        assert_eq!(cfg.zipf_theta, 1e-7);
+        assert_eq!(cfg.mean_gap, 8_000);
+        assert_eq!(shard_axis(&settings, Scale::Fast), vec![3]);
+        let plain = cell_cfg(&Settings::default(), Scale::Fast, LockKind::Mcs, 2, &d);
+        assert_eq!(plain.zipf_theta, 0.99);
+        assert_eq!(plain.mean_gap, 4_000);
     }
 
     #[test]
     fn sweep_metrics_are_sane() {
-        for row in sweep(Scale::Fast) {
+        for row in sweep(&Settings::default(), Scale::Fast) {
             for c in &row.cells {
                 assert!(c.finished, "{} {} shards hit the budget", row.kind, row.shards);
                 assert!(c.p50_ns > 0 && c.p50_ns <= c.p99_ns && c.p99_ns <= c.p999_ns);
@@ -265,7 +241,7 @@ mod tests {
     fn fault_stack_never_improves_the_tail() {
         // Deterministic runs: the heaviest disturbance level must not
         // report a better p99 than the undisturbed one for any cell.
-        for row in sweep(Scale::Fast) {
+        for row in sweep(&Settings::default(), Scale::Fast) {
             let none = &row.cells[0];
             let faulted = row.cells.last().expect("two levels");
             assert!(

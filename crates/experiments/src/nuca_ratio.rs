@@ -11,10 +11,10 @@ use nuca_workloads::modern::ModernConfig;
 use nucasim::{LatencyModel, MachineConfig};
 
 use crate::report::Report;
-use crate::{runner, Cells, Scale};
+use crate::{runner, Cells, Scale, Settings};
 
 /// Runs the NUCA-ratio ablation.
-pub fn run(scale: Scale, cells: &Cells) -> Report {
+pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
     let presets: [(&str, LatencyModel); 5] = [
         ("E6000 (UMA)", LatencyModel::e6000()),
         ("DS-320-like (3.5)", LatencyModel::wildfire().with_nuca_ratio(3.5)),
@@ -43,11 +43,10 @@ pub fn run(scale: Scale, cells: &Cells) -> Report {
             move || {
                 cells.modern(&ModernConfig {
                     kind,
-                    machine: MachineConfig::wildfire(2, per_node).with_latency(latency),
                     threads: per_node * 2,
                     iterations: iters,
                     critical_work: 1000,
-                    ..ModernConfig::default()
+                    ..settings.modern(MachineConfig::wildfire(2, per_node).with_latency(latency))
                 })
             }
         })
@@ -76,7 +75,7 @@ mod tests {
 
     #[test]
     fn advantage_grows_with_ratio() {
-        let r = run(Scale::Fast, &Cells::new());
+        let r = run(&Settings::default(), Scale::Fast, &Cells::new());
         assert_eq!(r.rows(), 5);
         let ratio = |row: usize| -> f64 { r.cell(row, 3).unwrap().parse().unwrap() };
         // NUMA-Q advantage must exceed the UMA advantage.

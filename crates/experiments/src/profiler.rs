@@ -26,7 +26,7 @@ use nucasim::{LabelProfile, MachineConfig};
 use crate::json::JsonWriter;
 use crate::report::{fmt_ratio, Report};
 use crate::tracecap::CAPTURE_CRITICAL_WORK;
-use crate::{kinds, runner, tracecap, Cells, Scale};
+use crate::{runner, tracecap, Cells, Scale, Settings};
 
 /// Version stamp of the `--profile` JSON document (bump on any
 /// field/shape change; ci.sh validates against it). v2 added the
@@ -41,14 +41,13 @@ fn per_node_sweep(scale: Scale) -> Vec<usize> {
 
 /// The Fig. 5 configuration at `per_node` CPUs per node (cf.
 /// [`crate::fig5::config`], which fixes `per_node` by scale).
-fn config(scale: Scale, kind: LockKind, per_node: usize) -> ModernConfig {
+fn config(settings: &Settings, scale: Scale, kind: LockKind, per_node: usize) -> ModernConfig {
     ModernConfig {
         kind,
-        machine: MachineConfig::wildfire(2, per_node),
         threads: per_node * 2,
         iterations: scale.pick(60, 20),
         critical_work: CAPTURE_CRITICAL_WORK,
-        ..ModernConfig::default()
+        ..settings.modern(MachineConfig::wildfire(2, per_node))
     }
 }
 
@@ -63,7 +62,7 @@ fn pct(part: u64, total: u64) -> String {
 }
 
 /// Runs the handoff-locality × phase-breakdown sweep.
-pub fn run_handoff(scale: Scale, cells: &Cells) -> Report {
+pub fn run_handoff(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
     let per_nodes = per_node_sweep(scale);
     let mut report = Report::new(
         "handoff",
@@ -89,11 +88,11 @@ pub fn run_handoff(scale: Scale, cells: &Cells) -> Report {
 
     // One job per (kind, per_node) grid cell, reassembled in grid order
     // so the TSV is byte-identical at any --jobs level.
-    let sweep_kinds = kinds::selected();
+    let sweep_kinds = &settings.kinds;
     let jobs: Vec<_> = sweep_kinds
         .iter()
         .flat_map(|&kind| per_nodes.iter().map(move |&pn| (kind, pn)))
-        .map(|(kind, pn)| move || cells.profiled(&config(scale, kind, pn)))
+        .map(|(kind, pn)| move || cells.profiled(&config(settings, scale, kind, pn)))
         .collect();
     let results = runner::run_jobs(jobs);
 
@@ -251,13 +250,13 @@ mod tests {
     use nucasim::{Profile, SimReport};
 
     fn cell(kind: LockKind) -> (SimReport, Profile) {
-        run_modern_profiled(&config(Scale::Fast, kind, 4))
+        run_modern_profiled(&config(&Settings::default(), Scale::Fast, kind, 4))
     }
 
     #[test]
     fn handoff_grid_covers_all_kinds_and_cpu_counts() {
-        let report = run_handoff(Scale::Fast, &Cells::new());
-        assert_eq!(report.rows(), kinds::selected().len() * 2);
+        let report = run_handoff(&Settings::default(), Scale::Fast, &Cells::new());
+        assert_eq!(report.rows(), hbo_locks::LockCatalog::kinds().len() * 2);
         let hbo = report.row_by_key("HBO_GT_SD").unwrap();
         assert_ne!(hbo[5], "-", "HBO_GT_SD remote rate missing");
         // The starved-CPU column parses for every row, and the FIFO queue
@@ -343,7 +342,12 @@ mod tests {
     #[test]
     #[ignore = "full-scale; ci.sh runs it in release"]
     fn full_scale_profile_memory_stays_bounded() {
-        let (_, profile) = run_modern_profiled(&config(Scale::Full, LockKind::HboGtSd, 14));
+        let (_, profile) = run_modern_profiled(&config(
+            &Settings::default(),
+            Scale::Full,
+            LockKind::HboGtSd,
+            14,
+        ));
         assert!(
             profile.events > 500_000,
             "expected a full-scale event volume, got {}",

@@ -11,7 +11,7 @@ use nucasim::{MachineConfig, PreemptionConfig};
 
 use crate::apps_exp::app_cfg;
 use crate::report::{fmt_secs, Report};
-use crate::{runner, Cells, Scale};
+use crate::{runner, Cells, Scale, Settings};
 
 /// The paper's 30-processor machine: the 16 + 14 WildFire prototype, with
 /// daemon preemption enabled (a fully populated machine leaves the OS
@@ -38,7 +38,7 @@ fn prototype_30p(scale: Scale) -> MachineConfig {
 }
 
 /// Table 4 — Raytrace execution time at 1, 28 and 30 CPUs.
-pub fn run_table4(scale: Scale, cells: &Cells) -> Report {
+pub fn run_table4(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
     let ray = app_by_name("Raytrace").expect("raytrace is studied");
     let mut report = Report::new(
         "table4",
@@ -53,17 +53,19 @@ pub fn run_table4(scale: Scale, cells: &Cells) -> Report {
     let mut jobs: Vec<Box<dyn FnOnce() -> Arc<AppReport> + Send + '_>> = Vec::new();
     for &kind in hbo_locks::LockCatalog::paper() {
         let ray1 = ray.clone();
-        jobs.push(Box::new(move || cells.app(&ray1, &app_cfg(scale, kind, 1))));
+        jobs.push(Box::new(move || {
+            cells.app(&ray1, &app_cfg(settings, scale, kind, 1))
+        }));
         let ray28 = ray.clone();
         jobs.push(Box::new(move || {
-            cells.app(&ray28, &app_cfg(scale, kind, 28))
+            cells.app(&ray28, &app_cfg(settings, scale, kind, 28))
         }));
         let ray30 = ray.clone();
         jobs.push(Box::new(move || {
             let mut cfg30 = AppRunConfig {
-                machine: prototype_30p(scale),
+                machine: settings.machine(prototype_30p(scale)),
                 cycle_limit: budget,
-                ..app_cfg(scale, kind, 28)
+                ..app_cfg(settings, scale, kind, 28)
             };
             cfg30.threads = cfg30.machine.topology.num_cpus();
             cells.app(&ray30, &cfg30)
@@ -89,7 +91,7 @@ pub fn run_table4(scale: Scale, cells: &Cells) -> Report {
 }
 
 /// Figure 7 — Raytrace speedup vs processor count.
-pub fn run_fig7(scale: Scale, cells: &Cells) -> Report {
+pub fn run_fig7(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
     let ray = app_by_name("Raytrace").expect("raytrace is studied");
     let counts: Vec<usize> = scale.pick(vec![1, 4, 8, 12, 16, 20, 24, 28], vec![1, 4, 8]);
     let mut header = vec!["Lock Type".to_owned()];
@@ -106,7 +108,7 @@ pub fn run_fig7(scale: Scale, cells: &Cells) -> Report {
         })
         .map(|(kind, p)| {
             let ray = ray.clone();
-            move || cells.app(&ray, &app_cfg(scale, kind, p))
+            move || cells.app(&ray, &app_cfg(settings, scale, kind, p))
         })
         .collect();
     let results = runner::run_jobs(jobs);
@@ -137,13 +139,13 @@ mod tests {
 
     #[test]
     fn table4_runs_all_locks() {
-        let r = run_table4(Scale::Fast, &Cells::new());
+        let r = run_table4(&Settings::default(), Scale::Fast, &Cells::new());
         assert_eq!(r.rows(), 8);
     }
 
     #[test]
     fn fig7_speedup_at_one_cpu_is_one() {
-        let r = run_fig7(Scale::Fast, &Cells::new());
+        let r = run_fig7(&Settings::default(), Scale::Fast, &Cells::new());
         for i in 0..r.rows() {
             let s: f64 = r.cell(i, 1).unwrap().parse().unwrap();
             assert!((s - 1.0).abs() < 1e-9);

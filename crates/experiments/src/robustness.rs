@@ -18,7 +18,7 @@ use nucasim::{
 };
 
 use crate::report::{fmt_secs, Report};
-use crate::{kinds, runner, Cells, Scale};
+use crate::{runner, Cells, Scale, Settings};
 
 /// One disturbance level of the sweep.
 #[derive(Debug, Clone, Copy)]
@@ -29,6 +29,27 @@ pub struct Disturbance {
     pub preemption: Option<PreemptionConfig>,
     /// Composable fault layers applied on top.
     pub faults: FaultConfig,
+}
+
+impl Disturbance {
+    /// `machine` under this level's preemption and fault layers.
+    pub fn apply(&self, mut machine: MachineConfig) -> MachineConfig {
+        if let Some(p) = self.preemption {
+            machine = machine.with_preemption(p);
+        }
+        if self.faults.is_active() {
+            machine = machine.with_faults(self.faults);
+        }
+        machine
+    }
+}
+
+/// The first and last of [`levels`]: undisturbed, and heavy
+/// multiprogramming with every fault layer (the levels `showdown` and
+/// `lockserver` sweep).
+pub fn extremes(scale: Scale) -> Vec<Disturbance> {
+    let lv = levels(scale);
+    vec![lv[0], *lv.last().expect("robustness always has levels")]
 }
 
 /// The swept disturbance levels, in column order: undisturbed, light
@@ -136,17 +157,16 @@ impl SweepRow {
     }
 }
 
-fn cell_cfg(scale: Scale, kind: LockKind, cpus: usize, d: &Disturbance) -> ModernConfig {
-    let mut machine = MachineConfig::wildfire(2, cpus / 2);
-    if let Some(p) = d.preemption {
-        machine = machine.with_preemption(p);
-    }
-    if d.faults.is_active() {
-        machine = machine.with_faults(d.faults);
-    }
+fn cell_cfg(
+    settings: &Settings,
+    scale: Scale,
+    kind: LockKind,
+    cpus: usize,
+    d: &Disturbance,
+) -> ModernConfig {
+    let machine = d.apply(MachineConfig::wildfire(2, cpus / 2));
     ModernConfig {
         kind,
-        machine,
         threads: cpus,
         iterations: scale.pick(200, 30),
         critical_work: 0,
@@ -154,7 +174,7 @@ fn cell_cfg(scale: Scale, kind: LockKind, cpus: usize, d: &Disturbance) -> Moder
         // Generous but finite: collapsed queue locks print as "> N s",
         // the paper's "> 200 s" rows.
         cycle_limit: scale.pick(12_500_000_000, 3_000_000_000),
-        ..ModernConfig::default()
+        ..settings.modern(machine)
     }
 }
 
@@ -162,10 +182,11 @@ fn cell_cfg(scale: Scale, kind: LockKind, cpus: usize, d: &Disturbance) -> Moder
 /// processor count), each measured at every disturbance level. Leaf runs
 /// go through [`runner::run_jobs`], so results are deterministic and
 /// byte-identical for any `--jobs` setting.
-pub fn sweep(scale: Scale, cells: &Cells) -> Vec<SweepRow> {
+pub fn sweep(settings: &Settings, scale: Scale, cells: &Cells) -> Vec<SweepRow> {
     let cpu_counts: Vec<usize> = scale.pick(vec![8, 28], vec![4, 8]);
     let lv = levels(scale);
-    let grid: Vec<(LockKind, usize)> = kinds::selected()
+    let grid: Vec<(LockKind, usize)> = settings
+        .kinds
         .iter()
         .flat_map(|&kind| cpu_counts.iter().map(move |&c| (kind, c)))
         .collect();
@@ -174,7 +195,7 @@ pub fn sweep(scale: Scale, cells: &Cells) -> Vec<SweepRow> {
         .flat_map(|&(kind, cpus)| lv.iter().map(move |d| (kind, cpus, *d)))
         .map(|(kind, cpus, d)| {
             move || {
-                let run = cells.modern(&cell_cfg(scale, kind, cpus, &d));
+                let run = cells.modern(&cell_cfg(settings, scale, kind, cpus, &d));
                 Cell {
                     level: d.name,
                     seconds: run.seconds,
@@ -199,7 +220,7 @@ pub fn sweep(scale: Scale, cells: &Cells) -> Vec<SweepRow> {
 
 /// The `robustness` artifact: completion time per disturbance level plus
 /// the undisturbed and heaviest p99 time-to-acquire.
-pub fn run(scale: Scale, cells: &Cells) -> Report {
+pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
     let lv = levels(scale);
     let mut header = vec!["Lock Type".to_owned(), "CPUs".to_owned()];
     header.extend(lv.iter().map(|d| format!("{} (s)", d.name)));
@@ -211,7 +232,7 @@ pub fn run(scale: Scale, cells: &Cells) -> Report {
         "Lock robustness under preemption and injected faults",
         &header_refs,
     );
-    for row in sweep(scale, cells) {
+    for row in sweep(settings, scale, cells) {
         let mut cells = vec![row.kind.as_str().to_owned(), row.cpus.to_string()];
         cells.extend(
             row.cells
@@ -250,7 +271,7 @@ mod tests {
 
     #[test]
     fn queue_locks_collapse_an_order_of_magnitude_harder() {
-        let rows = sweep(Scale::Fast, &Cells::new());
+        let rows = sweep(&Settings::default(), Scale::Fast, &Cells::new());
         for level in ["heavy", "heavy+faults"] {
             for queue in [LockKind::Mcs, LockKind::Clh] {
                 let q = max_degradation(&rows, queue, level);
@@ -268,7 +289,7 @@ mod tests {
 
     #[test]
     fn fault_layers_fire_in_the_heaviest_level() {
-        let rows = sweep(Scale::Fast, &Cells::new());
+        let rows = sweep(&Settings::default(), Scale::Fast, &Cells::new());
         let faulted: Vec<&Cell> = rows
             .iter()
             .flat_map(|r| r.cells.iter().filter(|c| c.level == "heavy+faults"))
@@ -284,7 +305,8 @@ mod tests {
 
     #[test]
     fn report_has_one_row_per_kind_and_cpu_count() {
-        let r = run(Scale::Fast, &Cells::new());
-        assert_eq!(r.rows(), kinds::selected().len() * 2);
+        let settings = Settings::default();
+        let r = run(&settings, Scale::Fast, &Cells::new());
+        assert_eq!(r.rows(), settings.kinds.len() * 2);
     }
 }

@@ -27,15 +27,8 @@ use nuca_workloads::modern::ModernConfig;
 use nucasim::{cycles_to_ns, MachineConfig};
 
 use crate::report::{fmt_ratio, fmt_secs, Report};
-use crate::robustness::{levels, Disturbance};
-use crate::{kinds, runner, Cells, Scale};
-
-/// The two showdown disturbance levels: undisturbed, and the robustness
-/// sweep's heaviest (heavy multiprogramming + every fault layer).
-fn disturbances(scale: Scale) -> Vec<Disturbance> {
-    let lv = levels(scale);
-    vec![lv[0], *lv.last().expect("robustness always has levels")]
-}
+use crate::robustness::{extremes, Disturbance};
+use crate::{runner, Cells, Scale, Settings};
 
 /// One measured cell.
 #[derive(Debug, Clone, Copy)]
@@ -61,7 +54,7 @@ pub struct SweepRow {
     pub kind: LockKind,
     /// Contending processors.
     pub cpus: usize,
-    /// One cell per [`disturbances`] entry, in order.
+    /// One cell per [`extremes`] entry, in order.
     pub cells: Vec<Cell>,
 }
 
@@ -75,33 +68,33 @@ impl SweepRow {
     }
 }
 
-fn cell_cfg(scale: Scale, kind: LockKind, cpus: usize, d: &Disturbance) -> ModernConfig {
-    let mut machine = MachineConfig::wildfire(2, cpus / 2);
-    if let Some(p) = d.preemption {
-        machine = machine.with_preemption(p);
-    }
-    if d.faults.is_active() {
-        machine = machine.with_faults(d.faults);
-    }
+fn cell_cfg(
+    settings: &Settings,
+    scale: Scale,
+    kind: LockKind,
+    cpus: usize,
+    d: &Disturbance,
+) -> ModernConfig {
+    let machine = d.apply(MachineConfig::wildfire(2, cpus / 2));
     ModernConfig {
         kind,
-        machine,
         threads: cpus,
         iterations: scale.pick(100, 20),
         // The Table 2 operating point: enough critical work that handoff
         // locality, not raw grant throughput, decides the ordering.
         critical_work: 1500,
         cycle_limit: scale.pick(12_500_000_000, 3_000_000_000),
-        ..ModernConfig::default()
+        ..settings.modern(machine)
     }
 }
 
-/// Runs the full sweep over [`kinds::selected`] × processor count ×
+/// Runs the full sweep over [`Settings::kinds`] × processor count ×
 /// disturbance level; deterministic for any `--jobs` setting.
-pub fn sweep(scale: Scale, cells: &Cells) -> Vec<SweepRow> {
+pub fn sweep(settings: &Settings, scale: Scale, cells: &Cells) -> Vec<SweepRow> {
     let cpu_counts: Vec<usize> = scale.pick(vec![8, 28], vec![4, 8]);
-    let dist = disturbances(scale);
-    let grid: Vec<(LockKind, usize)> = kinds::selected()
+    let dist = extremes(scale);
+    let grid: Vec<(LockKind, usize)> = settings
+        .kinds
         .iter()
         .flat_map(|&kind| cpu_counts.iter().map(move |&c| (kind, c)))
         .collect();
@@ -110,7 +103,7 @@ pub fn sweep(scale: Scale, cells: &Cells) -> Vec<SweepRow> {
         .flat_map(|&(kind, cpus)| dist.iter().map(move |d| (kind, cpus, *d)))
         .map(|(kind, cpus, d)| {
             move || {
-                let run = cells.modern(&cell_cfg(scale, kind, cpus, &d));
+                let run = cells.modern(&cell_cfg(settings, scale, kind, cpus, &d));
                 Cell {
                     level: d.name,
                     seconds: run.seconds,
@@ -133,8 +126,8 @@ pub fn sweep(scale: Scale, cells: &Cells) -> Vec<SweepRow> {
 }
 
 /// The `showdown` artifact table.
-pub fn run(scale: Scale, cells: &Cells) -> Report {
-    let dist = disturbances(scale);
+pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
+    let dist = extremes(scale);
     let mut header = vec![
         "Lock Type".to_owned(),
         "Family".to_owned(),
@@ -154,7 +147,7 @@ pub fn run(scale: Scale, cells: &Cells) -> Report {
          and under the full fault stack (critical_work=1500)",
         &header_refs,
     );
-    for row in sweep(scale, cells) {
+    for row in sweep(settings, scale, cells) {
         let info = LockCatalog::info(row.kind);
         let mut cells = vec![
             info.name.to_owned(),
@@ -190,8 +183,8 @@ mod tests {
 
     #[test]
     fn report_covers_the_selected_grid_with_catalog_metadata() {
-        let r = run(Scale::Fast, &Cells::new());
-        assert_eq!(r.rows(), kinds::selected().len() * 2);
+        let r = run(&Settings::default(), Scale::Fast, &Cells::new());
+        assert_eq!(r.rows(), LockCatalog::kinds().len() * 2);
         // Modern contenders ride alongside every 2003 kind, with their
         // catalog family/year in the row.
         let cna = r.row_by_key("CNA").unwrap();
@@ -206,7 +199,7 @@ mod tests {
 
     #[test]
     fn faults_never_speed_a_lock_up() {
-        for row in sweep(Scale::Fast, &Cells::new()) {
+        for row in sweep(&Settings::default(), Scale::Fast, &Cells::new()) {
             assert!(
                 row.degradation() >= 1.0,
                 "{} at {} cpus sped up under faults: {:.2}",
@@ -222,7 +215,7 @@ mod tests {
         // The tentpole physics, visible in the artifact itself: CNA's
         // secondary queue keeps handoffs node-local; TWA inherits the
         // ticket lock's node-blind FIFO order.
-        let rows = sweep(Scale::Fast, &Cells::new());
+        let rows = sweep(&Settings::default(), Scale::Fast, &Cells::new());
         let rate = |kind: LockKind| {
             rows.iter()
                 .filter(|r| r.kind == kind)

@@ -2,21 +2,20 @@
 
 use nuca_workloads::uncontested::run_uncontested;
 use nucasim::MachineConfig;
-use nucasim_locks::SimLockParams;
 
 use crate::report::Report;
-use crate::Scale;
+use crate::{Scale, Settings};
 
 /// Runs the three previous-owner scenarios for all eight locks.
-pub fn run(scale: Scale) -> Report {
+pub fn run(settings: &Settings, scale: Scale) -> Report {
     let mut report = Report::new(
         "table1",
         "Uncontested performance for a single acquire-release operation",
         &["Lock Type", "Same Processor", "Same Node", "Remote Node"],
     );
     let cpus = scale.pick(14, 2);
-    let machine = MachineConfig::wildfire(2, cpus);
-    let params = SimLockParams::default();
+    let machine = settings.machine(MachineConfig::wildfire(2, cpus));
+    let params = settings.params();
     for &kind in hbo_locks::LockCatalog::paper() {
         let r = run_uncontested(kind, &machine, &params);
         report.push_row(vec![
@@ -39,7 +38,7 @@ mod tests {
 
     #[test]
     fn table_has_all_locks_in_paper_order() {
-        let r = run(Scale::Fast);
+        let r = run(&Settings::default(), Scale::Fast);
         assert_eq!(r.rows(), 8);
         assert_eq!(r.cell(0, 0), Some("TATAS"));
         assert_eq!(r.cell(7, 0), Some("HBO_GT_SD"));
@@ -47,7 +46,7 @@ mod tests {
 
     #[test]
     fn hbo_row_matches_tatas_class() {
-        let r = run(Scale::Fast);
+        let r = run(&Settings::default(), Scale::Fast);
         let parse = |s: &str| s.trim_end_matches(" ns").parse::<u64>().unwrap();
         let tatas = parse(r.row_by_key("TATAS").unwrap()[1].as_str());
         let hbo = parse(r.row_by_key("HBO").unwrap()[1].as_str());

@@ -10,26 +10,19 @@
 use hbo_locks::LockKind;
 use nuca_topology::NodeId;
 use nuca_workloads::modern::ModernConfig;
-use nucasim::MachineConfig;
 use nucasim_locks::SimTicket;
 
 use crate::report::{fmt_ratio, Report};
-use crate::{Cells, Scale};
+use crate::{Cells, Scale, Settings};
 
-fn cfg(scale: Scale, kind: LockKind, critical_work: u32) -> ModernConfig {
-    let (per_node, iters) = scale.pick((14, 40), (4, 15));
-    ModernConfig {
-        kind,
-        machine: MachineConfig::wildfire(2, per_node),
-        threads: per_node * 2,
-        iterations: iters,
-        critical_work,
-        ..ModernConfig::default()
-    }
+/// colloc's uncollocated cell, so the two artifacts share their MCS and
+/// HBO_GT runs.
+fn cfg(settings: &Settings, scale: Scale, kind: LockKind, critical_work: u32) -> ModernConfig {
+    crate::colloc::cfg(settings, scale, kind, critical_work, false)
 }
 
 /// Runs TICKET vs MCS vs TATAS_EXP vs HBO_GT on the new microbenchmark.
-pub fn run(scale: Scale, cells: &Cells) -> Report {
+pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
     let cws = [100u32, 1500];
     let mut header = vec!["Lock".to_owned()];
     for cw in cws {
@@ -47,7 +40,7 @@ pub fn run(scale: Scale, cells: &Cells) -> Report {
     for kind in [LockKind::TatasExp, LockKind::Mcs, LockKind::HboGt] {
         let mut row = vec![kind.as_str().to_owned()];
         for cw in cws {
-            let r = &cells.modern(&cfg(scale, kind, cw)).micro;
+            let r = &cells.modern(&cfg(settings, scale, kind, cw)).micro;
             row.push(format!("{:.0}", r.ns_per_iteration));
             row.push(fmt_ratio(r.handoff_ratio));
             row.push(r.traffic.total().to_string());
@@ -57,7 +50,7 @@ pub fn run(scale: Scale, cells: &Cells) -> Report {
 
     let mut row = vec!["TICKET".to_owned()];
     for cw in cws {
-        let c = cfg(scale, LockKind::Mcs, cw);
+        let c = cfg(settings, scale, LockKind::Mcs, cw);
         let cell = cells.custom("TICKET", &c, &|mem, _topo, _gt| {
             Box::new(SimTicket::alloc(mem, NodeId(0)))
         });
@@ -81,7 +74,7 @@ mod tests {
 
     #[test]
     fn four_rows() {
-        let r = run(Scale::Fast, &Cells::new());
+        let r = run(&Settings::default(), Scale::Fast, &Cells::new());
         assert_eq!(r.rows(), 4);
     }
 
@@ -90,7 +83,7 @@ mod tests {
         // The per-handover storm needs many waiters to dominate, so the
         // traffic comparison is a full-scale result (see EXPERIMENTS.md);
         // at smoke scale we assert the FIFO signature both ways.
-        let r = run(Scale::Fast, &Cells::new());
+        let r = run(&Settings::default(), Scale::Fast, &Cells::new());
         let handoff = |k: &str| -> f64 { r.row_by_key(k).unwrap()[2].parse().unwrap() };
         assert!(handoff("TICKET") > 0.3, "FIFO handoff expected");
         assert!(

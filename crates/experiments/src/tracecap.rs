@@ -28,7 +28,7 @@ use nucasim::{
 use nuca_workloads::modern::run_modern_traced;
 
 use crate::json::JsonWriter;
-use crate::{fig5, runner, Scale};
+use crate::{fig5, runner, Scale, Settings};
 
 /// One traced benchmark run: the algorithm, its aggregate report, and the
 /// full event stream.
@@ -46,12 +46,12 @@ pub struct Capture {
 pub const CAPTURE_CRITICAL_WORK: u32 = 1500;
 
 /// Runs one traced capture per lock algorithm, in [`hbo_locks::LockCatalog::paper()`] order.
-pub fn capture(scale: Scale) -> Vec<Capture> {
+pub fn capture(settings: &Settings, scale: Scale) -> Vec<Capture> {
     let jobs: Vec<_> = hbo_locks::LockCatalog::paper()
         .iter()
         .map(|&kind| {
             move || {
-                let cfg = fig5::config(scale, kind, CAPTURE_CRITICAL_WORK);
+                let cfg = fig5::config(settings, scale, kind, CAPTURE_CRITICAL_WORK);
                 let (report, records) = run_modern_traced(&cfg);
                 Capture {
                     kind,
@@ -466,11 +466,12 @@ pub fn metrics_json(scale: Scale, captures: &[Capture]) -> String {
 ///
 /// Propagates filesystem errors.
 pub fn write_captures(
+    settings: &Settings,
     scale: Scale,
     trace_path: Option<&Path>,
     metrics_path: Option<&Path>,
 ) -> io::Result<()> {
-    let captures = capture(scale);
+    let captures = capture(settings, scale);
     if let Some(path) = trace_path {
         std::fs::write(path, chrome_trace_json(&captures))?;
         eprintln!("wrote {}", path.display());
@@ -488,7 +489,7 @@ mod tests {
     use std::collections::HashMap;
 
     fn fast_captures() -> Vec<Capture> {
-        capture(Scale::Fast)
+        capture(&Settings::default(), Scale::Fast)
     }
 
     #[test]
@@ -575,7 +576,12 @@ mod tests {
     fn tracing_does_not_change_results() {
         // The tentpole invariant: a traced run and an untraced run of the
         // same configuration produce identical simulation results.
-        let cfg = fig5::config(Scale::Fast, LockKind::HboGtSd, CAPTURE_CRITICAL_WORK);
+        let cfg = fig5::config(
+            &Settings::default(),
+            Scale::Fast,
+            LockKind::HboGtSd,
+            CAPTURE_CRITICAL_WORK,
+        );
         let (traced, records) = run_modern_traced(&cfg);
         let (plain, _) = nuca_workloads::modern::run_modern_raw(&cfg);
         assert!(!records.is_empty());

@@ -1,15 +1,15 @@
-//! The cell cache's contract: a key resolves everything the run reads, a
+//! The cell cache's contract: a key names everything the run reads, a
 //! shared cell is simulated once per invocation at any `--jobs`, and
 //! separate invocations never share.
 //!
 //! Simulated work is measured with `nucasim::sim_events_total()` deltas.
-//! That counter, the job budget and the default protocol are process-wide,
-//! so every test here holds [`SERIAL`].
+//! That counter and the job budget are process-wide, so every test here
+//! holds [`SERIAL`].
 
 use std::sync::{Arc, Mutex};
 
 use hbo_locks::LockKind;
-use nuca_experiments::{fig5, run_experiment, run_experiment_in, runner, Cells, Scale};
+use nuca_experiments::{fig5, run_experiment, run_experiment_in, runner, Cells, Scale, Settings};
 use nuca_workloads::apps::{studied_apps, AppModel, AppRunConfig};
 use nuca_workloads::modern::{run_modern, ModernConfig};
 use nucasim::{MachineConfig, ProtocolKind};
@@ -27,42 +27,31 @@ fn events<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, nucasim::sim_events_total() - before)
 }
 
-/// Puts the flat default protocol back even if the test fails midway.
-struct FlatDefault;
-
-impl Drop for FlatDefault {
-    fn drop(&mut self) {
-        nucasim::set_default_protocol(ProtocolKind::Flat);
-    }
-}
-
 #[test]
-fn key_resolves_the_default_protocol() {
+fn the_settings_protocol_is_in_the_config_and_the_key() {
     let _serial = serial();
-    let _restore = FlatDefault;
-    let cells = Cells::new();
-    let cfg = fig5::config(Scale::Fast, LockKind::HboGt, 700);
-    assert_eq!(
-        cfg.machine.protocol, None,
-        "the cell reads the process default"
-    );
+    let mesi = Settings {
+        protocol: ProtocolKind::Mesi,
+        ..Settings::default()
+    };
+    let cfg = fig5::config(&mesi, Scale::Fast, LockKind::HboGt, 700);
+    assert_eq!(cfg.machine.protocol, ProtocolKind::Mesi);
+    let flat_cfg = fig5::config(&Settings::default(), Scale::Fast, LockKind::HboGt, 700);
+    assert_eq!(flat_cfg.machine.protocol, ProtocolKind::Flat);
 
-    let flat = cells.modern(&cfg);
-    let (again, cost) = events(|| cells.modern(&cfg));
+    let cells = Cells::new();
+    let flat = cells.modern(&flat_cfg);
+    let (again, cost) = events(|| cells.modern(&flat_cfg));
     assert!(Arc::ptr_eq(&flat, &again), "the same config must hit");
     assert_eq!(cost, 0);
 
-    nucasim::set_default_protocol(ProtocolKind::Mesi);
-    let (mesi, cost) = events(|| cells.modern(&cfg));
-    assert!(cost > 0, "a flipped default protocol must miss");
-    let expected = run_modern(&ModernConfig {
-        machine: cfg.machine.clone().with_protocol(ProtocolKind::Mesi),
-        ..cfg.clone()
-    });
-    assert_eq!(mesi.micro.elapsed_ns, expected.elapsed_ns);
-    assert_eq!(mesi.micro.traffic, expected.traffic);
+    let (under_mesi, cost) = events(|| cells.modern(&cfg));
+    assert!(cost > 0, "another protocol must miss");
+    let expected = run_modern(&cfg);
+    assert_eq!(under_mesi.micro.elapsed_ns, expected.elapsed_ns);
+    assert_eq!(under_mesi.micro.traffic, expected.traffic);
     assert_ne!(
-        mesi.micro.elapsed_ns, flat.micro.elapsed_ns,
+        under_mesi.micro.elapsed_ns, flat.micro.elapsed_ns,
         "MESI must change the run"
     );
 }
@@ -71,7 +60,7 @@ fn key_resolves_the_default_protocol() {
 fn key_sees_seed_critical_work_and_app_model() {
     let _serial = serial();
     let cells = Cells::new();
-    let base = fig5::config(Scale::Fast, LockKind::Mcs, 0);
+    let base = fig5::config(&Settings::default(), Scale::Fast, LockKind::Mcs, 0);
     cells.modern(&base);
     let reseeded = ModernConfig {
         machine: base.machine.clone().with_seed(base.machine.seed + 1),
@@ -112,16 +101,18 @@ fn shared_cells_run_once_per_invocation_at_any_jobs() {
     let (_, fig5_alone) = events(|| run_experiment("fig5", Scale::Fast).unwrap());
     // The one cell table2 needs and fig5 skips (fig5 stops TATAS at
     // critical_work = 1300).
-    let (_, tatas) =
-        events(|| Cells::new().modern(&fig5::config(Scale::Fast, LockKind::Tatas, 1500)));
+    let settings = Settings::default();
+    let (_, tatas) = events(|| {
+        Cells::new().modern(&fig5::config(&settings, Scale::Fast, LockKind::Tatas, 1500))
+    });
     for jobs in [1, 4] {
         runner::set_max_jobs(jobs);
         let cells = Cells::new();
         let tasks: Vec<_> = ids
             .iter()
             .map(|&id| {
-                let cells = &cells;
-                move || run_experiment_in(id, Scale::Fast, cells).unwrap()
+                let (settings, cells) = (&settings, &cells);
+                move || run_experiment_in(id, settings, Scale::Fast, cells).unwrap()
             })
             .collect();
         let (_, together) = events(|| runner::run_fanout(tasks));

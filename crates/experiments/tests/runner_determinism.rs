@@ -5,7 +5,7 @@
 
 use std::sync::Mutex;
 
-use nuca_experiments::{run_experiment, run_experiment_in, runner, Cells, Scale};
+use nuca_experiments::{run_experiment, run_experiment_in, runner, Cells, Scale, Settings};
 
 /// Serializes the tests in this file: they reconfigure the process-global
 /// job budget.
@@ -23,12 +23,12 @@ fn tsv_bytes(id: &str, jobs: usize) -> Vec<String> {
 /// one orchestration thread per id, like the CLI) under the job budget.
 fn tsv_bytes_together(ids: &[&'static str], jobs: usize) -> Vec<String> {
     runner::set_max_jobs(jobs);
-    let cells = Cells::new();
+    let (settings, cells) = (Settings::default(), Cells::new());
     let tasks: Vec<_> = ids
         .iter()
         .map(|&id| {
-            let cells = &cells;
-            move || run_experiment_in(id, Scale::Fast, cells).expect("known artifact")
+            let (settings, cells) = (&settings, &cells);
+            move || run_experiment_in(id, settings, Scale::Fast, cells).expect("known artifact")
         })
         .collect();
     let reports = runner::run_fanout(tasks);

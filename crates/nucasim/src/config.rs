@@ -317,11 +317,11 @@ pub struct MachineConfig {
     /// Injected fault layers; `None` (or [`FaultConfig::none`]) runs
     /// undisturbed.
     pub faults: Option<FaultConfig>,
-    /// Coherence protocol; `None` uses the process-wide default
-    /// ([`crate::default_protocol`], normally [`ProtocolKind::Flat`]).
-    /// The choice changes results — the harness `--protocol` flag flips
-    /// the default for protocol-sensitivity runs.
-    pub protocol: Option<ProtocolKind>,
+    /// Coherence protocol ([`ProtocolKind::Flat`] from the constructors).
+    /// The choice changes results: each protocol is its own deterministic
+    /// model, and the harness `--protocol` flag sets it on every machine
+    /// of a protocol-sensitivity run.
+    pub protocol: ProtocolKind,
     /// Per-CPU cache geometry for the set-associative protocols. Ignored
     /// by [`ProtocolKind::Flat`].
     pub geometry: CacheGeometry,
@@ -404,7 +404,7 @@ impl MachineConfig {
             latency: LatencyModel::wildfire(),
             preemption: None,
             faults: None,
-            protocol: None,
+            protocol: ProtocolKind::Flat,
             geometry: CacheGeometry::default_geometry(),
             seed: 0x5EED,
             hot_locks: crate::DEFAULT_HOT_LOCKS,
@@ -418,7 +418,7 @@ impl MachineConfig {
             latency: LatencyModel::e6000(),
             preemption: None,
             faults: None,
-            protocol: None,
+            protocol: ProtocolKind::Flat,
             geometry: CacheGeometry::default_geometry(),
             seed: 0x5EED,
             hot_locks: crate::DEFAULT_HOT_LOCKS,
@@ -462,11 +462,10 @@ impl MachineConfig {
         self
     }
 
-    /// Selects the coherence protocol explicitly (overriding the process
-    /// default for this machine only).
+    /// Selects the coherence protocol.
     #[must_use]
     pub fn with_protocol(mut self, protocol: ProtocolKind) -> MachineConfig {
-        self.protocol = Some(protocol);
+        self.protocol = protocol;
         self
     }
 
@@ -610,7 +609,7 @@ mod tests {
         let cfg = MachineConfig::wildfire(2, 4)
             .with_protocol(ProtocolKind::Mesi)
             .with_geometry(CacheGeometry { line_words: 4, sets: 16, ways: 2 });
-        assert_eq!(cfg.protocol, Some(ProtocolKind::Mesi));
+        assert_eq!(cfg.protocol, ProtocolKind::Mesi);
         assert_eq!(cfg.geometry.capacity_lines(), 32);
         assert!(cfg.validate().is_ok());
     }

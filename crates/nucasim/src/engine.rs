@@ -208,12 +208,7 @@ impl Machine {
             }
             PreemptState::new(p, topo.num_cpus(), &mut rng)
         });
-        let mut mem = MemorySystem::new(
-            Arc::clone(&topo),
-            cfg.latency,
-            cfg.protocol.unwrap_or_else(crate::default_protocol),
-            cfg.geometry,
-        );
+        let mut mem = MemorySystem::new(Arc::clone(&topo), cfg.latency, cfg.protocol, cfg.geometry);
         // FaultConfig::none() is exactly equivalent to no fault config:
         // no state, no extra rng draws, bit-identical runs.
         let faults = cfg.faults.filter(FaultConfig::is_active).map(|f| {

@@ -141,21 +141,23 @@ pub fn sim_events_total() -> u64 {
     SIM_EVENTS.load(std::sync::atomic::Ordering::Relaxed)
 }
 
-/// Process-wide default coherence protocol, used by every
-/// [`MachineConfig`] whose `protocol` field is `None`. Encoded as the
-/// index into [`ProtocolKind::ALL`]; defaults to the flat model.
+/// The process-wide protocol of [`set_default_protocol`], as an index
+/// into [`ProtocolKind::ALL`].
 static DEFAULT_PROTOCOL: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
 
-/// Sets the process-wide default coherence protocol (the harness
-/// `--protocol` flag). Machines built afterwards without an explicit
-/// `protocol` use `kind`. This changes simulation results: each protocol
-/// is its own deterministic model.
+/// Sets the process-wide protocol that [`default_protocol`] returns.
+///
+/// The simulator never reads it: a machine runs the protocol its
+/// [`MachineConfig`] names. It remains for
+/// `nuca_experiments::run_experiment`, whose `(id, scale)` signature has
+/// no room for a protocol, so its callers choose one here.
 pub fn set_default_protocol(kind: ProtocolKind) {
     let idx = ProtocolKind::ALL.iter().position(|&k| k == kind).expect("in ALL") as u8;
     DEFAULT_PROTOCOL.store(idx, std::sync::atomic::Ordering::Relaxed);
 }
 
-/// The current process-wide default coherence protocol.
+/// The process-wide protocol last set by [`set_default_protocol`]
+/// ([`ProtocolKind::Flat`] before any call).
 pub fn default_protocol() -> ProtocolKind {
     ProtocolKind::ALL[DEFAULT_PROTOCOL.load(std::sync::atomic::Ordering::Relaxed) as usize]
 }

@@ -296,8 +296,8 @@ impl Default for SimLockParams {
             get_angry_limit: 16,
             rh_max_handovers: 64,
             cna_splice_threshold: 64,
-            twa_slots: default_twa_slots(),
-            twa_hash: default_twa_hash(),
+            twa_slots: twa::WA_SLOTS,
+            twa_hash: TwaHash::Mod,
         }
     }
 }
@@ -350,45 +350,6 @@ pub(crate) fn assert_twa_slots(slots: usize) {
         (1..=MAX_TWA_SLOTS).contains(&slots),
         "TWA needs between 1 and {MAX_TWA_SLOTS} waiting-array slots (got {slots})"
     );
-}
-
-/// Process-wide default TWA waiting-array slot count, read by
-/// [`SimLockParams::default`]. The harness `--twa-slots` flag sets it once
-/// before any run.
-static DEFAULT_TWA_SLOTS: std::sync::atomic::AtomicUsize =
-    std::sync::atomic::AtomicUsize::new(16);
-
-/// Process-wide default TWA hash ([`TwaHash::ALL`] index), read by
-/// [`SimLockParams::default`]. The harness `--twa-hash` flag sets it.
-static DEFAULT_TWA_HASH: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-/// Sets the process-wide default TWA waiting-array slot count.
-///
-/// # Panics
-///
-/// Panics on `slots == 0` — a slotless array has nowhere to park — and
-/// above [`MAX_TWA_SLOTS`].
-pub fn set_default_twa_slots(slots: usize) {
-    assert_twa_slots(slots);
-    DEFAULT_TWA_SLOTS.store(slots, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The process-wide default TWA waiting-array slot count (16 unless
-/// [`set_default_twa_slots`] changed it).
-pub fn default_twa_slots() -> usize {
-    DEFAULT_TWA_SLOTS.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Sets the process-wide default TWA ticket→slot hash.
-pub fn set_default_twa_hash(hash: TwaHash) {
-    let idx = TwaHash::ALL.iter().position(|&h| h == hash).expect("hash in ALL");
-    DEFAULT_TWA_HASH.store(idx as u8, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The process-wide default TWA ticket→slot hash ([`TwaHash::Mod`] unless
-/// [`set_default_twa_hash`] changed it).
-pub fn default_twa_hash() -> TwaHash {
-    TwaHash::ALL[DEFAULT_TWA_HASH.load(std::sync::atomic::Ordering::Relaxed) as usize]
 }
 
 /// Allocates a lock of `kind` in simulated memory, homed in `home`.

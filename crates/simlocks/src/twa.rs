@@ -33,7 +33,7 @@ use crate::{LockSession, SimLock, Step, TwaHash};
 /// collision semantics (two tickets `slots` apart share a slot). The
 /// count and the ticket→slot hash are per-lock tunables
 /// ([`crate::SimLockParams::twa_slots`] / `twa_hash`).
-const WA_SLOTS: usize = 16;
+pub(crate) const WA_SLOTS: usize = 16;
 
 /// Waiters at distance ≤ this spin on `now_serving`; further back parks
 /// on the waiting array. The paper's threshold.

@@ -72,23 +72,6 @@ impl std::str::FromStr for BindingKind {
     }
 }
 
-/// Process-wide default binding ([`BindingKind::ALL`] index), read by
-/// [`ModernConfig::default`]. The harness `--binding` flag sets it once
-/// before any run.
-static DEFAULT_BINDING: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-/// Sets the process-wide default thread binding.
-pub fn set_default_binding(kind: BindingKind) {
-    let idx = BindingKind::ALL.iter().position(|&b| b == kind).expect("binding in ALL");
-    DEFAULT_BINDING.store(idx as u8, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The process-wide default thread binding ([`BindingKind::RoundRobin`]
-/// unless [`set_default_binding`] changed it).
-pub fn default_binding() -> BindingKind {
-    BindingKind::ALL[DEFAULT_BINDING.load(std::sync::atomic::Ordering::Relaxed) as usize]
-}
-
 /// Configuration of one new-microbenchmark run.
 #[derive(Debug, Clone)]
 pub struct ModernConfig {
@@ -121,8 +104,8 @@ pub struct ModernConfig {
     /// the set-associative protocols. One line's worth of padding
     /// (geometry `line_words`) separates them.
     pub data_padding: u32,
-    /// How threads are bound to CPUs (defaults to the process default —
-    /// see [`set_default_binding`] / the harness `--binding` flag).
+    /// How threads are bound to CPUs ([`BindingKind::RoundRobin`] by
+    /// default, the paper's binding; the harness `--binding` flag sets it).
     pub binding: BindingKind,
     /// Simulated-cycle budget; runs exceeding it report `finished=false`.
     pub cycle_limit: u64,
@@ -140,7 +123,7 @@ impl Default for ModernConfig {
             params: SimLockParams::default(),
             collocate: false,
             data_padding: 0,
-            binding: default_binding(),
+            binding: BindingKind::RoundRobin,
             cycle_limit: 50_000_000_000,
         }
     }

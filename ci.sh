@@ -339,26 +339,38 @@ fi
 
 echo "==> model checker state counts at the benchmark's arguments"
 # Every subject, run with its arguments from hbobench/expected.json, must
-# pass exhaustively with exactly the distinct-state count recorded there.
+# pass exhaustively with exactly the distinct-state count recorded there
+# and the transition count pinned below: equal states alone would not
+# show a search that reaches them along different edges.
 if command -v python3 >/dev/null 2>&1; then
     python3 - <<'EOF'
 import json, re, subprocess, sys
+TRANSITIONS = {
+    "TATAS": 562, "TATAS_EXP": 12883, "MCS": 49512, "CLH": 3564, "RH": 10272,
+    "HBO": 21633, "HBO_GT": 87991, "HBO_GT_SD": 7170, "TICKET": 5736,
+    "HIER": 24908, "CNA": 250804, "TWA": 453695, "RECIP": 324687,
+}
 mcheck = json.load(open("hbobench/expected.json"))["mcheck"]
 bad = []
 for subject, args in mcheck["args"].items():
     out = subprocess.run(["./target/release/nuca-mcheck", *args],
                          capture_output=True, text=True).stdout
-    m = re.search(rf"^{re.escape(subject)}\s.*: PASS  \(exhaustive\) states=(\d+)",
-                  out, re.M)
-    got = int(m.group(1)) if m else None
-    if got != mcheck["states"].get(subject):
-        bad.append(f"{subject}: states={got}, expected {mcheck['states'].get(subject)}")
+    m = re.search(rf"^{re.escape(subject)}\s.*: PASS  \(exhaustive\) "
+                  r"states=(\d+) transitions=(\d+)", out, re.M)
+    got = (int(m.group(1)), int(m.group(2))) if m else (None, None)
+    want = (mcheck["states"].get(subject), TRANSITIONS.get(subject))
+    if got != want:
+        bad.append(f"{subject}: states={got[0]} transitions={got[1]}, "
+                   f"expected states={want[0]} transitions={want[1]}")
 if set(mcheck["args"]) != set(mcheck["states"]):
     bad.append("hbobench/expected.json: mcheck.args and mcheck.states name different subjects")
+if set(mcheck["args"]) != set(TRANSITIONS):
+    bad.append("ci.sh: TRANSITIONS and hbobench/expected.json name different subjects")
 if bad:
     print("\n".join(bad))
     sys.exit(1)
-print(f"mcheck states OK: {len(mcheck['args'])} subjects match hbobench/expected.json")
+print(f"mcheck counts OK: {len(mcheck['args'])} subjects match hbobench/expected.json "
+      f"and {sum(TRANSITIONS.values())} pinned transitions")
 EOF
 else
     echo "python3 not found; skipping the mcheck state-count check"

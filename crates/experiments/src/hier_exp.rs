@@ -16,7 +16,7 @@ use hbo_locks::{BackoffConfig, LevelBackoff, LockKind};
 use nuca_topology::{NodeId, Topology};
 use nuca_workloads::modern::ModernConfig;
 use nucasim::{LatencyModel, MachineConfig};
-use nucasim_locks::SimHierHbo;
+use nucasim_locks::{Lock, SimHierHbo};
 
 use crate::report::{fmt_ratio, Report};
 use crate::{Cells, Scale, Settings};
@@ -86,12 +86,7 @@ pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
             cfg.params.remote,
         ]);
         let cell = cells.custom("HBO_HIER", &cfg, &|mem, topo, _gt| {
-            Box::new(SimHierHbo::alloc(
-                mem,
-                std::sync::Arc::new(topo.clone()),
-                NodeId(0),
-                table.clone(),
-            ))
+            Lock::Hier(SimHierHbo::alloc(mem, topo, NodeId(0), table.clone()))
         });
         let r = &cell.micro;
         row.push(format!("{:.0}", r.ns_per_iteration));

@@ -10,7 +10,7 @@
 use hbo_locks::LockKind;
 use nuca_topology::NodeId;
 use nuca_workloads::modern::ModernConfig;
-use nucasim_locks::SimTicket;
+use nucasim_locks::{Lock, SimTicket};
 
 use crate::report::{fmt_ratio, Report};
 use crate::{Cells, Scale, Settings};
@@ -52,7 +52,7 @@ pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
     for cw in cws {
         let c = cfg(settings, scale, LockKind::Mcs, cw);
         let cell = cells.custom("TICKET", &c, &|mem, _topo, _gt| {
-            Box::new(SimTicket::alloc(mem, NodeId(0)))
+            Lock::Ticket(SimTicket::alloc(mem, NodeId(0)))
         });
         let r = &cell.micro;
         row.push(format!("{:.0}", r.ns_per_iteration));

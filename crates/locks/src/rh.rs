@@ -49,6 +49,15 @@ pub struct RhToken {
     node: NodeId,
 }
 
+/// How `RhLock::try_local` captured the local copy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Capture {
+    /// From `FREE`: the lock was globally free.
+    Fresh,
+    /// From `L_FREE`: a neighbour handed it over.
+    Handover,
+}
+
 /// The RH lock (2 nodes).
 ///
 /// # Example
@@ -116,19 +125,21 @@ impl RhLock {
         &self.copies[node.index()]
     }
 
-    /// Attempts to capture the *local* copy; returns the observed value.
-    fn try_local(&self, node: NodeId) -> usize {
+    /// Attempts to capture the *local* copy: a fresh global capture
+    /// (`FREE → HELD`) or a local handover (`L_FREE → HELD`). On failure,
+    /// returns the value the failed CAS observed. That value can be `FREE`
+    /// or `L_FREE` even though no capture happened: a neighbour may take
+    /// the copy between the two CASes and release it again. Callers then
+    /// re-classify rather than treat the observation as a capture.
+    fn try_local(&self, node: NodeId) -> Result<Capture, usize> {
         let c = self.copy(node);
         // cas FREE→HELD, else cas L_FREE→HELD.
         match c.compare_exchange(FREE, HELD, Ordering::Acquire, Ordering::Relaxed) {
-            Ok(_) => FREE,
-            Err(v) if v == L_FREE => {
-                match c.compare_exchange(L_FREE, HELD, Ordering::Acquire, Ordering::Relaxed) {
-                    Ok(_) => L_FREE,
-                    Err(v) => v,
-                }
-            }
-            Err(v) => v,
+            Ok(_) => Ok(Capture::Fresh),
+            Err(v) if v == L_FREE => c
+                .compare_exchange(L_FREE, HELD, Ordering::Acquire, Ordering::Relaxed)
+                .map(|_| Capture::Handover),
+            Err(v) => Err(v),
         }
     }
 
@@ -173,17 +184,17 @@ impl NucaLock for RhLock {
         let mut b = Backoff::new(&self.local);
         loop {
             match self.try_local(node) {
-                FREE => {
+                Ok(Capture::Fresh) => {
                     // Fresh global capture: restart the handover budget.
                     self.handovers.store(0, Ordering::Relaxed);
                     return RhToken { node };
                 }
-                L_FREE => {
+                Ok(Capture::Handover) => {
                     // Local handover: one more unit of budget consumed.
                     self.handovers.fetch_add(1, Ordering::Relaxed);
                     return RhToken { node };
                 }
-                REMOTE => {
+                Err(REMOTE) => {
                     // Node-winner election: exactly one thread goes
                     // remote-fishing.
                     if self
@@ -195,9 +206,12 @@ impl NucaLock for RhLock {
                         return RhToken { node };
                     }
                 }
+                // Raced: the copy was taken and freed again between our
+                // two CASes. Re-classify at once.
+                Err(FREE) => {}
                 // HELD or FISHING: a neighbor owns or is fetching the
                 // lock; spin locally.
-                _ => b.spin(),
+                Err(_) => b.spin(),
             }
         }
     }
@@ -205,15 +219,15 @@ impl NucaLock for RhLock {
     fn try_acquire(&self, node: NodeId) -> Option<RhToken> {
         assert!(node.index() < 2, "RH lock supports exactly two nodes");
         match self.try_local(node) {
-            FREE => {
+            Ok(Capture::Fresh) => {
                 self.handovers.store(0, Ordering::Relaxed);
                 Some(RhToken { node })
             }
-            L_FREE => {
+            Ok(Capture::Handover) => {
                 self.handovers.fetch_add(1, Ordering::Relaxed);
                 Some(RhToken { node })
             }
-            _ => None,
+            Err(_) => None,
         }
     }
 

@@ -3,12 +3,14 @@
 //!
 //! The search steps one live [`World`] in place. Every state on the
 //! current path with more than one choice keeps a snapshot (a clone of
-//! its world) in its frame; backtracking to it restores the snapshot and
-//! steps the next sibling. The last sibling moves the snapshot out
-//! instead of cloning it, and states with a single choice keep none. A
-//! world is under a kilobyte of plain data — memory image, sessions,
-//! pending commands — so a snapshot costs far less than rebuilding the
-//! initial world and replaying the schedule prefix.
+//! its world) in its frame; backtracking to it restores the snapshot into
+//! the live world and steps the next sibling. The last sibling drops the
+//! snapshot, and states with a single choice keep none. A world is under
+//! a kilobyte of plain data — memory image, fixed-size sessions, pending
+//! commands — so a snapshot costs two allocations and a restore none,
+//! far less than rebuilding the initial world and replaying the schedule
+//! prefix. The live world's observers (statistics, trace) persist across
+//! restores: one per search.
 //!
 //! A state-hash dedup cache bounds the search: a state already visited at
 //! the same or smaller depth cannot lead anywhere new. The key is
@@ -19,7 +21,7 @@
 
 use std::collections::HashMap;
 
-use crate::world::{Status, World};
+use crate::world::{Status, World, MAX_THREADS};
 use crate::{CheckConfig, Violation};
 
 /// Exploration counters for one [`explore`] run.
@@ -45,8 +47,10 @@ pub struct Counterexample {
 }
 
 struct Frame {
-    /// Sibling choices at this state (thread ids), favorite first.
-    choices: Vec<usize>,
+    /// Sibling choices at this state (thread ids), favorite first; the
+    /// first `len` entries are used.
+    choices: [usize; MAX_THREADS],
+    len: usize,
     /// How many of `choices` have been explored.
     taken: usize,
     /// Preemption budget spent reaching this state.
@@ -113,25 +117,29 @@ pub fn explore(cfg: &CheckConfig) -> (ExploreStats, Option<Counterexample>) {
         if expand {
             let last = schedule.last().copied();
             let last_enabled = last.is_some_and(|l| world.enabled(l));
-            let mut choices = Vec::new();
+            let mut choices = [0; MAX_THREADS];
+            let mut len = 0;
             // Favorite first: keep running the thread that just ran — the
             // non-preempting child — then the others in id order.
             if let Some(l) = last {
                 if last_enabled {
-                    choices.push(l);
+                    choices[len] = l;
+                    len += 1;
                 }
             }
             let budget_left = cfg.preempt.is_none_or(|b| enter_preempts < b);
             if !last_enabled || budget_left {
                 for t in 0..world.num_threads() {
                     if Some(t) != last && world.enabled(t) {
-                        choices.push(t);
+                        choices[len] = t;
+                        len += 1;
                     }
                 }
             }
-            let snapshot = (choices.len() > 1).then(|| world.clone());
+            let snapshot = (len > 1).then(|| world.clone());
             frames.push(Frame {
                 choices,
+                len,
                 taken: 0,
                 preempts: enter_preempts,
                 last,
@@ -146,15 +154,17 @@ pub fn explore(cfg: &CheckConfig) -> (ExploreStats, Option<Counterexample>) {
         loop {
             if frames.len() > schedule.len() {
                 let frame = frames.last_mut().expect("nonempty by comparison");
-                if frame.taken < frame.choices.len() {
+                if frame.taken < frame.len {
                     let t = frame.choices[frame.taken];
                     if frame.taken > 0 {
-                        let snapshot = if frame.taken + 1 == frame.choices.len() {
-                            frame.snapshot.take()
-                        } else {
-                            frame.snapshot.clone()
-                        };
-                        world = snapshot.expect("a frame with siblings left keeps its snapshot");
+                        let snapshot = frame
+                            .snapshot
+                            .as_ref()
+                            .expect("a frame with siblings left keeps its snapshot");
+                        world.restore(snapshot);
+                        if frame.taken + 1 == frame.len {
+                            frame.snapshot = None;
+                        }
                     }
                     frame.taken += 1;
                     let preempt_step = frame.last_enabled && frame.last.is_some_and(|l| l != t);

@@ -2,7 +2,7 @@
 //! simulator lock state machines.
 //!
 //! Every algorithm in `nucasim-locks` is a resumable state machine
-//! ([`nucasim_locks::LockSession`]) that communicates with the world only
+//! ([`nucasim_locks::Session`]) that communicates with the world only
 //! through [`nucasim::Command`] values — exactly the shape a systematic
 //! concurrency checker needs. This crate drives those sessions directly
 //! over a tiny **sequentially consistent** flat word store (no `nucasim`

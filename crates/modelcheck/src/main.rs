@@ -14,6 +14,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use nuca_modelcheck::world::MAX_THREADS;
 use nuca_modelcheck::{check, check_random, cli, render, CheckConfig, Subject};
 
 const USAGE: &str = "usage: nuca-mcheck [--kind K|all] [--cpus N] [--iters N] \
@@ -43,8 +44,12 @@ fn main() -> ExitCode {
                 Err(msg) => return usage_error(&msg),
             },
             "--cpus" => match cli::parse_count("--cpus", iter.next().as_deref()) {
-                Ok(n) if n <= 8 => cpus = n as usize,
-                Ok(n) => return usage_error(&format!("--cpus {n} is past the exhaustible range (max 8)")),
+                Ok(n) if n <= MAX_THREADS as u64 => cpus = n as usize,
+                Ok(n) => {
+                    return usage_error(&format!(
+                        "--cpus {n} is past the exhaustible range (max {MAX_THREADS})"
+                    ))
+                }
                 Err(msg) => return usage_error(&msg),
             },
             "--iters" => match cli::parse_count("--iters", iter.next().as_deref()) {

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use hbo_locks::BackoffConfig;
 use nuca_topology::{CpuId, NodeId};
 use nucasim::{Addr, Command, CpuCtx, EventLog, Machine, MachineConfig, SimStats};
-use nucasim_locks::{build_lock, mutants, GtSlots, LockSession, SimLock, SimLockParams, Step};
+use nucasim_locks::{build_lock, mutants, GtSlots, Lock, Session, SimLockParams, Step};
 
 use crate::{CheckConfig, Subject, Violation};
 
@@ -44,6 +44,10 @@ pub fn checker_params() -> SimLockParams {
         twa_hash: nucasim_locks::TwaHash::Mod,
     }
 }
+
+/// Most threads a world can hold: the exhaustive search keeps each
+/// state's sibling choices in a fixed array of this size.
+pub const MAX_THREADS: usize = 8;
 
 /// Where a thread is in its acquire/release loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -69,7 +73,7 @@ pub enum Status {
 
 #[derive(Debug, Clone)]
 struct Thread {
-    session: Box<dyn LockSession>,
+    session: Session,
     cpu: CpuId,
     node: NodeId,
     phase: Phase,
@@ -95,16 +99,18 @@ pub struct World {
     threads: Vec<Thread>,
     holder: Option<usize>,
     clock: u64,
+    /// The per-node GT `is_spinning` words: the same in every state.
+    gt: GtSlots,
+    /// Observers, not state: what the sessions report while stepping.
     stats: SimStats,
-    /// Flat-store indices of the per-node GT `is_spinning` words.
-    slots: Vec<usize>,
     trace: Option<EventLog>,
 }
 
 /// A snapshot: the clone copies the state (memory, threads and their
-/// sessions, holder, clock) but not the observers — it starts with empty
-/// statistics and no trace sink. The clock is copied because sessions
-/// see it through [`CpuCtx`], so a clone steps exactly like the original.
+/// fixed-size sessions, holder, clock) but not the observers — it starts
+/// with empty statistics and no trace sink, and allocates only the memory
+/// image and the thread vector. The clock is copied because sessions see
+/// it through [`CpuCtx`], so a clone steps exactly like the original.
 impl Clone for World {
     fn clone(&self) -> World {
         World {
@@ -112,8 +118,8 @@ impl Clone for World {
             threads: self.threads.clone(),
             holder: self.holder,
             clock: self.clock,
+            gt: self.gt,
             stats: SimStats::default(),
-            slots: self.slots.clone(),
             trace: None,
         }
     }
@@ -133,7 +139,10 @@ impl World {
     }
 
     fn build(cfg: &CheckConfig, trace: Option<EventLog>) -> World {
-        assert!(cfg.cpus >= 1, "need at least one thread");
+        assert!(
+            (1..=MAX_THREADS).contains(&cfg.cpus),
+            "need between 1 and {MAX_THREADS} threads"
+        );
         assert!(cfg.iters >= 1, "need at least one iteration");
         let cpn = cfg.cpus.div_ceil(2).max(1);
         let mut machine = Machine::new(MachineConfig::wildfire(2, cpn));
@@ -141,17 +150,19 @@ impl World {
         let gt = GtSlots::alloc(machine.mem_mut(), &topo);
         let params = checker_params();
         let home = NodeId(0);
-        let lock: Box<dyn SimLock> = match cfg.subject {
+        let lock = match cfg.subject {
             Subject::Kind(k) => build_lock(k, machine.mem_mut(), &topo, &gt, home, &params),
-            Subject::RacyTatas => Box::new(mutants::RacyTatas::alloc(machine.mem_mut(), home)),
-            Subject::LeakyHboGt => Box::new(mutants::LeakyHboGt::alloc(
+            Subject::RacyTatas => {
+                Lock::RacyTatas(mutants::RacyTatas::alloc(machine.mem_mut(), home))
+            }
+            Subject::LeakyHboGt => Lock::LeakyHboGt(mutants::LeakyHboGt::alloc(
                 machine.mem_mut(),
                 home,
-                gt.clone(),
+                gt,
                 params.local,
                 params.remote,
             )),
-            Subject::SpliceLostCna => Box::new(mutants::SpliceLostCna::alloc(
+            Subject::SpliceLostCna => Lock::SpliceLostCna(mutants::SpliceLostCna::alloc(
                 machine.mem_mut(),
                 &topo,
                 home,
@@ -167,7 +178,6 @@ impl World {
                 machine.mem().peek(addr)
             })
             .collect();
-        let slots: Vec<usize> = topo.nodes().map(|n| gt.slot(n).index()).collect();
 
         let mut threads = Vec::with_capacity(cfg.cpus);
         let mut per_node = [0usize; 2];
@@ -191,8 +201,8 @@ impl World {
             threads,
             holder: None,
             clock: 0,
+            gt,
             stats: SimStats::default(),
-            slots,
             trace,
         };
         for t in 0..world.threads.len() {
@@ -202,6 +212,17 @@ impl World {
                 .expect("no violation can precede the first command");
         }
         world
+    }
+
+    /// Returns this world to `snapshot`'s state — a clone of this world
+    /// or of one it stepped to — keeping this world's observers, so one
+    /// statistics sink and trace serve a whole search. Copies into the
+    /// existing buffers: a restore allocates nothing.
+    pub fn restore(&mut self, snapshot: &World) {
+        self.mem.clone_from(&snapshot.mem);
+        self.threads.clone_from(&snapshot.threads);
+        self.holder = snapshot.holder;
+        self.clock = snapshot.clock;
     }
 
     /// Number of threads.
@@ -265,7 +286,8 @@ impl World {
     /// GT `is_spinning` slot must be back to 0.
     pub fn final_violation(&self) -> Option<Violation> {
         debug_assert_eq!(self.status(), Status::Done);
-        for &slot in &self.slots {
+        for node in 0..self.gt.nodes() {
+            let slot = self.gt.slot(NodeId(node)).index();
             let value = self.mem[slot];
             if value != 0 {
                 return Some(Violation::SlotLeak { slot, value });
@@ -389,11 +411,7 @@ impl World {
     /// Invokes one session entry point (or a pure trace hook) with a
     /// properly wired [`CpuCtx`].
     fn call(&mut self, t: usize, what: Call) -> Option<Step> {
-        fn run(
-            session: &mut Box<dyn LockSession>,
-            ctx: &mut CpuCtx<'_>,
-            what: Call,
-        ) -> Option<Step> {
+        fn run(session: &mut Session, ctx: &mut CpuCtx<'_>, what: Call) -> Option<Step> {
             match what {
                 Call::StartAcquire => Some(session.start_acquire(ctx)),
                 Call::ResumeAcquire(r) => Some(session.resume_acquire(ctx, r)),
@@ -431,7 +449,9 @@ impl World {
 
     /// Hashes the semantic state — memory image, holder, and every
     /// thread's phase, pending command, remaining iterations, and session
-    /// (every session field, through its derived `Hash`). The clock and
+    /// (through its derived `Hash`, which skips the session's constants:
+    /// lock addresses, its own CPU and node, tuning values — the same in
+    /// every state of a run, so they separate nothing). The clock and
     /// statistics are deliberately excluded: they are observers, not state.
     pub fn state_key(&self) -> u64 {
         let mut h = StateHasher::default();
@@ -666,6 +686,13 @@ mod tests {
         assert!(w.stats.lock_trace(0).is_some(), "t0's fast path acquired");
         assert!(snapshot.stats.lock_trace(0).is_none());
         assert_eq!(snapshot.state_key(), w.state_key());
+        // Restoring brings the state back and keeps the live observers.
+        w.step(1).unwrap();
+        assert_ne!(snapshot.state_key(), w.state_key());
+        w.restore(&snapshot);
+        assert_eq!(snapshot.state_key(), w.state_key());
+        assert!(w.trace.is_some());
+        assert!(w.stats.lock_trace(0).is_some());
     }
 
     #[test]

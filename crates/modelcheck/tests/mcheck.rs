@@ -48,13 +48,18 @@ fn state_space_sizes_are_pinned_at_two_cpus() {
     }
 }
 
-/// A fresh world that has replayed `schedule` from the initial state.
-fn replayed(cfg: &CheckConfig, schedule: &[usize]) -> World {
+/// A fresh world that has replayed `schedule` from the initial state,
+/// with the result of the last step (every earlier one must succeed).
+fn replayed(cfg: &CheckConfig, schedule: &[usize]) -> (World, Result<Option<u64>, Violation>) {
     let mut world = World::new(cfg);
-    for &t in schedule {
-        world.step(t).expect("verified subjects never violate");
+    let (&last, prefix) = schedule.split_last().expect("a nonempty schedule");
+    for &t in prefix {
+        world
+            .step(t)
+            .expect("the prefix replays without a violation");
     }
-    world
+    let result = world.step(last);
+    (world, result)
 }
 
 /// Picks an enabled thread of `world` with `rng`, if any is enabled.
@@ -67,13 +72,17 @@ fn pick(world: &World, rng: &mut SplitMix64) -> Option<usize> {
 
 #[test]
 fn snapshots_step_exactly_like_replays() {
-    // A seeded schedule at 3 CPUs, where CNA's secondary queue can form.
-    // Partway through the world is cloned; every
-    // later step of the clone must agree with a fresh world replaying the
-    // whole prefix, and the original must not move.
+    // A seeded schedule at 3 CPUs, where CNA's secondary queue can form,
+    // for every subject the checker knows, mutants included. Partway
+    // through (or just before a mutant's first violation) the world is
+    // cloned; every later step of the clone — its result, violations
+    // included — must agree with a fresh world replaying the whole
+    // prefix, and the original must not move.
     const SPLIT: usize = 9;
-    for &subject in Subject::verified() {
+    let subjects = Subject::verified().iter().copied().chain(Subject::MUTANTS);
+    for subject in subjects {
         let name = subject.name();
+        let verified = !Subject::MUTANTS.contains(&subject);
         let mut cfg = CheckConfig::new(subject);
         cfg.cpus = 3;
         let mut rng = SplitMix64::new(0x5EED);
@@ -81,16 +90,25 @@ fn snapshots_step_exactly_like_replays() {
         let mut original = World::new(&cfg);
         while schedule.len() < SPLIT {
             let t = pick(&original, &mut rng).expect("no subject finishes within the split");
-            original.step(t).expect("verified subjects never violate");
+            let mut next = original.clone();
+            if next.step(t).is_err() {
+                // Leave the violation for the clone to find.
+                break;
+            }
+            original = next;
             schedule.push(t);
         }
         let original_key = original.state_key();
         let mut snapshot = original.clone();
         while let Some(t) = pick(&snapshot, &mut rng) {
-            snapshot.step(t).expect("verified subjects never violate");
+            let result = snapshot.step(t);
             schedule.push(t);
-            let fresh = replayed(&cfg, &schedule);
             let at = schedule.len();
+            let (fresh, fresh_result) = replayed(&cfg, &schedule);
+            assert_eq!(result, fresh_result, "{name} step {at}: result");
+            if result.is_err() {
+                break;
+            }
             assert_eq!(
                 snapshot.state_key(),
                 fresh.state_key(),
@@ -114,7 +132,9 @@ fn snapshots_step_exactly_like_replays() {
                 );
             }
         }
-        assert_eq!(snapshot.status(), Status::Done, "{name}");
+        if verified {
+            assert_eq!(snapshot.status(), Status::Done, "{name}");
+        }
         assert_eq!(
             original.state_key(),
             original_key,

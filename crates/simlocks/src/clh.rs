@@ -1,10 +1,9 @@
 //! Simulator CLH queue lock.
 
-use hbo_locks::LockKind;
 use nuca_topology::{CpuId, NodeId, Topology};
 use nucasim::{Addr, Command, CpuCtx, MemorySystem};
 
-use crate::{LockSession, SimLock, Step};
+use crate::{alloc_table, Fixed, Step};
 
 const LOCKED: u64 = 1;
 const UNLOCKED: u64 = 0;
@@ -16,11 +15,12 @@ const UNLOCKED: u64 = 0;
 /// node. Node ownership transfers down the queue, so a session adopts its
 /// predecessor's node after each release — exactly the recycling scheme of
 /// the real algorithm.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct SimClh {
     tail: Addr,
-    /// One flag word per CPU plus one initial dummy (index `cpus`).
-    nodes: Vec<Addr>,
+    /// Base of the flag words: one per CPU, then the initial dummy (index
+    /// `cpus`), back to back.
+    nodes: Addr,
 }
 
 impl SimClh {
@@ -28,32 +28,33 @@ impl SimClh {
     /// homed in their CPU's node.
     pub fn alloc(mem: &mut MemorySystem, topo: &Topology, home: NodeId) -> SimClh {
         let tail = mem.alloc(home);
-        let mut nodes: Vec<Addr> = topo
-            .cpus()
-            .map(|c| mem.alloc(topo.node_of(c)))
-            .collect();
-        let dummy = mem.alloc(home);
+        let cpus = topo.num_cpus();
+        let nodes = alloc_table(mem, cpus + 1, 1, |i| {
+            if i < cpus {
+                topo.node_of(CpuId(i))
+            } else {
+                home
+            }
+        });
+        let dummy = nodes.offset(cpus);
         mem.poke(dummy, UNLOCKED);
-        nodes.push(dummy);
         // Tail initially points at the dummy (encoded index+1).
-        mem.poke(tail, nodes.len() as u64);
+        mem.poke(tail, cpus as u64 + 1);
         SimClh { tail, nodes }
     }
-}
 
-impl SimLock for SimClh {
-    fn session(&self, cpu: CpuId, _node: NodeId) -> Box<dyn LockSession> {
-        Box::new(ClhSession {
-            tail: self.tail,
-            nodes: self.nodes.clone(),
+    pub(crate) fn session(&self, cpu: CpuId) -> ClhSession {
+        ClhSession {
+            lock: Fixed(*self),
             mine: cpu.index(),
             pred: usize::MAX,
             state: ClhState::Idle,
-        })
+        }
     }
 
-    fn kind(&self) -> LockKind {
-        LockKind::Clh
+    /// Flag word `i` (a CPU's original node, or the dummy at `cpus`).
+    fn node(&self, i: usize) -> Addr {
+        self.nodes.offset(i)
     }
 }
 
@@ -67,10 +68,10 @@ enum ClhState {
     Releasing,
 }
 
+/// A CLH contender.
 #[derive(Debug, Clone, Hash)]
-struct ClhSession {
-    tail: Addr,
-    nodes: Vec<Addr>,
+pub struct ClhSession {
+    lock: Fixed<SimClh>,
     /// Index of the node this session currently owns.
     mine: usize,
     /// Index of the predecessor node (adopted at release).
@@ -78,19 +79,19 @@ struct ClhSession {
     state: ClhState,
 }
 
-impl LockSession for ClhSession {
-    fn start_acquire(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
+impl ClhSession {
+    pub(crate) fn start_acquire(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
         debug_assert_eq!(self.state, ClhState::Idle);
         self.state = ClhState::SetLocked;
-        Step::Op(Command::Write(self.nodes[self.mine], LOCKED))
+        Step::Op(Command::Write(self.lock.node(self.mine), LOCKED))
     }
 
-    fn resume_acquire(&mut self, _ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
+    pub(crate) fn resume_acquire(&mut self, _ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
         match self.state {
             ClhState::SetLocked => {
                 self.state = ClhState::Swapped;
                 Step::Op(Command::Swap {
-                    addr: self.tail,
+                    addr: self.lock.tail,
                     value: self.mine as u64 + 1,
                 })
             }
@@ -100,7 +101,7 @@ impl LockSession for ClhSession {
                 self.pred = (prev - 1) as usize;
                 self.state = ClhState::SpinPred;
                 Step::Op(Command::WaitWhile {
-                    addr: self.nodes[self.pred],
+                    addr: self.lock.node(self.pred),
                     equals: LOCKED,
                 })
             }
@@ -112,13 +113,13 @@ impl LockSession for ClhSession {
         }
     }
 
-    fn start_release(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
+    pub(crate) fn start_release(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
         debug_assert_eq!(self.state, ClhState::Holding);
         self.state = ClhState::Releasing;
-        Step::Op(Command::Write(self.nodes[self.mine], UNLOCKED))
+        Step::Op(Command::Write(self.lock.node(self.mine), UNLOCKED))
     }
 
-    fn resume_release(&mut self, _ctx: &mut CpuCtx<'_>, _result: Option<u64>) -> Step {
+    pub(crate) fn resume_release(&mut self, _ctx: &mut CpuCtx<'_>, _result: Option<u64>) -> Step {
         debug_assert_eq!(self.state, ClhState::Releasing);
         // Adopt the predecessor's (now quiescent) node for the next
         // acquisition.
@@ -131,8 +132,8 @@ impl LockSession for ClhSession {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::testutil::{exclusion_test, uncontested_cost};
+    use hbo_locks::LockKind;
 
     #[test]
     fn mutual_exclusion() {

@@ -15,11 +15,10 @@
 //! walk issues real simulated reads, so CNA's handoff-selection cost is
 //! visible to the profiler — that scan is the price of its locality.
 
-use hbo_locks::LockKind;
 use nuca_topology::{CpuId, NodeId, Topology};
 use nucasim::{Addr, Command, CpuCtx, MemorySystem};
 
-use crate::{LockSession, SimLock, Step};
+use crate::{alloc_table, Fixed, Step};
 
 /// `spin` value while waiting.
 const WAIT: u64 = 0;
@@ -27,17 +26,18 @@ const WAIT: u64 = 0;
 /// values `>= 2` encode a secondary-queue head (CPU encoding + 1).
 const GRANTED: u64 = 1;
 
-/// One queue node's words: `(spin, socket, sec_tail, next)`.
-type Qnode = (Addr, Addr, Addr, Addr);
+/// Words per queue node: `spin`, `socket`, `sec_tail`, `next`.
+const QNODE_WORDS: usize = 4;
 
 /// CNA in simulated memory.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct SimCna {
     tail: Addr,
     /// Consecutive local handoffs; read and written only by the holder.
     streak: Addr,
     splice_threshold: u64,
-    qnodes: Vec<Qnode>,
+    /// Base of the per-CPU queue nodes, [`QNODE_WORDS`] words each.
+    qnodes: Addr,
     /// Mutant hook ([`crate::mutants::SpliceLostCna`]): the splice path
     /// "forgets" to link the main successor behind the secondary queue.
     drop_splice_link: bool,
@@ -55,22 +55,23 @@ impl SimCna {
     ) -> SimCna {
         let tail = mem.alloc(home);
         let streak = mem.alloc(home);
-        let qnodes: Vec<Qnode> = topo
-            .cpus()
-            .map(|c| {
-                let n = topo.node_of(c);
-                let q = (mem.alloc(n), mem.alloc(n), mem.alloc(n), mem.alloc(n));
-                mem.poke(q.1, n.index() as u64);
-                q
-            })
-            .collect();
-        SimCna {
+        let qnodes = alloc_table(mem, topo.num_cpus(), QNODE_WORDS, |c| {
+            topo.node_of(CpuId(c))
+        });
+        let lock = SimCna {
             tail,
             streak,
             splice_threshold: u64::from(splice_threshold.max(1)),
             qnodes,
             drop_splice_link: false,
+        };
+        for c in topo.cpus() {
+            mem.poke(
+                lock.socket_of(c.index() as u64 + 1),
+                topo.node_of(c).index() as u64,
+            );
         }
+        lock
     }
 
     /// [`alloc`](SimCna::alloc) with the splice-link bug armed — only for
@@ -85,29 +86,40 @@ impl SimCna {
         lock.drop_splice_link = true;
         lock
     }
-}
 
-impl SimLock for SimCna {
-    fn session(&self, cpu: CpuId, node: NodeId) -> Box<dyn LockSession> {
-        Box::new(CnaSession {
-            tail: self.tail,
-            streak: self.streak,
-            threshold: self.splice_threshold,
-            qnodes: self.qnodes.clone(),
-            me: cpu.index() as u64 + 1,
-            my_socket: node.index() as u64,
-            drop_splice_link: self.drop_splice_link,
+    pub(crate) fn session(&self, cpu: CpuId, node: NodeId) -> CnaSession {
+        CnaSession {
+            lock: Fixed(*self),
+            me: Fixed(cpu.index() as u64 + 1),
+            my_socket: Fixed(node.index() as u64),
             sv: GRANTED,
             head: 0,
             cur: 0,
             prefix_last: 0,
             streak_val: 0,
             state: CnaState::Idle,
-        })
+        }
     }
 
-    fn kind(&self) -> LockKind {
-        LockKind::Cna
+    /// Word `field` of the queue node of the CPU encoded as `enc`.
+    fn qnode(&self, enc: u64, field: usize) -> Addr {
+        self.qnodes.offset((enc - 1) as usize * QNODE_WORDS + field)
+    }
+
+    fn spin_of(&self, enc: u64) -> Addr {
+        self.qnode(enc, 0)
+    }
+
+    fn socket_of(&self, enc: u64) -> Addr {
+        self.qnode(enc, 1)
+    }
+
+    fn sec_tail_of(&self, enc: u64) -> Addr {
+        self.qnode(enc, 2)
+    }
+
+    fn next_of(&self, enc: u64) -> Addr {
+        self.qnode(enc, 3)
     }
 }
 
@@ -149,16 +161,13 @@ enum CnaState {
     GrantHead,
 }
 
+/// A CNA contender.
 #[derive(Debug, Clone, Hash)]
-struct CnaSession {
-    tail: Addr,
-    streak: Addr,
-    threshold: u64,
-    qnodes: Vec<Qnode>,
+pub struct CnaSession {
+    lock: Fixed<SimCna>,
     /// This CPU's encoding in tail/next words (index + 1).
-    me: u64,
-    my_socket: u64,
-    drop_splice_link: bool,
+    me: Fixed<u64>,
+    my_socket: Fixed<u64>,
     /// The granted spin value: [`GRANTED`] or secondary head enc + 1.
     sv: u64,
     /// Main-queue successor (head of the walk) during release.
@@ -173,22 +182,6 @@ struct CnaSession {
 }
 
 impl CnaSession {
-    fn spin_of(&self, enc: u64) -> Addr {
-        self.qnodes[(enc - 1) as usize].0
-    }
-
-    fn socket_of(&self, enc: u64) -> Addr {
-        self.qnodes[(enc - 1) as usize].1
-    }
-
-    fn sec_tail_of(&self, enc: u64) -> Addr {
-        self.qnodes[(enc - 1) as usize].2
-    }
-
-    fn next_of(&self, enc: u64) -> Addr {
-        self.qnodes[(enc - 1) as usize].3
-    }
-
     /// The secondary-queue head encoded in `self.sv` (callers check
     /// `sv != GRANTED` first).
     fn sec_head(&self) -> u64 {
@@ -200,14 +193,14 @@ impl CnaSession {
     /// walk for a local waiter while the streak budget lasts, else go
     /// straight to the splice path.
     fn select_successor(&mut self) -> Step {
-        if self.streak_val < self.threshold {
+        if self.streak_val < self.lock.splice_threshold {
             self.cur = self.head;
             self.prefix_last = 0;
             self.state = CnaState::RdSock;
-            Step::Op(Command::Read(self.socket_of(self.cur)))
+            Step::Op(Command::Read(self.lock.socket_of(self.cur)))
         } else {
             self.state = CnaState::WrStreakSplice;
-            Step::Op(Command::Write(self.streak, 0))
+            Step::Op(Command::Write(self.lock.streak, 0))
         }
     }
 
@@ -217,36 +210,34 @@ impl CnaSession {
     fn splice_step(&mut self) -> Step {
         if self.sv == GRANTED {
             self.state = CnaState::GrantHead;
-            Step::Op(Command::Write(self.spin_of(self.head), GRANTED))
+            Step::Op(Command::Write(self.lock.spin_of(self.head), GRANTED))
         } else {
             self.state = CnaState::RdSecTailSplice;
-            Step::Op(Command::Read(self.sec_tail_of(self.sec_head())))
+            Step::Op(Command::Read(self.lock.sec_tail_of(self.sec_head())))
         }
     }
-}
 
-impl LockSession for CnaSession {
-    fn start_acquire(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
+    pub(crate) fn start_acquire(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
         debug_assert_eq!(self.state, CnaState::Idle);
         self.state = CnaState::InitSpin;
-        Step::Op(Command::Write(self.spin_of(self.me), WAIT))
+        Step::Op(Command::Write(self.lock.spin_of(*self.me), WAIT))
     }
 
-    fn resume_acquire(&mut self, _ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
+    pub(crate) fn resume_acquire(&mut self, _ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
         match self.state {
             CnaState::InitSpin => {
                 self.state = CnaState::InitSecTail;
-                Step::Op(Command::Write(self.sec_tail_of(self.me), 0))
+                Step::Op(Command::Write(self.lock.sec_tail_of(*self.me), 0))
             }
             CnaState::InitSecTail => {
                 self.state = CnaState::InitNext;
-                Step::Op(Command::Write(self.next_of(self.me), 0))
+                Step::Op(Command::Write(self.lock.next_of(*self.me), 0))
             }
             CnaState::InitNext => {
                 self.state = CnaState::Swapped;
                 Step::Op(Command::Swap {
-                    addr: self.tail,
-                    value: self.me,
+                    addr: self.lock.tail,
+                    value: *self.me,
                 })
             }
             CnaState::Swapped => {
@@ -255,10 +246,10 @@ impl LockSession for CnaSession {
                     // Uncontended: become the holder with an empty
                     // secondary queue.
                     self.state = CnaState::SelfGrant;
-                    Step::Op(Command::Write(self.spin_of(self.me), GRANTED))
+                    Step::Op(Command::Write(self.lock.spin_of(*self.me), GRANTED))
                 } else {
                     self.state = CnaState::LinkedPred;
-                    Step::Op(Command::Write(self.next_of(prev), self.me))
+                    Step::Op(Command::Write(self.lock.next_of(prev), *self.me))
                 }
             }
             CnaState::SelfGrant => {
@@ -269,7 +260,7 @@ impl LockSession for CnaSession {
             CnaState::LinkedPred => {
                 self.state = CnaState::SpinGrant;
                 Step::Op(Command::WaitWhile {
-                    addr: self.spin_of(self.me),
+                    addr: self.lock.spin_of(*self.me),
                     equals: WAIT,
                 })
             }
@@ -284,44 +275,44 @@ impl LockSession for CnaSession {
         }
     }
 
-    fn start_release(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
+    pub(crate) fn start_release(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
         debug_assert_eq!(self.state, CnaState::Holding);
         self.state = CnaState::ReadNext;
-        Step::Op(Command::Read(self.next_of(self.me)))
+        Step::Op(Command::Read(self.lock.next_of(*self.me)))
     }
 
-    fn resume_release(&mut self, _ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
+    pub(crate) fn resume_release(&mut self, _ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
         match self.state {
             CnaState::ReadNext => {
                 let next = result.expect("read returns value");
                 if next != 0 {
                     self.head = next;
                     self.state = CnaState::RdStreak;
-                    Step::Op(Command::Read(self.streak))
+                    Step::Op(Command::Read(self.lock.streak))
                 } else if self.sv == GRANTED {
                     // Nobody visible anywhere: try to free the lock.
                     self.state = CnaState::CasTailFree;
                     Step::Op(Command::Cas {
-                        addr: self.tail,
-                        expected: self.me,
+                        addr: self.lock.tail,
+                        expected: *self.me,
                         new: 0,
                     })
                 } else {
                     // Main queue drained, remote waiters parked: promote
                     // the secondary queue to be the main queue.
                     self.state = CnaState::RdPromoteSecTail;
-                    Step::Op(Command::Read(self.sec_tail_of(self.sec_head())))
+                    Step::Op(Command::Read(self.lock.sec_tail_of(self.sec_head())))
                 }
             }
             CnaState::CasTailFree => {
                 let old = result.expect("cas returns old");
-                if old == self.me {
+                if old == *self.me {
                     self.state = CnaState::Idle;
                     Step::Released
                 } else {
                     self.state = CnaState::WaitLink;
                     Step::Op(Command::WaitWhile {
-                        addr: self.next_of(self.me),
+                        addr: self.lock.next_of(*self.me),
                         equals: 0,
                     })
                 }
@@ -331,27 +322,27 @@ impl LockSession for CnaSession {
                 self.cur = sec_tail;
                 self.state = CnaState::CasTailPromote;
                 Step::Op(Command::Cas {
-                    addr: self.tail,
-                    expected: self.me,
+                    addr: self.lock.tail,
+                    expected: *self.me,
                     new: sec_tail,
                 })
             }
             CnaState::CasTailPromote => {
                 let old = result.expect("cas returns old");
-                if old == self.me {
+                if old == *self.me {
                     self.state = CnaState::WrStreakPromote;
-                    Step::Op(Command::Write(self.streak, 0))
+                    Step::Op(Command::Write(self.lock.streak, 0))
                 } else {
                     self.state = CnaState::WaitLink;
                     Step::Op(Command::WaitWhile {
-                        addr: self.next_of(self.me),
+                        addr: self.lock.next_of(*self.me),
                         equals: 0,
                     })
                 }
             }
             CnaState::WrStreakPromote => {
                 self.state = CnaState::GrantPromote;
-                Step::Op(Command::Write(self.spin_of(self.sec_head()), GRANTED))
+                Step::Op(Command::Write(self.lock.spin_of(self.sec_head()), GRANTED))
             }
             CnaState::GrantPromote => {
                 self.state = CnaState::Idle;
@@ -362,7 +353,7 @@ impl LockSession for CnaSession {
                 debug_assert_ne!(next, 0);
                 self.head = next;
                 self.state = CnaState::RdStreak;
-                Step::Op(Command::Read(self.streak))
+                Step::Op(Command::Read(self.lock.streak))
             }
             CnaState::RdStreak => {
                 self.streak_val = result.expect("read returns value");
@@ -370,22 +361,22 @@ impl LockSession for CnaSession {
             }
             CnaState::RdSock => {
                 let sock = result.expect("read returns value");
-                if sock == self.my_socket {
+                if sock == *self.my_socket {
                     // Local successor found at `cur`.
                     if self.prefix_last == 0 {
                         // No remote prefix skipped: plain local handoff.
                         self.state = CnaState::WrStreakLocal;
-                        Step::Op(Command::Write(self.streak, self.streak_val + 1))
+                        Step::Op(Command::Write(self.lock.streak, self.streak_val + 1))
                     } else {
                         // Detach [head ..= prefix_last] onto the
                         // secondary queue, starting by terminating it.
                         self.state = CnaState::CutPrefix;
-                        Step::Op(Command::Write(self.next_of(self.prefix_last), 0))
+                        Step::Op(Command::Write(self.lock.next_of(self.prefix_last), 0))
                     }
                 } else {
                     self.prefix_last = self.cur;
                     self.state = CnaState::RdWalkNext;
-                    Step::Op(Command::Read(self.next_of(self.cur)))
+                    Step::Op(Command::Read(self.lock.next_of(self.cur)))
                 }
             }
             CnaState::RdWalkNext => {
@@ -394,11 +385,11 @@ impl LockSession for CnaSession {
                     // Ran off the linked queue without a local waiter
                     // (possibly an arrival mid-link): serve remote.
                     self.state = CnaState::WrStreakSplice;
-                    Step::Op(Command::Write(self.streak, 0))
+                    Step::Op(Command::Write(self.lock.streak, 0))
                 } else {
                     self.cur = next;
                     self.state = CnaState::RdSock;
-                    Step::Op(Command::Read(self.socket_of(self.cur)))
+                    Step::Op(Command::Read(self.lock.socket_of(self.cur)))
                 }
             }
             CnaState::CutPrefix => {
@@ -406,39 +397,42 @@ impl LockSession for CnaSession {
                     // The detached prefix becomes a fresh secondary
                     // queue headed by `head`.
                     self.state = CnaState::SetNewSecTail;
-                    Step::Op(Command::Write(self.sec_tail_of(self.head), self.prefix_last))
+                    Step::Op(Command::Write(
+                        self.lock.sec_tail_of(self.head),
+                        self.prefix_last,
+                    ))
                 } else {
                     // Append the prefix to the existing secondary queue.
                     self.state = CnaState::RdOldSecTail;
-                    Step::Op(Command::Read(self.sec_tail_of(self.sec_head())))
+                    Step::Op(Command::Read(self.lock.sec_tail_of(self.sec_head())))
                 }
             }
             CnaState::SetNewSecTail => {
                 self.sv = self.head + 1;
                 self.state = CnaState::WrStreakLocal;
-                Step::Op(Command::Write(self.streak, self.streak_val + 1))
+                Step::Op(Command::Write(self.lock.streak, self.streak_val + 1))
             }
             CnaState::RdOldSecTail => {
                 let old_tail = result.expect("read returns value");
                 self.state = CnaState::LinkOldSecTail;
-                Step::Op(Command::Write(self.next_of(old_tail), self.head))
+                Step::Op(Command::Write(self.lock.next_of(old_tail), self.head))
             }
             CnaState::LinkOldSecTail => {
                 self.state = CnaState::UpdOldSecTail;
                 Step::Op(Command::Write(
-                    self.sec_tail_of(self.sec_head()),
+                    self.lock.sec_tail_of(self.sec_head()),
                     self.prefix_last,
                 ))
             }
             CnaState::UpdOldSecTail => {
                 self.state = CnaState::WrStreakLocal;
-                Step::Op(Command::Write(self.streak, self.streak_val + 1))
+                Step::Op(Command::Write(self.lock.streak, self.streak_val + 1))
             }
             CnaState::WrStreakLocal => {
                 // Grant `cur`, passing the (possibly grown) secondary
                 // queue along in the spin value.
                 self.state = CnaState::GrantSucc;
-                Step::Op(Command::Write(self.spin_of(self.cur), self.sv))
+                Step::Op(Command::Write(self.lock.spin_of(self.cur), self.sv))
             }
             CnaState::GrantSucc => {
                 self.state = CnaState::Idle;
@@ -451,24 +445,21 @@ impl LockSession for CnaSession {
             }
             CnaState::RdSecTailSplice => {
                 let sec_tail = result.expect("read returns value");
-                if self.drop_splice_link {
+                if self.lock.drop_splice_link {
                     // BUG (mutant): grant the secondary head without first
                     // linking the main successor behind the secondary
                     // tail. The main queue from `head` on is orphaned —
                     // those waiters spin forever and the chain's last
                     // node deadlocks waiting for a link that never comes.
                     self.state = CnaState::GrantSecHead;
-                    return Step::Op(Command::Write(
-                        self.spin_of(self.sec_head()),
-                        GRANTED,
-                    ));
+                    return Step::Op(Command::Write(self.lock.spin_of(self.sec_head()), GRANTED));
                 }
                 self.state = CnaState::LinkSecTail;
-                Step::Op(Command::Write(self.next_of(sec_tail), self.head))
+                Step::Op(Command::Write(self.lock.next_of(sec_tail), self.head))
             }
             CnaState::LinkSecTail => {
                 self.state = CnaState::GrantSecHead;
-                Step::Op(Command::Write(self.spin_of(self.sec_head()), GRANTED))
+                Step::Op(Command::Write(self.lock.spin_of(self.sec_head()), GRANTED))
             }
             CnaState::GrantSecHead => {
                 self.state = CnaState::Idle;
@@ -483,6 +474,7 @@ impl LockSession for CnaSession {
 mod tests {
     use super::*;
     use crate::testutil::{exclusion_test, uncontested_cost};
+    use hbo_locks::LockKind;
 
     #[test]
     fn mutual_exclusion() {
@@ -510,7 +502,13 @@ mod tests {
         let topo = std::sync::Arc::clone(m.topology());
         let lock = SimCna::alloc(m.mem_mut(), &topo, NodeId(0), 64);
         for cpu in topo.cpus() {
-            let (spin, socket, sec_tail, next) = lock.qnodes[cpu.index()];
+            let enc = cpu.index() as u64 + 1;
+            let (spin, socket, sec_tail, next) = (
+                lock.spin_of(enc),
+                lock.socket_of(enc),
+                lock.sec_tail_of(enc),
+                lock.next_of(enc),
+            );
             for w in [spin, socket, sec_tail, next] {
                 assert_eq!(m.mem().home(w), topo.node_of(cpu));
             }

@@ -1,9 +1,9 @@
 //! [`SessionDriver`]: plumbing between a workload program and a
-//! [`LockSession`] state machine.
+//! [`Session`] state machine.
 
 use nucasim::{Command, CpuCtx};
 
-use crate::{LockSession, Step};
+use crate::{Session, Step};
 
 /// What the driver wants next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,7 +25,7 @@ enum Phase {
     Releasing,
 }
 
-/// Drives a [`LockSession`] from inside a [`nucasim::Program`].
+/// Drives a [`Session`] from inside a [`nucasim::Program`].
 ///
 /// A workload keeps one driver per lock it uses; when the driver reports
 /// [`DriveResult::Busy`], the workload issues the command and routes the
@@ -68,7 +68,7 @@ enum Phase {
 /// ```
 #[derive(Debug)]
 pub struct SessionDriver {
-    session: Box<dyn LockSession>,
+    session: Session,
     phase: Phase,
     /// Dense index this lock's statistics are recorded under.
     lock_index: usize,
@@ -80,7 +80,7 @@ pub struct SessionDriver {
 
 impl SessionDriver {
     /// Wraps a session; statistics go to lock index 0.
-    pub fn new(session: Box<dyn LockSession>) -> SessionDriver {
+    pub fn new(session: Session) -> SessionDriver {
         SessionDriver {
             session,
             phase: Phase::Idle,

@@ -1,10 +1,10 @@
 //! Simulator HBO — paper Figure 1 without the emphasized (GT) lines.
 
-use hbo_locks::{BackoffConfig, LockKind};
-use nuca_topology::{CpuId, NodeId};
+use hbo_locks::BackoffConfig;
+use nuca_topology::NodeId;
 use nucasim::{Addr, BackoffClass, Command, CpuCtx, MemorySystem};
 
-use crate::{LockSession, SimBackoff, SimLock, Step};
+use crate::{Fixed, SimBackoff, Step};
 
 pub(crate) const FREE: u64 = 0;
 
@@ -15,9 +15,9 @@ pub(crate) fn tag(node: NodeId) -> u64 {
 
 /// HBO in simulated memory: one lock word holding the holder's node id;
 /// contenders back off eagerly (same node) or lazily (remote node).
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct SimHbo {
-    word: Addr,
+    pub(crate) word: Addr,
     local: BackoffConfig,
     remote: BackoffConfig,
 }
@@ -36,26 +36,14 @@ impl SimHbo {
             remote,
         }
     }
-}
 
-impl SimLock for SimHbo {
-    fn session(&self, _cpu: CpuId, node: NodeId) -> Box<dyn LockSession> {
-        Box::new(HboSession {
-            word: self.word,
-            my_tag: tag(node),
-            local: self.local,
-            remote: self.remote,
+    pub(crate) fn session(&self, node: NodeId) -> HboSession {
+        HboSession {
+            lock: Fixed(*self),
+            my_tag: Fixed(tag(node)),
             backoff: SimBackoff::new(self.local),
             state: HboState::Idle,
-        })
-    }
-
-    fn kind(&self) -> LockKind {
-        LockKind::Hbo
-    }
-
-    fn lock_word(&self) -> Option<Addr> {
-        Some(self.word)
+        }
     }
 }
 
@@ -78,12 +66,11 @@ enum HboState {
     Releasing,
 }
 
+/// An HBO contender.
 #[derive(Debug, Clone, Hash)]
-struct HboSession {
-    word: Addr,
-    my_tag: u64,
-    local: BackoffConfig,
-    remote: BackoffConfig,
+pub struct HboSession {
+    lock: Fixed<SimHbo>,
+    my_tag: Fixed<u64>,
     backoff: SimBackoff,
     state: HboState,
 }
@@ -91,20 +78,20 @@ struct HboSession {
 impl HboSession {
     fn cas(&self) -> Command {
         Command::Cas {
-            addr: self.word,
+            addr: self.lock.word,
             expected: FREE,
-            new: self.my_tag,
+            new: *self.my_tag,
         }
     }
 
     /// `start:` — classify by the last observed holder tag.
     fn classify(&mut self, ctx: &mut CpuCtx<'_>, tmp: u64) -> Step {
-        let class = if tmp == self.my_tag {
-            self.backoff.reset(self.local);
+        let class = if tmp == *self.my_tag {
+            self.backoff.reset(self.lock.local);
             self.state = HboState::LocalDelay;
             BackoffClass::Local
         } else {
-            self.backoff.reset(self.remote);
+            self.backoff.reset(self.lock.remote);
             self.state = HboState::RemoteDelay;
             BackoffClass::Remote
         };
@@ -112,16 +99,14 @@ impl HboSession {
         ctx.trace_backoff(d, class);
         Step::Op(Command::Delay(d))
     }
-}
 
-impl LockSession for HboSession {
-    fn start_acquire(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
+    pub(crate) fn start_acquire(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
         debug_assert_eq!(self.state, HboState::Idle);
         self.state = HboState::FastCas;
         Step::Op(self.cas())
     }
 
-    fn resume_acquire(&mut self, ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
+    pub(crate) fn resume_acquire(&mut self, ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
         match self.state {
             HboState::FastCas => {
                 let tmp = result.expect("cas returns old");
@@ -142,7 +127,7 @@ impl LockSession for HboSession {
                     self.state = HboState::Holding;
                     return Step::Acquired;
                 }
-                if tmp == self.my_tag {
+                if tmp == *self.my_tag {
                     // Still local: keep the eager loop going.
                     self.state = HboState::LocalDelay;
                     let d = self.backoff.next_delay();
@@ -158,7 +143,7 @@ impl LockSession for HboSession {
                 }
             }
             HboState::MigratePause => {
-                self.backoff.reset(self.remote);
+                self.backoff.reset(self.lock.remote);
                 self.state = HboState::RemoteDelay;
                 let d = self.backoff.next_delay();
                 ctx.trace_backoff(d, BackoffClass::Remote);
@@ -174,7 +159,7 @@ impl LockSession for HboSession {
                     self.state = HboState::Holding;
                     return Step::Acquired;
                 }
-                if tmp == self.my_tag {
+                if tmp == *self.my_tag {
                     // Lock moved into our node: switch to eager spinning.
                     self.classify(ctx, tmp)
                 } else {
@@ -188,13 +173,13 @@ impl LockSession for HboSession {
         }
     }
 
-    fn start_release(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
+    pub(crate) fn start_release(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
         debug_assert_eq!(self.state, HboState::Holding);
         self.state = HboState::Releasing;
-        Step::Op(Command::Write(self.word, FREE))
+        Step::Op(Command::Write(self.lock.word, FREE))
     }
 
-    fn resume_release(&mut self, _ctx: &mut CpuCtx<'_>, _result: Option<u64>) -> Step {
+    pub(crate) fn resume_release(&mut self, _ctx: &mut CpuCtx<'_>, _result: Option<u64>) -> Step {
         debug_assert_eq!(self.state, HboState::Releasing);
         self.state = HboState::Idle;
         Step::Released
@@ -203,8 +188,8 @@ impl LockSession for HboSession {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::testutil::{exclusion_test, uncontested_cost};
+    use hbo_locks::LockKind;
 
     #[test]
     fn mutual_exclusion() {

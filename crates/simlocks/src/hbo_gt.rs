@@ -1,20 +1,20 @@
 //! Simulator HBO_GT — paper Figure 1 including the emphasized lines.
 
-use hbo_locks::{BackoffConfig, LockKind};
-use nuca_topology::{CpuId, NodeId};
+use hbo_locks::BackoffConfig;
+use nuca_topology::NodeId;
 use nucasim::{Addr, BackoffClass, Command, CpuCtx, MemorySystem};
 
 use crate::hbo::{tag, FREE};
-use crate::{GtSlots, LockSession, SimBackoff, SimLock, Step};
+use crate::{Fixed, GtSlots, SimBackoff, Step};
 
 /// The `is_spinning` "dummy value" (no throttling).
 pub(crate) const DUMMY: u64 = 0;
 
 /// HBO_GT in simulated memory: HBO plus the per-node `is_spinning` gate
 /// that limits each node to (approximately) one remote spinner.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct SimHboGt {
-    word: Addr,
+    pub(crate) word: Addr,
     gt: GtSlots,
     local: BackoffConfig,
     remote: BackoffConfig,
@@ -37,27 +37,15 @@ impl SimHboGt {
             remote,
         }
     }
-}
 
-impl SimLock for SimHboGt {
-    fn session(&self, _cpu: CpuId, node: NodeId) -> Box<dyn LockSession> {
-        Box::new(HboGtSession {
-            word: self.word,
-            my_slot: self.gt.slot(node),
-            my_tag: tag(node),
-            local: self.local,
-            remote: self.remote,
+    pub(crate) fn session(&self, node: NodeId) -> HboGtSession {
+        HboGtSession {
+            lock: Fixed(*self),
+            my_slot: Fixed(self.gt.slot(node)),
+            my_tag: Fixed(tag(node)),
             backoff: SimBackoff::new(self.local),
             state: GtState::Idle,
-        })
-    }
-
-    fn kind(&self) -> LockKind {
-        LockKind::HboGt
-    }
-
-    fn lock_word(&self) -> Option<Addr> {
-        Some(self.word)
+        }
     }
 }
 
@@ -85,13 +73,12 @@ enum GtState {
     Releasing,
 }
 
+/// An HBO_GT contender.
 #[derive(Debug, Clone, Hash)]
-struct HboGtSession {
-    word: Addr,
-    my_slot: Addr,
-    my_tag: u64,
-    local: BackoffConfig,
-    remote: BackoffConfig,
+pub struct HboGtSession {
+    lock: Fixed<SimHboGt>,
+    my_slot: Fixed<Addr>,
+    my_tag: Fixed<u64>,
     backoff: SimBackoff,
     state: GtState,
 }
@@ -99,45 +86,43 @@ struct HboGtSession {
 impl HboGtSession {
     fn cas(&self) -> Command {
         Command::Cas {
-            addr: self.word,
+            addr: self.lock.word,
             expected: FREE,
-            new: self.my_tag,
+            new: *self.my_tag,
         }
     }
 
     fn gate(&mut self) -> Step {
         self.state = GtState::Gate;
         Step::Op(Command::WaitWhile {
-            addr: self.my_slot,
-            equals: self.word.encode(),
+            addr: *self.my_slot,
+            equals: self.lock.word.encode(),
         })
     }
 
     /// `start:` — classify by holder tag.
     fn classify(&mut self, ctx: &mut CpuCtx<'_>, tmp: u64) -> Step {
-        if tmp == self.my_tag {
-            self.backoff.reset(self.local);
+        if tmp == *self.my_tag {
+            self.backoff.reset(self.lock.local);
             self.state = GtState::LocalDelay;
             let d = self.backoff.next_delay();
             ctx.trace_backoff(d, BackoffClass::Local);
             Step::Op(Command::Delay(d))
         } else {
             // Remote: publish the throttle before spinning (line 39).
-            self.backoff.reset(self.remote);
+            self.backoff.reset(self.lock.remote);
             self.state = GtState::Announce;
             ctx.trace_throttle_spin();
-            Step::Op(Command::Write(self.my_slot, self.word.encode()))
+            Step::Op(Command::Write(*self.my_slot, self.lock.word.encode()))
         }
     }
-}
 
-impl LockSession for HboGtSession {
-    fn start_acquire(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
+    pub(crate) fn start_acquire(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
         debug_assert_eq!(self.state, GtState::Idle);
         self.gate()
     }
 
-    fn resume_acquire(&mut self, ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
+    pub(crate) fn resume_acquire(&mut self, ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
         match self.state {
             GtState::Gate => {
                 self.state = GtState::GateCas;
@@ -162,7 +147,7 @@ impl LockSession for HboGtSession {
                     self.state = GtState::Holding;
                     return Step::Acquired;
                 }
-                if tmp == self.my_tag {
+                if tmp == *self.my_tag {
                     self.state = GtState::LocalDelay;
                     let d = self.backoff.next_delay();
                     ctx.trace_backoff(d, BackoffClass::Local);
@@ -193,11 +178,11 @@ impl LockSession for HboGtSession {
                 if tmp == FREE {
                     // Release the threads from our node (line 44).
                     self.state = GtState::ClearThenAcquired;
-                    Step::Op(Command::Write(self.my_slot, DUMMY))
-                } else if tmp == self.my_tag {
+                    Step::Op(Command::Write(*self.my_slot, DUMMY))
+                } else if tmp == *self.my_tag {
                     // Lock migrated home (lines 47–49).
                     self.state = GtState::ClearThenRestart;
-                    Step::Op(Command::Write(self.my_slot, DUMMY))
+                    Step::Op(Command::Write(*self.my_slot, DUMMY))
                 } else {
                     self.state = GtState::RemoteDelay;
                     let d = self.backoff.next_delay();
@@ -214,13 +199,13 @@ impl LockSession for HboGtSession {
         }
     }
 
-    fn start_release(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
+    pub(crate) fn start_release(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
         debug_assert_eq!(self.state, GtState::Holding);
         self.state = GtState::Releasing;
-        Step::Op(Command::Write(self.word, FREE))
+        Step::Op(Command::Write(self.lock.word, FREE))
     }
 
-    fn resume_release(&mut self, _ctx: &mut CpuCtx<'_>, _result: Option<u64>) -> Step {
+    pub(crate) fn resume_release(&mut self, _ctx: &mut CpuCtx<'_>, _result: Option<u64>) -> Step {
         debug_assert_eq!(self.state, GtState::Releasing);
         self.state = GtState::Idle;
         Step::Released
@@ -229,8 +214,8 @@ impl LockSession for HboGtSession {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::testutil::{exclusion_test, uncontested_cost};
+    use hbo_locks::LockKind;
 
     #[test]
     fn mutual_exclusion() {

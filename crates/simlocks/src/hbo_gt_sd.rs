@@ -1,21 +1,21 @@
 //! Simulator HBO_GT_SD — paper Figure 2 grafted onto Figure 1.
 
-use hbo_locks::{BackoffConfig, LockKind};
-use nuca_topology::{CpuId, NodeId};
-use nucasim::{Addr, BackoffClass, Command, CpuCtx, MemorySystem};
+use hbo_locks::BackoffConfig;
+use nuca_topology::NodeId;
+use nucasim::{Addr, BackoffClass, Command, CpuCtx, MemorySystem, MAX_SIM_NODES};
 
 use crate::hbo::{tag, FREE};
 use crate::hbo_gt::DUMMY;
-use crate::{GtSlots, LockSession, SimBackoff, SimLock, Step};
+use crate::{Fixed, GtSlots, SimBackoff, Step};
 
 /// HBO_GT_SD in simulated memory: HBO_GT plus node-centric starvation
 /// detection. A remote spinner that fails `get_angry_limit` times spins
 /// eagerly from then on and writes the lock address into the `is_spinning`
 /// slot of each node it observes holding the lock, gating new contenders
 /// from those nodes until the angry thread finally acquires.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct SimHboGtSd {
-    word: Addr,
+    pub(crate) word: Addr,
     gt: GtSlots,
     local: BackoffConfig,
     remote: BackoffConfig,
@@ -24,6 +24,11 @@ pub struct SimHboGtSd {
 
 impl SimHboGtSd {
     /// Allocates the lock word homed in `home`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gt` covers more than [`MAX_SIM_NODES`] nodes (the
+    /// sessions keep their stopped nodes as a bit mask).
     pub fn alloc(
         mem: &mut MemorySystem,
         home: NodeId,
@@ -32,6 +37,10 @@ impl SimHboGtSd {
         remote: BackoffConfig,
         get_angry_limit: u32,
     ) -> SimHboGtSd {
+        assert!(
+            gt.nodes() <= MAX_SIM_NODES,
+            "HBO_GT_SD supports at most {MAX_SIM_NODES} nodes"
+        );
         SimHboGtSd {
             word: mem.alloc(home),
             gt,
@@ -40,33 +49,19 @@ impl SimHboGtSd {
             get_angry_limit: get_angry_limit.max(1),
         }
     }
-}
 
-impl SimLock for SimHboGtSd {
-    fn session(&self, _cpu: CpuId, node: NodeId) -> Box<dyn LockSession> {
-        Box::new(SdSession {
-            word: self.word,
-            gt: self.gt.clone(),
-            my_node: node,
-            my_tag: tag(node),
-            local: self.local,
-            remote: self.remote,
-            limit: self.get_angry_limit,
+    pub(crate) fn session(&self, node: NodeId) -> SdSession {
+        SdSession {
+            lock: Fixed(*self),
+            my_node: Fixed(node),
+            my_tag: Fixed(tag(node)),
             backoff: SimBackoff::new(self.local),
             get_angry: 0,
-            stopped: Vec::new(),
-            pending_clears: Vec::new(),
+            stopped: 0,
+            pending_clears: 0,
             after_clears: AfterClears::Acquired,
             state: SdState::Idle,
-        })
-    }
-
-    fn kind(&self) -> LockKind {
-        LockKind::HboGtSd
-    }
-
-    fn lock_word(&self) -> Option<Addr> {
-        Some(self.word)
+        }
     }
 }
 
@@ -97,31 +92,35 @@ enum AfterClears {
     Restart,
 }
 
+/// An HBO_GT_SD contender.
 #[derive(Debug, Clone, Hash)]
-struct SdSession {
-    word: Addr,
-    gt: GtSlots,
-    my_node: NodeId,
-    my_tag: u64,
-    local: BackoffConfig,
-    remote: BackoffConfig,
-    limit: u32,
+pub struct SdSession {
+    lock: Fixed<SimHboGtSd>,
+    my_node: Fixed<NodeId>,
+    my_tag: Fixed<u64>,
     backoff: SimBackoff,
     get_angry: u32,
-    /// Nodes we have stopped (Fig. 2's `stopped_node_id[]`).
-    stopped: Vec<NodeId>,
-    /// Slots still to clear before finishing the current transition.
-    pending_clears: Vec<Addr>,
+    /// Nodes we have stopped (Fig. 2's `stopped_node_id[]`), one bit per
+    /// node.
+    stopped: u64,
+    /// Nodes whose slot is still to be cleared before finishing the
+    /// current transition, one bit per node.
+    pending_clears: u64,
     after_clears: AfterClears,
     state: SdState,
+}
+
+/// The bit of `node` in a node mask.
+fn bit(node: NodeId) -> u64 {
+    1 << node.index()
 }
 
 impl SdSession {
     fn cas(&self) -> Command {
         Command::Cas {
-            addr: self.word,
+            addr: self.lock.word,
             expected: FREE,
-            new: self.my_tag,
+            new: *self.my_tag,
         }
     }
 
@@ -129,46 +128,51 @@ impl SdSession {
         self.state = SdState::Gate;
         Step::Op(Command::WaitWhile {
             addr: self.my_slot(),
-            equals: self.word.encode(),
+            equals: self.lock.word.encode(),
         })
     }
 
     fn my_slot(&self) -> Addr {
-        self.gt.slot(self.my_node)
+        self.lock.gt.slot(*self.my_node)
     }
 
     fn classify(&mut self, ctx: &mut CpuCtx<'_>, tmp: u64) -> Step {
-        if tmp == self.my_tag {
-            self.backoff.reset(self.local);
+        if tmp == *self.my_tag {
+            self.backoff.reset(self.lock.local);
             self.state = SdState::LocalDelay;
             let d = self.backoff.next_delay();
             ctx.trace_backoff(d, BackoffClass::Local);
             Step::Op(Command::Delay(d))
         } else {
-            self.backoff.reset(self.remote);
+            self.backoff.reset(self.lock.remote);
             self.get_angry = 0;
             self.state = SdState::Announce;
             ctx.trace_throttle_spin();
-            Step::Op(Command::Write(self.my_slot(), self.word.encode()))
+            Step::Op(Command::Write(self.my_slot(), self.lock.word.encode()))
         }
     }
 
     /// Queues the slot clears for lines 43–49 / 51–55 of Fig. 2 and emits
     /// the first one.
     fn begin_clears(&mut self, after: AfterClears) -> Step {
-        self.pending_clears.push(self.my_slot());
-        for n in self.stopped.drain(..) {
-            self.pending_clears.push(self.gt.slot(n));
-        }
+        self.pending_clears = std::mem::take(&mut self.stopped) | bit(*self.my_node);
         self.after_clears = after;
         self.state = SdState::Clearing;
-        let slot = self.pending_clears.pop().expect("just pushed");
-        Step::Op(Command::Write(slot, DUMMY))
+        self.continue_clears()
     }
 
+    /// Clears the next pending slot — stopped nodes in node order, our own
+    /// node's last — or finishes the transition once none is left.
     fn continue_clears(&mut self) -> Step {
-        if let Some(slot) = self.pending_clears.pop() {
-            return Step::Op(Command::Write(slot, DUMMY));
+        if self.pending_clears != 0 {
+            let others = self.pending_clears & !bit(*self.my_node);
+            let node = if others != 0 {
+                NodeId(others.trailing_zeros() as usize)
+            } else {
+                *self.my_node
+            };
+            self.pending_clears &= !bit(node);
+            return Step::Op(Command::Write(self.lock.gt.slot(node), DUMMY));
         }
         match self.after_clears {
             AfterClears::Acquired => {
@@ -178,16 +182,14 @@ impl SdSession {
             AfterClears::Restart => self.gate(),
         }
     }
-}
 
-impl LockSession for SdSession {
-    fn start_acquire(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
+    pub(crate) fn start_acquire(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
         debug_assert_eq!(self.state, SdState::Idle);
         self.get_angry = 0;
         self.gate()
     }
 
-    fn resume_acquire(&mut self, ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
+    pub(crate) fn resume_acquire(&mut self, ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
         match self.state {
             SdState::Gate => {
                 self.state = SdState::GateCas;
@@ -212,7 +214,7 @@ impl LockSession for SdSession {
                     self.state = SdState::Holding;
                     return Step::Acquired;
                 }
-                if tmp == self.my_tag {
+                if tmp == *self.my_tag {
                     self.state = SdState::LocalDelay;
                     let d = self.backoff.next_delay();
                     ctx.trace_backoff(d, BackoffClass::Local);
@@ -241,7 +243,7 @@ impl LockSession for SdSession {
                     // Fig. 2 lines 43–49.
                     return self.begin_clears(AfterClears::Acquired);
                 }
-                if tmp == self.my_tag {
+                if tmp == *self.my_tag {
                     // Fig. 2 lines 51–55.
                     return self.begin_clears(AfterClears::Restart);
                 }
@@ -253,19 +255,19 @@ impl LockSession for SdSession {
                 // finite (required by the `nuca-mcheck` model checker's
                 // state-hash dedup to terminate).
                 self.get_angry += 1;
-                if self.get_angry == self.limit {
+                if self.get_angry == self.lock.get_angry_limit {
                     self.get_angry = 0;
                     ctx.record_got_angry();
                     // Measure 1: spin more frequently.
-                    self.backoff.reset(self.local);
+                    self.backoff.reset(self.lock.local);
                     // Measure 2: stop the observed holder node.
                     let holder = NodeId((tmp - 1) as usize);
-                    if holder.index() < self.gt.nodes() && !self.stopped.contains(&holder) {
-                        self.stopped.push(holder);
+                    if holder.index() < self.lock.gt.nodes() && self.stopped & bit(holder) == 0 {
+                        self.stopped |= bit(holder);
                         self.state = SdState::StopNode;
                         return Step::Op(Command::Write(
-                            self.gt.slot(holder),
-                            self.word.encode(),
+                            self.lock.gt.slot(holder),
+                            self.lock.word.encode(),
                         ));
                     }
                 }
@@ -285,13 +287,13 @@ impl LockSession for SdSession {
         }
     }
 
-    fn start_release(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
+    pub(crate) fn start_release(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
         debug_assert_eq!(self.state, SdState::Holding);
         self.state = SdState::Releasing;
-        Step::Op(Command::Write(self.word, FREE))
+        Step::Op(Command::Write(self.lock.word, FREE))
     }
 
-    fn resume_release(&mut self, _ctx: &mut CpuCtx<'_>, _result: Option<u64>) -> Step {
+    pub(crate) fn resume_release(&mut self, _ctx: &mut CpuCtx<'_>, _result: Option<u64>) -> Step {
         debug_assert_eq!(self.state, SdState::Releasing);
         self.state = SdState::Idle;
         Step::Released
@@ -300,8 +302,8 @@ impl LockSession for SdSession {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::testutil::{exclusion_test, uncontested_cost};
+    use hbo_locks::LockKind;
 
     #[test]
     fn mutual_exclusion() {

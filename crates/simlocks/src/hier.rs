@@ -7,11 +7,13 @@
 //! (same chip / same node / remote node on a CMP-in-NUMA machine) and
 //! pick a per-distance backoff from a [`LevelBackoff`] table.
 
+use std::sync::Arc;
+
 use hbo_locks::LevelBackoff;
 use nuca_topology::{CpuId, NodeId, Topology};
 use nucasim::{Addr, BackoffClass, Command, CpuCtx, MemorySystem};
 
-use crate::{LockSession, SimBackoff, SimLock, Step};
+use crate::{Fixed, SimBackoff, Step};
 
 const FREE: u64 = 0;
 
@@ -25,11 +27,22 @@ fn tag(cpu: CpuId) -> u64 {
 /// Not part of [`hbo_locks::LockKind`] (the paper's eight measured
 /// algorithms); build it directly and pass it to a workload runner that
 /// accepts a custom lock factory.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SimHierHbo {
-    word: Addr,
-    topo: std::sync::Arc<Topology>,
-    backoff: LevelBackoff,
+    pub(crate) word: Addr,
+    /// Shared by every session of the lock, so cloning a session copies a
+    /// pointer, not the tables.
+    shape: Arc<HierShape>,
+}
+
+/// The part of the machine the algorithm reads, with its backoff table.
+#[derive(Debug)]
+struct HierShape {
+    cpus: usize,
+    /// Distance class (at least 1) between every pair of CPUs, row-major
+    /// by CPU id.
+    distances: Vec<usize>,
+    table: LevelBackoff,
 }
 
 impl SimHierHbo {
@@ -37,42 +50,39 @@ impl SimHierHbo {
     /// backoff table for `topo`'s distance classes.
     pub fn alloc(
         mem: &mut MemorySystem,
-        topo: std::sync::Arc<Topology>,
+        topo: &Topology,
         home: NodeId,
         backoff: LevelBackoff,
     ) -> SimHierHbo {
+        let distances = topo
+            .cpus()
+            .flat_map(|a| topo.cpus().map(move |b| topo.distance(a, b).max(1)))
+            .collect();
         SimHierHbo {
             word: mem.alloc(home),
-            topo,
-            backoff,
+            shape: Arc::new(HierShape {
+                cpus: topo.num_cpus(),
+                distances,
+                table: backoff,
+            }),
         }
     }
-}
 
-impl SimLock for SimHierHbo {
-    fn session(&self, cpu: CpuId, _node: NodeId) -> Box<dyn LockSession> {
-        let innermost = self.backoff.config(1);
-        Box::new(HierSession {
-            word: self.word,
-            my_tag: tag(cpu),
-            distances: self
-                .topo
-                .cpus()
-                .map(|other| self.topo.distance(cpu, other).max(1))
-                .collect(),
-            table: self.backoff.clone(),
+    pub(crate) fn session(&self, cpu: CpuId) -> HierSession {
+        let innermost = self.shape.table.config(1);
+        HierSession {
+            lock: Fixed(self.clone()),
+            my_tag: Fixed(tag(cpu)),
             backoff: SimBackoff::new(*innermost),
             distance: 1,
             state: HierState::Idle,
-        })
+        }
     }
 
-    fn kind(&self) -> hbo_locks::LockKind {
-        hbo_locks::LockKind::Hier
-    }
-
-    fn lock_word(&self) -> Option<Addr> {
-        Some(self.word)
+    /// Distance class from the CPU tagged `from` to the one tagged `to`.
+    fn distance(&self, from: u64, to: u64) -> usize {
+        let row = (from - 1) as usize * self.shape.cpus;
+        self.shape.distances[row + (to - 1) as usize]
     }
 }
 
@@ -86,15 +96,11 @@ enum HierState {
     Releasing,
 }
 
+/// A HIER contender.
 #[derive(Debug, Clone, Hash)]
-struct HierSession {
-    word: Addr,
-    my_tag: u64,
-    /// Distance class (at least 1) from this CPU to each CPU, indexed by
-    /// CPU id: the only part of the topology the algorithm reads, so the
-    /// session stays plain data.
-    distances: Vec<usize>,
-    table: LevelBackoff,
+pub struct HierSession {
+    lock: Fixed<SimHierHbo>,
+    my_tag: Fixed<u64>,
     backoff: SimBackoff,
     /// Distance class currently spun at.
     distance: usize,
@@ -104,19 +110,19 @@ struct HierSession {
 impl HierSession {
     fn cas(&self) -> Command {
         Command::Cas {
-            addr: self.word,
+            addr: self.lock.word,
             expected: FREE,
-            new: self.my_tag,
+            new: *self.my_tag,
         }
     }
 
     /// Classifies the holder (by CPU tag) and re-arms the backoff if the
     /// distance class changed.
     fn classify(&mut self, ctx: &mut CpuCtx<'_>, tmp: u64) -> Step {
-        let d = self.distances[(tmp - 1) as usize];
+        let d = self.lock.distance(*self.my_tag, tmp);
         if d != self.distance || self.state == HierState::FastCas {
             self.distance = d;
-            self.backoff.reset(*self.table.config(d));
+            self.backoff.reset(*self.lock.shape.table.config(d));
         }
         self.state = HierState::Delay;
         let delay = self.backoff.next_delay();
@@ -130,16 +136,14 @@ impl HierSession {
         ctx.trace_backoff(delay, class);
         Step::Op(Command::Delay(delay))
     }
-}
 
-impl LockSession for HierSession {
-    fn start_acquire(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
+    pub(crate) fn start_acquire(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
         debug_assert_eq!(self.state, HierState::Idle);
         self.state = HierState::FastCas;
         Step::Op(self.cas())
     }
 
-    fn resume_acquire(&mut self, ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
+    pub(crate) fn resume_acquire(&mut self, ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
         match self.state {
             HierState::FastCas | HierState::LoopCas => {
                 let tmp = result.expect("cas returns old");
@@ -158,13 +162,13 @@ impl LockSession for HierSession {
         }
     }
 
-    fn start_release(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
+    pub(crate) fn start_release(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
         debug_assert_eq!(self.state, HierState::Holding);
         self.state = HierState::Releasing;
-        Step::Op(Command::Write(self.word, FREE))
+        Step::Op(Command::Write(self.lock.word, FREE))
     }
 
-    fn resume_release(&mut self, _ctx: &mut CpuCtx<'_>, _result: Option<u64>) -> Step {
+    pub(crate) fn resume_release(&mut self, _ctx: &mut CpuCtx<'_>, _result: Option<u64>) -> Step {
         debug_assert_eq!(self.state, HierState::Releasing);
         self.state = HierState::Idle;
         Step::Released
@@ -193,12 +197,12 @@ mod tests {
     fn alloc_and_session() {
         let mut m = cmp_machine();
         let topo = Arc::clone(m.topology());
-        let lock = SimHierHbo::alloc(
+        let lock = crate::Lock::Hier(SimHierHbo::alloc(
             m.mem_mut(),
-            topo,
+            &topo,
             NodeId(0),
             LevelBackoff::geometric(3, 100, 800, 4),
-        );
+        ));
         let _s = lock.session(CpuId(5), NodeId(0));
         assert_eq!(lock.kind(), hbo_locks::LockKind::Hier);
     }

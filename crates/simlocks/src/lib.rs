@@ -6,7 +6,18 @@
 //! RECIP) — is expressed here as a resumable state machine over simulated
 //! memory, issuing exactly the memory-operation sequences of the
 //! published pseudocode (Figures 1 and 2 of the paper for the HBO
-//! family). Workload programs drive a [`LockSession`] per CPU.
+//! family). Workload programs drive a [`Session`] per CPU.
+//!
+//! Two enums carry every algorithm: a [`Lock`] is one lock instance in
+//! simulated memory (one variant per kind, plus the checker's seeded
+//! [`mutants`]), and the [`Session`] it hands each CPU is that kind's
+//! state machine. Both dispatch by `match`, and a session is plain,
+//! fixed-size data: per-CPU tables are a base address plus a stride into
+//! contiguously allocated words, so cloning a session copies bytes and
+//! allocates nothing — the model checker snapshots worlds by cloning them.
+//! The fields that never change during a run (lock addresses, the CPU's
+//! own code, tuning constants) are wrapped so they hash to nothing: a
+//! session's `Hash` covers only what a step can change.
 //!
 //! The split from `hbo-locks` is deliberate: that crate is the *real*
 //! library on real atomics; this crate is the *measurement* form the
@@ -63,7 +74,7 @@ pub(crate) mod testutil;
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::ops::Deref;
 
 use hbo_locks::{BackoffConfig, LockKind};
 use nuca_topology::{CpuId, NodeId, Topology};
@@ -88,7 +99,7 @@ pub use twa::SimTwa;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Step {
     /// Execute this command and feed the result back via
-    /// [`LockSession::resume_acquire`] / [`LockSession::resume_release`].
+    /// [`Session::resume_acquire`] / [`Session::resume_release`].
     Op(Command),
     /// The lock is now held.
     Acquired,
@@ -96,93 +107,274 @@ pub enum Step {
     Released,
 }
 
-/// A per-CPU lock client: a resumable acquire/release state machine.
-///
-/// # Contract
-///
-/// * Create **one session per simulated CPU per lock** and reuse it for
-///   every acquisition (CLH transfers queue-node ownership across
-///   acquisitions, so sessions are stateful).
-/// * Drive acquisition with [`start_acquire`](LockSession::start_acquire)
-///   then [`resume_acquire`](LockSession::resume_acquire) until
-///   [`Step::Acquired`]; drive release analogously. Phases must alternate.
-/// * Every step receives the executing CPU's [`CpuCtx`], through which the
-///   state machines report observability events (backoff sleeps, throttle
-///   announcements, anger episodes) — free when no trace sink is installed.
-/// * A session is plain data (`Clone + Hash`, see [`SessionState`]): the
-///   model checker snapshots worlds by cloning them and deduplicates
-///   states by hashing them.
-pub trait LockSession: fmt::Debug + SessionState {
-    /// Begins an acquisition.
-    fn start_acquire(&mut self, ctx: &mut CpuCtx<'_>) -> Step;
-    /// Continues an acquisition with the result of the previous command
-    /// (`None` after a `Delay`).
-    fn resume_acquire(&mut self, ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step;
-    /// Begins a release.
-    fn start_release(&mut self, ctx: &mut CpuCtx<'_>) -> Step;
-    /// Continues a release.
-    fn resume_release(&mut self, ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step;
+/// A lock instance living in simulated memory; the factory for its
+/// per-CPU [`Session`]s. One variant per algorithm, plus the seeded
+/// [`mutants`] the model checker must catch.
+#[derive(Debug, Clone)]
+pub enum Lock {
+    /// [`LockKind::Tatas`].
+    Tatas(SimTatas),
+    /// [`LockKind::TatasExp`].
+    TatasExp(SimTatasExp),
+    /// [`LockKind::Mcs`].
+    Mcs(SimMcs),
+    /// [`LockKind::Clh`].
+    Clh(SimClh),
+    /// [`LockKind::Rh`].
+    Rh(SimRh),
+    /// [`LockKind::Hbo`].
+    Hbo(SimHbo),
+    /// [`LockKind::HboGt`].
+    HboGt(SimHboGt),
+    /// [`LockKind::HboGtSd`].
+    HboGtSd(SimHboGtSd),
+    /// [`LockKind::Ticket`].
+    Ticket(SimTicket),
+    /// [`LockKind::Hier`].
+    Hier(SimHierHbo),
+    /// [`LockKind::Cna`].
+    Cna(SimCna),
+    /// [`LockKind::Twa`].
+    Twa(SimTwa),
+    /// [`LockKind::Recip`].
+    Recip(SimRecip),
+    /// Mutant: [`mutants::RacyTatas`].
+    RacyTatas(mutants::RacyTatas),
+    /// Mutant: [`mutants::LeakyHboGt`].
+    LeakyHboGt(mutants::LeakyHboGt),
+    /// Mutant: [`mutants::SpliceLostCna`].
+    SpliceLostCna(mutants::SpliceLostCna),
 }
 
-/// Object-safe `Clone` and `Hash` for [`LockSession`] trait objects,
-/// implemented for every session type that derives both.
-pub trait SessionState {
-    /// A boxed copy of this session.
-    fn clone_box(&self) -> Box<dyn LockSession>;
-    /// Feeds every field of this session to `state`.
-    fn hash_state(&self, state: &mut dyn Hasher);
-}
-
-impl<T: LockSession + Clone + Hash + 'static> SessionState for T {
-    fn clone_box(&self) -> Box<dyn LockSession> {
-        Box::new(self.clone())
-    }
-
-    fn hash_state(&self, mut state: &mut dyn Hasher) {
-        self.hash(&mut state);
-    }
-}
-
-impl Clone for Box<dyn LockSession> {
-    fn clone(&self) -> Box<dyn LockSession> {
-        self.clone_box()
-    }
-}
-
-impl Hash for dyn LockSession {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.hash_state(state);
-    }
-}
-
-/// A lock instance living in simulated memory; a factory for sessions.
-pub trait SimLock: fmt::Debug {
+impl Lock {
     /// Creates the session for `cpu` (in `node`). Call once per CPU.
-    fn session(&self, cpu: CpuId, node: NodeId) -> Box<dyn LockSession>;
-    /// Which algorithm this is.
-    fn kind(&self) -> LockKind;
+    pub fn session(&self, cpu: CpuId, node: NodeId) -> Session {
+        match self {
+            Lock::Tatas(l) => Session::Tatas(l.session()),
+            Lock::TatasExp(l) => Session::TatasExp(l.session()),
+            Lock::Mcs(l) => Session::Mcs(l.session(cpu)),
+            Lock::Clh(l) => Session::Clh(l.session(cpu)),
+            Lock::Rh(l) => Session::Rh(l.session(node)),
+            Lock::Hbo(l) => Session::Hbo(l.session(node)),
+            Lock::HboGt(l) => Session::HboGt(l.session(node)),
+            Lock::HboGtSd(l) => Session::HboGtSd(l.session(node)),
+            Lock::Ticket(l) => Session::Ticket(l.session()),
+            Lock::Hier(l) => Session::Hier(l.session(cpu)),
+            Lock::Cna(l) => Session::Cna(l.session(cpu, node)),
+            Lock::Twa(l) => Session::Twa(l.session()),
+            Lock::Recip(l) => Session::Recip(l.session(cpu)),
+            Lock::RacyTatas(l) => Session::RacyTatas(l.session()),
+            Lock::LeakyHboGt(l) => Session::LeakyHboGt(l.session(node)),
+            Lock::SpliceLostCna(l) => Session::Cna(l.session(cpu, node)),
+        }
+    }
+
+    /// Which algorithm this is (a mutant reports the kind it breaks).
+    pub fn kind(&self) -> LockKind {
+        match self {
+            Lock::Tatas(_) | Lock::RacyTatas(_) => LockKind::Tatas,
+            Lock::TatasExp(_) => LockKind::TatasExp,
+            Lock::Mcs(_) => LockKind::Mcs,
+            Lock::Clh(_) => LockKind::Clh,
+            Lock::Rh(_) => LockKind::Rh,
+            Lock::Hbo(_) => LockKind::Hbo,
+            Lock::HboGt(_) | Lock::LeakyHboGt(_) => LockKind::HboGt,
+            Lock::HboGtSd(_) => LockKind::HboGtSd,
+            Lock::Ticket(_) => LockKind::Ticket,
+            Lock::Hier(_) => LockKind::Hier,
+            Lock::Cna(_) | Lock::SpliceLostCna(_) => LockKind::Cna,
+            Lock::Twa(_) => LockKind::Twa,
+            Lock::Recip(_) => LockKind::Recip,
+        }
+    }
+
     /// The single word contended for, when the algorithm has one —
     /// enables QOLB-style *collocation* experiments (allocating protected
     /// data in the same line as the lock, paper §3). Queue locks return
     /// `None`.
-    fn lock_word(&self) -> Option<Addr> {
-        None
+    pub fn lock_word(&self) -> Option<Addr> {
+        match self {
+            Lock::Tatas(l) => Some(l.word),
+            Lock::TatasExp(l) => Some(l.word),
+            Lock::Hbo(l) => Some(l.word),
+            Lock::HboGt(l) => Some(l.word),
+            Lock::HboGtSd(l) => Some(l.word),
+            Lock::Hier(l) => Some(l.word),
+            Lock::Recip(l) => Some(l.arrivals),
+            Lock::RacyTatas(l) => Some(l.word),
+            Lock::LeakyHboGt(l) => Some(l.word),
+            Lock::Mcs(_)
+            | Lock::Clh(_)
+            | Lock::Rh(_)
+            | Lock::Ticket(_)
+            | Lock::Cna(_)
+            | Lock::Twa(_)
+            | Lock::SpliceLostCna(_) => None,
+        }
     }
 }
 
-/// The per-node `is_spinning` words shared by all HBO_GT/HBO_GT_SD locks
-/// of one machine (the paper's "one extra variable per NUCA node").
+/// A per-CPU lock client: a resumable acquire/release state machine, one
+/// variant per algorithm (the CNA variant also runs the
+/// [`mutants::SpliceLostCna`] mutant).
+///
+/// # Contract
+///
+/// * Create **one session per simulated CPU per lock** with
+///   [`Lock::session`] and reuse it for every acquisition (CLH transfers
+///   queue-node ownership across acquisitions, so sessions are stateful).
+/// * Drive acquisition with [`start_acquire`](Session::start_acquire)
+///   then [`resume_acquire`](Session::resume_acquire) until
+///   [`Step::Acquired`]; drive release analogously. Phases must alternate.
+/// * Every step receives the executing CPU's [`CpuCtx`], through which the
+///   state machines report observability events (backoff sleeps, throttle
+///   announcements, anger episodes) — free when no trace sink is installed.
+/// * A session is plain fixed-size data: cloning one allocates nothing,
+///   and its `Hash` feeds only the fields a step can change — the model
+///   checker snapshots worlds by cloning them and deduplicates states by
+///   hashing them.
 #[derive(Debug, Clone, Hash)]
+pub enum Session {
+    /// TATAS.
+    Tatas(tatas::TatasSession),
+    /// TATAS_EXP.
+    TatasExp(tatas::TatasExpSession),
+    /// MCS.
+    Mcs(mcs::McsSession),
+    /// CLH.
+    Clh(clh::ClhSession),
+    /// RH.
+    Rh(rh::RhSession),
+    /// HBO.
+    Hbo(hbo::HboSession),
+    /// HBO_GT.
+    HboGt(hbo_gt::HboGtSession),
+    /// HBO_GT_SD.
+    HboGtSd(hbo_gt_sd::SdSession),
+    /// TICKET.
+    Ticket(ticket::TicketSession),
+    /// HIER.
+    Hier(hier::HierSession),
+    /// CNA (and the splice-lost mutant).
+    Cna(cna::CnaSession),
+    /// TWA.
+    Twa(twa::TwaSession),
+    /// RECIP.
+    Recip(recip::RecipSession),
+    /// Mutant: racy TATAS.
+    RacyTatas(mutants::RacySession),
+    /// Mutant: leaky HBO_GT.
+    LeakyHboGt(mutants::LeakySession),
+}
+
+/// Calls `$call` on whichever per-kind session `$session` holds, bound
+/// to `$s`.
+macro_rules! dispatch {
+    ($session:expr, $s:ident => $call:expr) => {
+        match $session {
+            Session::Tatas($s) => $call,
+            Session::TatasExp($s) => $call,
+            Session::Mcs($s) => $call,
+            Session::Clh($s) => $call,
+            Session::Rh($s) => $call,
+            Session::Hbo($s) => $call,
+            Session::HboGt($s) => $call,
+            Session::HboGtSd($s) => $call,
+            Session::Ticket($s) => $call,
+            Session::Hier($s) => $call,
+            Session::Cna($s) => $call,
+            Session::Twa($s) => $call,
+            Session::Recip($s) => $call,
+            Session::RacyTatas($s) => $call,
+            Session::LeakyHboGt($s) => $call,
+        }
+    };
+}
+
+impl Session {
+    /// Begins an acquisition.
+    pub fn start_acquire(&mut self, ctx: &mut CpuCtx<'_>) -> Step {
+        dispatch!(self, s => s.start_acquire(ctx))
+    }
+
+    /// Continues an acquisition with the result of the previous command
+    /// (`None` after a `Delay`).
+    pub fn resume_acquire(&mut self, ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
+        dispatch!(self, s => s.resume_acquire(ctx, result))
+    }
+
+    /// Begins a release.
+    pub fn start_release(&mut self, ctx: &mut CpuCtx<'_>) -> Step {
+        dispatch!(self, s => s.start_release(ctx))
+    }
+
+    /// Continues a release.
+    pub fn resume_release(&mut self, ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
+        dispatch!(self, s => s.resume_release(ctx, result))
+    }
+}
+
+/// A session field that holds the same value in every state of a run: a
+/// lock address, the session's own CPU or node, a tuning constant. The
+/// state machine reads it through `Deref`, but its `Hash` writes nothing,
+/// so hashing a session covers only what a step can change. That is sound
+/// for state deduplication because two states of one run never differ in
+/// such a field.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fixed<T>(pub(crate) T);
+
+impl<T> Hash for Fixed<T> {
+    fn hash<H: Hasher>(&self, _state: &mut H) {}
+}
+
+impl<T> Deref for Fixed<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+/// Allocates a table of `records` records of `words` words each, record
+/// `i` homed in `home(i)`, and returns its base: word `w` of record `i` is
+/// `base.offset(i * words + w)`. The words are allocated one by one in
+/// record order, so the bump allocator lays them out back to back and a
+/// session can address any record from the base alone.
+///
+/// # Panics
+///
+/// Panics if the table is empty.
+pub(crate) fn alloc_table(
+    mem: &mut MemorySystem,
+    records: usize,
+    words: usize,
+    home: impl Fn(usize) -> NodeId,
+) -> Addr {
+    assert!(records > 0 && words > 0, "empty lock table");
+    let base = mem.alloc(home(0));
+    for k in 1..records * words {
+        let addr = mem.alloc(home(k / words));
+        debug_assert_eq!(addr, base.offset(k), "lock tables are contiguous");
+    }
+    base
+}
+
+/// The per-node `is_spinning` words shared by all HBO_GT/HBO_GT_SD locks
+/// of one machine (the paper's "one extra variable per NUCA node"),
+/// allocated back to back: node `n`'s word is `base + n`.
+#[derive(Debug, Clone, Copy, Hash)]
 pub struct GtSlots {
-    slots: Arc<[Addr]>,
+    base: Addr,
+    nodes: usize,
 }
 
 impl GtSlots {
     /// Allocates one slot per node, each homed in its own node.
     pub fn alloc(mem: &mut MemorySystem, topo: &Topology) -> GtSlots {
-        let slots: Vec<Addr> = topo.nodes().map(|n| mem.alloc(n)).collect();
+        let nodes = topo.num_nodes();
         GtSlots {
-            slots: slots.into(),
+            base: alloc_table(mem, nodes, 1, NodeId),
+            nodes,
         }
     }
 
@@ -192,12 +384,13 @@ impl GtSlots {
     ///
     /// Panics if `node` is outside the topology this was allocated for.
     pub fn slot(&self, node: NodeId) -> Addr {
-        self.slots[node.index()]
+        assert!(node.index() < self.nodes, "{node} outside the GT slots");
+        self.base.offset(node.index())
     }
 
     /// Number of nodes covered.
     pub fn nodes(&self) -> usize {
-        self.slots.len()
+        self.nodes
     }
 }
 
@@ -363,56 +556,47 @@ pub fn build_lock(
     gt: &GtSlots,
     home: NodeId,
     params: &SimLockParams,
-) -> Box<dyn SimLock> {
+) -> Lock {
     match kind {
-        LockKind::Tatas => Box::new(SimTatas::alloc(mem, home)),
-        LockKind::TatasExp => Box::new(SimTatasExp::alloc(mem, home, params.local)),
-        LockKind::Mcs => Box::new(SimMcs::alloc(mem, topo, home)),
-        LockKind::Clh => Box::new(SimClh::alloc(mem, topo, home)),
-        LockKind::Rh => Box::new(SimRh::alloc(
+        LockKind::Tatas => Lock::Tatas(SimTatas::alloc(mem, home)),
+        LockKind::TatasExp => Lock::TatasExp(SimTatasExp::alloc(mem, home, params.local)),
+        LockKind::Mcs => Lock::Mcs(SimMcs::alloc(mem, topo, home)),
+        LockKind::Clh => Lock::Clh(SimClh::alloc(mem, topo, home)),
+        LockKind::Rh => Lock::Rh(SimRh::alloc(
             mem,
             topo,
             params.local,
             params.remote,
             params.rh_max_handovers,
         )),
-        LockKind::Hbo => Box::new(SimHbo::alloc(mem, home, params.local, params.remote)),
-        LockKind::HboGt => Box::new(SimHboGt::alloc(
+        LockKind::Hbo => Lock::Hbo(SimHbo::alloc(mem, home, params.local, params.remote)),
+        LockKind::HboGt => {
+            Lock::HboGt(SimHboGt::alloc(mem, home, *gt, params.local, params.remote))
+        }
+        LockKind::HboGtSd => Lock::HboGtSd(SimHboGtSd::alloc(
             mem,
             home,
-            gt.clone(),
-            params.local,
-            params.remote,
-        )),
-        LockKind::HboGtSd => Box::new(SimHboGtSd::alloc(
-            mem,
-            home,
-            gt.clone(),
+            *gt,
             params.local,
             params.remote,
             params.get_angry_limit,
         )),
-        LockKind::Ticket => Box::new(SimTicket::alloc(mem, home)),
-        LockKind::Hier => Box::new(SimHierHbo::alloc(
-            mem,
-            Arc::new(topo.clone()),
-            home,
-            hier_levels(topo, params),
-        )),
-        LockKind::Cna => Box::new(SimCna::alloc(
+        LockKind::Ticket => Lock::Ticket(SimTicket::alloc(mem, home)),
+        LockKind::Hier => Lock::Hier(SimHierHbo::alloc(
             mem,
             topo,
             home,
-            params.cna_splice_threshold,
+            hier_levels(topo, params),
         )),
-        LockKind::Twa => Box::new(SimTwa::alloc_with(
+        LockKind::Cna => Lock::Cna(SimCna::alloc(mem, topo, home, params.cna_splice_threshold)),
+        LockKind::Twa => Lock::Twa(SimTwa::alloc_with(
             mem,
             topo,
             home,
             params.twa_slots,
             params.twa_hash,
         )),
-        LockKind::Recip => Box::new(SimRecip::alloc(mem, topo, home)),
+        LockKind::Recip => Lock::Recip(SimRecip::alloc(mem, topo, home)),
     }
 }
 
@@ -468,6 +652,7 @@ impl SimBackoff {
 mod tests {
     use super::*;
     use nucasim::MachineConfig;
+    use std::sync::Arc;
 
     #[test]
     fn gt_slots_one_per_node() {

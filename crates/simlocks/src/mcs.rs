@@ -1,10 +1,9 @@
 //! Simulator MCS queue lock.
 
-use hbo_locks::LockKind;
 use nuca_topology::{CpuId, NodeId, Topology};
 use nucasim::{Addr, Command, CpuCtx, MemorySystem};
 
-use crate::{LockSession, SimLock, Step};
+use crate::{alloc_table, Fixed, Step};
 
 /// MCS in simulated memory.
 ///
@@ -12,41 +11,44 @@ use crate::{LockSession, SimLock, Step};
 /// empty). Each CPU owns a queue node — a `locked` word and a `next` word —
 /// allocated in its **own node's memory**, which is the defining property
 /// of MCS: waiters spin on local storage.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct SimMcs {
     tail: Addr,
-    /// `(locked, next)` per CPU.
-    qnodes: Vec<(Addr, Addr)>,
+    /// Base of the per-CPU `(locked, next)` queue nodes, [`QNODE_WORDS`]
+    /// words each.
+    qnodes: Addr,
 }
+
+/// Words per queue node: `locked`, `next`.
+const QNODE_WORDS: usize = 2;
 
 impl SimMcs {
     /// Allocates the lock (tail homed in `home`, queue nodes homed
     /// per-CPU).
     pub fn alloc(mem: &mut MemorySystem, topo: &Topology, home: NodeId) -> SimMcs {
         let tail = mem.alloc(home);
-        let qnodes = topo
-            .cpus()
-            .map(|c| {
-                let n = topo.node_of(c);
-                (mem.alloc(n), mem.alloc(n))
-            })
-            .collect();
+        let qnodes = alloc_table(mem, topo.num_cpus(), QNODE_WORDS, |c| {
+            topo.node_of(CpuId(c))
+        });
         SimMcs { tail, qnodes }
     }
-}
 
-impl SimLock for SimMcs {
-    fn session(&self, cpu: CpuId, _node: NodeId) -> Box<dyn LockSession> {
-        Box::new(McsSession {
-            tail: self.tail,
-            qnodes: self.qnodes.clone(),
-            me: cpu.index() as u64 + 1,
+    pub(crate) fn session(&self, cpu: CpuId) -> McsSession {
+        McsSession {
+            lock: Fixed(*self),
+            me: Fixed(cpu.index() as u64 + 1),
             state: McsState::Idle,
-        })
+        }
     }
 
-    fn kind(&self) -> LockKind {
-        LockKind::Mcs
+    /// The `locked` word of the CPU encoded as `enc` (index + 1).
+    fn locked_of(&self, enc: u64) -> Addr {
+        self.qnodes.offset((enc - 1) as usize * QNODE_WORDS)
+    }
+
+    /// The `next` word of the CPU encoded as `enc`.
+    fn next_of(&self, enc: u64) -> Addr {
+        self.qnodes.offset((enc - 1) as usize * QNODE_WORDS + 1)
     }
 }
 
@@ -68,41 +70,31 @@ enum McsState {
     GrantSuccessor,
 }
 
+/// An MCS contender.
 #[derive(Debug, Clone, Hash)]
-struct McsSession {
-    tail: Addr,
-    qnodes: Vec<(Addr, Addr)>,
+pub struct McsSession {
+    lock: Fixed<SimMcs>,
     /// This CPU's encoding in the tail/next words.
-    me: u64,
+    me: Fixed<u64>,
     state: McsState,
 }
 
 impl McsSession {
     fn my_locked(&self) -> Addr {
-        self.qnodes[(self.me - 1) as usize].0
+        self.lock.locked_of(*self.me)
     }
 
     fn my_next(&self) -> Addr {
-        self.qnodes[(self.me - 1) as usize].1
+        self.lock.next_of(*self.me)
     }
 
-    fn locked_of(&self, enc: u64) -> Addr {
-        self.qnodes[(enc - 1) as usize].0
-    }
-
-    fn next_of(&self, enc: u64) -> Addr {
-        self.qnodes[(enc - 1) as usize].1
-    }
-}
-
-impl LockSession for McsSession {
-    fn start_acquire(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
+    pub(crate) fn start_acquire(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
         debug_assert_eq!(self.state, McsState::Idle);
         self.state = McsState::InitLocked;
         Step::Op(Command::Write(self.my_locked(), QUEUED))
     }
 
-    fn resume_acquire(&mut self, _ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
+    pub(crate) fn resume_acquire(&mut self, _ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
         match self.state {
             McsState::InitLocked => {
                 self.state = McsState::InitNext;
@@ -111,8 +103,8 @@ impl LockSession for McsSession {
             McsState::InitNext => {
                 self.state = McsState::Swapped;
                 Step::Op(Command::Swap {
-                    addr: self.tail,
-                    value: self.me,
+                    addr: self.lock.tail,
+                    value: *self.me,
                 })
             }
             McsState::Swapped => {
@@ -122,7 +114,7 @@ impl LockSession for McsSession {
                     Step::Acquired
                 } else {
                     self.state = McsState::LinkedPred;
-                    Step::Op(Command::Write(self.next_of(prev), self.me))
+                    Step::Op(Command::Write(self.lock.next_of(prev), *self.me))
                 }
             }
             McsState::LinkedPred => {
@@ -141,13 +133,13 @@ impl LockSession for McsSession {
         }
     }
 
-    fn start_release(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
+    pub(crate) fn start_release(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
         debug_assert_eq!(self.state, McsState::Holding);
         self.state = McsState::ReadNext;
         Step::Op(Command::Read(self.my_next()))
     }
 
-    fn resume_release(&mut self, _ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
+    pub(crate) fn resume_release(&mut self, _ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
         match self.state {
             McsState::ReadNext => {
                 let next = result.expect("read returns value");
@@ -155,18 +147,18 @@ impl LockSession for McsSession {
                     // No known successor: try to swing the tail back.
                     self.state = McsState::CasTail;
                     Step::Op(Command::Cas {
-                        addr: self.tail,
-                        expected: self.me,
+                        addr: self.lock.tail,
+                        expected: *self.me,
                         new: 0,
                     })
                 } else {
                     self.state = McsState::GrantSuccessor;
-                    Step::Op(Command::Write(self.locked_of(next), GRANTED))
+                    Step::Op(Command::Write(self.lock.locked_of(next), GRANTED))
                 }
             }
             McsState::CasTail => {
                 let old = result.expect("cas returns old");
-                if old == self.me {
+                if old == *self.me {
                     // Queue empty; lock free.
                     self.state = McsState::Idle;
                     Step::Released
@@ -183,7 +175,7 @@ impl LockSession for McsSession {
                 let next = result.expect("wait returns value");
                 debug_assert_ne!(next, 0);
                 self.state = McsState::GrantSuccessor;
-                Step::Op(Command::Write(self.locked_of(next), GRANTED))
+                Step::Op(Command::Write(self.lock.locked_of(next), GRANTED))
             }
             McsState::GrantSuccessor => {
                 self.state = McsState::Idle;
@@ -198,6 +190,7 @@ impl LockSession for McsSession {
 mod tests {
     use super::*;
     use crate::testutil::{exclusion_test, uncontested_cost};
+    use hbo_locks::LockKind;
 
     #[test]
     fn mutual_exclusion() {
@@ -225,7 +218,8 @@ mod tests {
         let topo = std::sync::Arc::clone(m.topology());
         let lock = SimMcs::alloc(m.mem_mut(), &topo, NodeId(0));
         for cpu in topo.cpus() {
-            let (locked, next) = lock.qnodes[cpu.index()];
+            let enc = cpu.index() as u64 + 1;
+            let (locked, next) = (lock.locked_of(enc), lock.next_of(enc));
             assert_eq!(m.mem().home(locked), topo.node_of(cpu));
             assert_eq!(m.mem().home(next), topo.node_of(cpu));
         }

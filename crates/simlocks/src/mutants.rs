@@ -9,14 +9,14 @@
 //!
 //! Never use these outside tests and checker validation.
 
-use hbo_locks::{BackoffConfig, LockKind};
+use hbo_locks::BackoffConfig;
 use nuca_topology::{CpuId, NodeId, Topology};
 use nucasim::{Addr, BackoffClass, Command, CpuCtx, MemorySystem};
 
-use crate::cna::SimCna;
+use crate::cna::{CnaSession, SimCna};
 use crate::hbo::{tag, FREE};
 use crate::hbo_gt::DUMMY;
-use crate::{GtSlots, LockSession, SimBackoff, SimLock, Step};
+use crate::{Fixed, GtSlots, SimBackoff, Step};
 
 const HELD: u64 = 1;
 
@@ -25,9 +25,9 @@ const HELD: u64 = 1;
 /// between. Two contenders can both observe the word free and both claim
 /// it — the textbook check-then-act mutual-exclusion violation that the
 /// atomic `tas` exists to close.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct RacyTatas {
-    word: Addr,
+    pub(crate) word: Addr,
 }
 
 impl RacyTatas {
@@ -37,23 +37,12 @@ impl RacyTatas {
             word: mem.alloc(home),
         }
     }
-}
 
-impl SimLock for RacyTatas {
-    fn session(&self, _cpu: CpuId, _node: NodeId) -> Box<dyn LockSession> {
-        Box::new(RacySession {
-            word: self.word,
+    pub(crate) fn session(&self) -> RacySession {
+        RacySession {
+            lock: Fixed(*self),
             state: RacyState::Idle,
-        })
-    }
-
-    fn kind(&self) -> LockKind {
-        // Reported as TATAS: it is TATAS minus the atomicity.
-        LockKind::Tatas
-    }
-
-    fn lock_word(&self) -> Option<Addr> {
-        Some(self.word)
+        }
     }
 }
 
@@ -70,20 +59,21 @@ enum RacyState {
     Releasing,
 }
 
+/// A racy-TATAS contender.
 #[derive(Debug, Clone, Hash)]
-struct RacySession {
-    word: Addr,
+pub struct RacySession {
+    lock: Fixed<RacyTatas>,
     state: RacyState,
 }
 
-impl LockSession for RacySession {
-    fn start_acquire(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
+impl RacySession {
+    pub(crate) fn start_acquire(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
         debug_assert_eq!(self.state, RacyState::Idle);
         self.state = RacyState::Checking;
-        Step::Op(Command::Read(self.word))
+        Step::Op(Command::Read(self.lock.word))
     }
 
-    fn resume_acquire(&mut self, _ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
+    pub(crate) fn resume_acquire(&mut self, _ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
         match self.state {
             RacyState::Checking => {
                 if result == Some(FREE) {
@@ -91,11 +81,11 @@ impl LockSession for RacySession {
                     // schedule that interleaves another contender's check
                     // between this read and this write loses an update.
                     self.state = RacyState::Claiming;
-                    Step::Op(Command::Write(self.word, HELD))
+                    Step::Op(Command::Write(self.lock.word, HELD))
                 } else {
                     self.state = RacyState::Spinning;
                     Step::Op(Command::WaitWhile {
-                        addr: self.word,
+                        addr: self.lock.word,
                         equals: HELD,
                     })
                 }
@@ -107,19 +97,19 @@ impl LockSession for RacySession {
             RacyState::Spinning => {
                 // The word changed: re-run the (still racy) check.
                 self.state = RacyState::Checking;
-                Step::Op(Command::Read(self.word))
+                Step::Op(Command::Read(self.lock.word))
             }
             s => unreachable!("resume_acquire in state {s:?}"),
         }
     }
 
-    fn start_release(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
+    pub(crate) fn start_release(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
         debug_assert_eq!(self.state, RacyState::Holding);
         self.state = RacyState::Releasing;
-        Step::Op(Command::Write(self.word, FREE))
+        Step::Op(Command::Write(self.lock.word, FREE))
     }
 
-    fn resume_release(&mut self, _ctx: &mut CpuCtx<'_>, _result: Option<u64>) -> Step {
+    pub(crate) fn resume_release(&mut self, _ctx: &mut CpuCtx<'_>, _result: Option<u64>) -> Step {
         debug_assert_eq!(self.state, RacyState::Releasing);
         self.state = RacyState::Idle;
         Step::Released
@@ -132,9 +122,9 @@ impl LockSession for RacySession {
 /// contenders from that node block on the gate (deadlock), and even when
 /// no contender remains the slot ends the run dirty — the GT-slot hygiene
 /// property the checker verifies on every terminal state.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct LeakyHboGt {
-    word: Addr,
+    pub(crate) word: Addr,
     gt: GtSlots,
     local: BackoffConfig,
     remote: BackoffConfig,
@@ -157,27 +147,15 @@ impl LeakyHboGt {
             remote,
         }
     }
-}
 
-impl SimLock for LeakyHboGt {
-    fn session(&self, _cpu: CpuId, node: NodeId) -> Box<dyn LockSession> {
-        Box::new(LeakySession {
-            word: self.word,
-            my_slot: self.gt.slot(node),
-            my_tag: tag(node),
-            local: self.local,
-            remote: self.remote,
+    pub(crate) fn session(&self, node: NodeId) -> LeakySession {
+        LeakySession {
+            lock: Fixed(*self),
+            my_slot: Fixed(self.gt.slot(node)),
+            my_tag: Fixed(tag(node)),
             backoff: SimBackoff::new(self.local),
             state: LeakyState::Idle,
-        })
-    }
-
-    fn kind(&self) -> LockKind {
-        LockKind::HboGt
-    }
-
-    fn lock_word(&self) -> Option<Addr> {
-        Some(self.word)
+        }
     }
 }
 
@@ -199,13 +177,12 @@ enum LeakyState {
     Releasing,
 }
 
+/// A leaky-HBO_GT contender.
 #[derive(Debug, Clone, Hash)]
-struct LeakySession {
-    word: Addr,
-    my_slot: Addr,
-    my_tag: u64,
-    local: BackoffConfig,
-    remote: BackoffConfig,
+pub struct LeakySession {
+    lock: Fixed<LeakyHboGt>,
+    my_slot: Fixed<Addr>,
+    my_tag: Fixed<u64>,
     backoff: SimBackoff,
     state: LeakyState,
 }
@@ -213,28 +190,26 @@ struct LeakySession {
 impl LeakySession {
     fn cas(&self) -> Command {
         Command::Cas {
-            addr: self.word,
+            addr: self.lock.word,
             expected: FREE,
-            new: self.my_tag,
+            new: *self.my_tag,
         }
     }
 
     fn gate(&mut self) -> Step {
         self.state = LeakyState::Gate;
         Step::Op(Command::WaitWhile {
-            addr: self.my_slot,
-            equals: self.word.encode(),
+            addr: *self.my_slot,
+            equals: self.lock.word.encode(),
         })
     }
-}
 
-impl LockSession for LeakySession {
-    fn start_acquire(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
+    pub(crate) fn start_acquire(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
         debug_assert_eq!(self.state, LeakyState::Idle);
         self.gate()
     }
 
-    fn resume_acquire(&mut self, ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
+    pub(crate) fn resume_acquire(&mut self, ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
         match self.state {
             LeakyState::Gate => {
                 self.state = LeakyState::GateCas;
@@ -245,17 +220,17 @@ impl LockSession for LeakySession {
                 if tmp == FREE {
                     self.state = LeakyState::Holding;
                     Step::Acquired
-                } else if tmp == self.my_tag {
-                    self.backoff.reset(self.local);
+                } else if tmp == *self.my_tag {
+                    self.backoff.reset(self.lock.local);
                     self.state = LeakyState::LocalDelay;
                     let d = self.backoff.next_delay();
                     ctx.trace_backoff(d, BackoffClass::Local);
                     Step::Op(Command::Delay(d))
                 } else {
-                    self.backoff.reset(self.remote);
+                    self.backoff.reset(self.lock.remote);
                     self.state = LeakyState::Announce;
                     ctx.trace_throttle_spin();
-                    Step::Op(Command::Write(self.my_slot, self.word.encode()))
+                    Step::Op(Command::Write(*self.my_slot, self.lock.word.encode()))
                 }
             }
             LeakyState::LocalDelay => {
@@ -270,7 +245,7 @@ impl LockSession for LeakySession {
                 }
                 let d = self.backoff.next_delay();
                 ctx.trace_backoff(d, BackoffClass::Local);
-                if tmp == self.my_tag {
+                if tmp == *self.my_tag {
                     self.state = LeakyState::LocalDelay;
                 } else {
                     self.state = LeakyState::MigratePause;
@@ -297,9 +272,9 @@ impl LockSession for LeakySession {
                     // leaks the announcement.
                     self.state = LeakyState::Holding;
                     Step::Acquired
-                } else if tmp == self.my_tag {
+                } else if tmp == *self.my_tag {
                     self.state = LeakyState::ClearThenRestart;
-                    Step::Op(Command::Write(self.my_slot, DUMMY))
+                    Step::Op(Command::Write(*self.my_slot, DUMMY))
                 } else {
                     self.state = LeakyState::RemoteDelay;
                     let d = self.backoff.next_delay();
@@ -312,13 +287,13 @@ impl LockSession for LeakySession {
         }
     }
 
-    fn start_release(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
+    pub(crate) fn start_release(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
         debug_assert_eq!(self.state, LeakyState::Holding);
         self.state = LeakyState::Releasing;
-        Step::Op(Command::Write(self.word, FREE))
+        Step::Op(Command::Write(self.lock.word, FREE))
     }
 
-    fn resume_release(&mut self, _ctx: &mut CpuCtx<'_>, _result: Option<u64>) -> Step {
+    pub(crate) fn resume_release(&mut self, _ctx: &mut CpuCtx<'_>, _result: Option<u64>) -> Step {
         debug_assert_eq!(self.state, LeakyState::Releasing);
         self.state = LeakyState::Idle;
         Step::Released
@@ -332,7 +307,7 @@ impl LockSession for LeakySession {
 /// spliced chain's last node deadlocks in its release (`tail` no longer
 /// names it, and the link it waits for never arrives). Needs ≥ 3 CPUs on
 /// ≥ 2 nodes to manifest — a secondary queue must exist at splice time.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct SpliceLostCna {
     inner: SimCna,
 }
@@ -349,22 +324,17 @@ impl SpliceLostCna {
             inner: SimCna::alloc_with_lost_splice_link(mem, topo, home, splice_threshold),
         }
     }
-}
 
-impl SimLock for SpliceLostCna {
-    fn session(&self, cpu: CpuId, node: NodeId) -> Box<dyn LockSession> {
+    pub(crate) fn session(&self, cpu: CpuId, node: NodeId) -> CnaSession {
         self.inner.session(cpu, node)
-    }
-
-    fn kind(&self) -> LockKind {
-        // Reported as CNA: it is CNA minus one splice-path store.
-        LockKind::Cna
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Lock;
+    use hbo_locks::LockKind;
     use nucasim::{Machine, MachineConfig, SimStats};
     use std::sync::Arc;
 
@@ -373,14 +343,14 @@ mod tests {
         let mut m = Machine::new(MachineConfig::wildfire(2, 2));
         let topo = Arc::clone(m.topology());
         let gt = GtSlots::alloc(m.mem_mut(), &topo);
-        let racy = RacyTatas::alloc(m.mem_mut(), NodeId(0));
-        let leaky = LeakyHboGt::alloc(
+        let racy = Lock::RacyTatas(RacyTatas::alloc(m.mem_mut(), NodeId(0)));
+        let leaky = Lock::LeakyHboGt(LeakyHboGt::alloc(
             m.mem_mut(),
             NodeId(0),
             gt,
             BackoffConfig::new(1, 2, 2),
             BackoffConfig::new(1, 2, 2),
-        );
+        ));
         let mut stats = SimStats::default();
         let mut ctx = CpuCtx::new(CpuId(0), NodeId(0), 0, &mut stats);
         let mut s1 = racy.session(CpuId(0), NodeId(0));
@@ -389,7 +359,7 @@ mod tests {
         assert!(matches!(s2.start_acquire(&mut ctx), Step::Op(_)));
         assert!(racy.lock_word().is_some());
         assert_eq!(leaky.kind(), LockKind::HboGt);
-        let lossy = SpliceLostCna::alloc(m.mem_mut(), &topo, NodeId(0), 2);
+        let lossy = Lock::SpliceLostCna(SpliceLostCna::alloc(m.mem_mut(), &topo, NodeId(0), 2));
         let mut s3 = lossy.session(CpuId(1), NodeId(0));
         assert!(matches!(s3.start_acquire(&mut ctx), Step::Op(_)));
         assert_eq!(lossy.kind(), LockKind::Cna);

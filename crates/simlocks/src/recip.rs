@@ -11,11 +11,10 @@
 //! waiters spin locally MCS-style; the uncontended path touches only
 //! `arrivals`.
 
-use hbo_locks::LockKind;
 use nuca_topology::{CpuId, NodeId, Topology};
 use nucasim::{Addr, Command, CpuCtx, MemorySystem};
 
-use crate::{LockSession, SimLock, Step};
+use crate::{alloc_table, Fixed, Step};
 
 /// `arrivals` value: lock free.
 const FREE: u64 = 0;
@@ -23,50 +22,47 @@ const FREE: u64 = 0;
 /// segment terminator in `next` chains (CPU codes start at 2).
 const HELD: u64 = 1;
 
+/// Words per stack node: `grant`, `next`.
+const QNODE_WORDS: usize = 2;
+
 /// Reciprocating lock in simulated memory.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct SimRecip {
-    arrivals: Addr,
-    /// Per-CPU `(grant, next)` stack-node words, homed in the CPU's node.
-    qnodes: Vec<(Addr, Addr)>,
+    pub(crate) arrivals: Addr,
+    /// Base of the per-CPU `(grant, next)` stack nodes, [`QNODE_WORDS`]
+    /// words each, homed in the CPU's node.
+    qnodes: Addr,
 }
 
 impl SimRecip {
     /// Allocates the lock word in `home` and one stack node per CPU in
     /// that CPU's own node.
     pub fn alloc(mem: &mut MemorySystem, topo: &Topology, home: NodeId) -> SimRecip {
-        let qnodes = topo
-            .cpus()
-            .map(|c| {
-                let n = topo.node_of(c);
-                (mem.alloc(n), mem.alloc(n))
-            })
-            .collect();
+        let qnodes = alloc_table(mem, topo.num_cpus(), QNODE_WORDS, |c| {
+            topo.node_of(CpuId(c))
+        });
         SimRecip {
             arrivals: mem.alloc(home),
             qnodes,
         }
     }
-}
 
-impl SimLock for SimRecip {
-    fn session(&self, cpu: CpuId, _node: NodeId) -> Box<dyn LockSession> {
-        Box::new(RecipSession {
-            arrivals: self.arrivals,
-            qnodes: self.qnodes.clone(),
-            me: cpu.index() as u64 + 2,
+    pub(crate) fn session(&self, cpu: CpuId) -> RecipSession {
+        RecipSession {
+            lock: Fixed(*self),
+            me: Fixed(cpu.index() as u64 + 2),
             a: 0,
             cont: HELD,
             state: RecipState::Idle,
-        })
+        }
     }
 
-    fn kind(&self) -> LockKind {
-        LockKind::Recip
+    fn grant_of(&self, code: u64) -> Addr {
+        self.qnodes.offset((code - 2) as usize * QNODE_WORDS)
     }
 
-    fn lock_word(&self) -> Option<Addr> {
-        Some(self.arrivals)
+    fn next_of(&self, code: u64) -> Addr {
+        self.qnodes.offset((code - 2) as usize * QNODE_WORDS + 1)
     }
 }
 
@@ -90,13 +86,13 @@ enum RecipState {
     FreeCasRel,
 }
 
+/// A RECIP contender.
 #[derive(Debug, Clone, Hash)]
-struct RecipSession {
-    arrivals: Addr,
-    qnodes: Vec<(Addr, Addr)>,
+pub struct RecipSession {
+    lock: Fixed<SimRecip>,
     /// This CPU's code in `arrivals`/`next` words (index + 2, clear of
     /// [`FREE`] and [`HELD`]).
-    me: u64,
+    me: Fixed<u64>,
     /// Last observed `arrivals` value (the push CAS's expected value; on
     /// success it is exactly the continuation stored in our `next`).
     a: u64,
@@ -107,20 +103,12 @@ struct RecipSession {
 }
 
 impl RecipSession {
-    fn grant_of(&self, code: u64) -> Addr {
-        self.qnodes[(code - 2) as usize].0
-    }
-
-    fn next_of(&self, code: u64) -> Addr {
-        self.qnodes[(code - 2) as usize].1
-    }
-
     /// Dispatch on an observed `arrivals` value during the push loop.
     fn on_arrivals(&mut self, a: u64) -> Step {
         if a == FREE {
             self.state = RecipState::FreeCas;
             Step::Op(Command::Cas {
-                addr: self.arrivals,
+                addr: self.lock.arrivals,
                 expected: FREE,
                 new: HELD,
             })
@@ -129,23 +117,21 @@ impl RecipSession {
             // covered — HELD makes us the bottom of our segment.
             self.a = a;
             self.state = RecipState::WrNext;
-            Step::Op(Command::Write(self.next_of(self.me), a))
+            Step::Op(Command::Write(self.lock.next_of(*self.me), a))
         }
     }
-}
 
-impl LockSession for RecipSession {
-    fn start_acquire(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
+    pub(crate) fn start_acquire(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
         debug_assert_eq!(self.state, RecipState::Idle);
         self.state = RecipState::FastCas;
         Step::Op(Command::Cas {
-            addr: self.arrivals,
+            addr: self.lock.arrivals,
             expected: FREE,
             new: HELD,
         })
     }
 
-    fn resume_acquire(&mut self, _ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
+    pub(crate) fn resume_acquire(&mut self, _ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
         match self.state {
             RecipState::FastCas => {
                 let old = result.expect("cas returns old");
@@ -158,7 +144,7 @@ impl LockSession for RecipSession {
                     // grant left it at 1), then join the stack.
                     self.a = old;
                     self.state = RecipState::InitGrant;
-                    Step::Op(Command::Write(self.grant_of(self.me), 0))
+                    Step::Op(Command::Write(self.lock.grant_of(*self.me), 0))
                 }
             }
             RecipState::InitGrant => {
@@ -178,9 +164,9 @@ impl LockSession for RecipSession {
             RecipState::WrNext => {
                 self.state = RecipState::PushCas;
                 Step::Op(Command::Cas {
-                    addr: self.arrivals,
+                    addr: self.lock.arrivals,
                     expected: self.a,
-                    new: self.me,
+                    new: *self.me,
                 })
             }
             RecipState::PushCas => {
@@ -188,7 +174,7 @@ impl LockSession for RecipSession {
                 if old == self.a {
                     self.state = RecipState::SpinGrant;
                     Step::Op(Command::WaitWhile {
-                        addr: self.grant_of(self.me),
+                        addr: self.lock.grant_of(*self.me),
                         equals: 0,
                     })
                 } else {
@@ -206,25 +192,25 @@ impl LockSession for RecipSession {
         }
     }
 
-    fn start_release(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
+    pub(crate) fn start_release(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
         debug_assert_eq!(self.state, RecipState::Holding);
         if self.cont != HELD {
             // Serve the rest of our admission segment first.
             self.state = RecipState::GrantCont;
-            Step::Op(Command::Write(self.grant_of(self.cont), 1))
+            Step::Op(Command::Write(self.lock.grant_of(self.cont), 1))
         } else {
             // Segment exhausted: detach the stack accumulated during it.
             // The swap leaves HELD so late arrivals keep stacking for
             // whoever we grant.
             self.state = RecipState::SwapDetach;
             Step::Op(Command::Swap {
-                addr: self.arrivals,
+                addr: self.lock.arrivals,
                 value: HELD,
             })
         }
     }
 
-    fn resume_release(&mut self, _ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
+    pub(crate) fn resume_release(&mut self, _ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
         match self.state {
             RecipState::GrantCont | RecipState::GrantTop => {
                 self.state = RecipState::Idle;
@@ -238,7 +224,7 @@ impl LockSession for RecipSession {
                     // pushes between the swap and this CAS.
                     self.state = RecipState::FreeCasRel;
                     Step::Op(Command::Cas {
-                        addr: self.arrivals,
+                        addr: self.lock.arrivals,
                         expected: HELD,
                         new: FREE,
                     })
@@ -246,7 +232,7 @@ impl LockSession for RecipSession {
                     // Grant the detached stack top; the chain below it is
                     // the new holder's continuation.
                     self.state = RecipState::GrantTop;
-                    Step::Op(Command::Write(self.grant_of(a), 1))
+                    Step::Op(Command::Write(self.lock.grant_of(a), 1))
                 }
             }
             RecipState::FreeCasRel => {
@@ -257,7 +243,7 @@ impl LockSession for RecipSession {
                 } else {
                     self.state = RecipState::SwapDetach;
                     Step::Op(Command::Swap {
-                        addr: self.arrivals,
+                        addr: self.lock.arrivals,
                         value: HELD,
                     })
                 }
@@ -271,6 +257,7 @@ impl LockSession for RecipSession {
 mod tests {
     use super::*;
     use crate::testutil::{exclusion_test, uncontested_cost};
+    use hbo_locks::LockKind;
 
     #[test]
     fn mutual_exclusion() {
@@ -298,6 +285,6 @@ mod tests {
         let mut m = nucasim::Machine::new(nucasim::MachineConfig::wildfire(2, 2));
         let topo = std::sync::Arc::clone(m.topology());
         let lock = SimRecip::alloc(m.mem_mut(), &topo, NodeId(0));
-        assert_eq!(lock.lock_word(), Some(lock.arrivals));
+        assert_eq!(crate::Lock::Recip(lock).lock_word(), Some(lock.arrivals));
     }
 }

@@ -1,10 +1,10 @@
 //! Simulator RH lock (2 nodes) — reconstruction per `hbo_locks::RhLock`.
 
-use hbo_locks::{BackoffConfig, LockKind};
-use nuca_topology::{CpuId, NodeId, Topology};
+use hbo_locks::BackoffConfig;
+use nuca_topology::{NodeId, Topology};
 use nucasim::{Addr, BackoffClass, Command, CpuCtx, MemorySystem};
 
-use crate::{LockSession, SimBackoff, SimLock, Step};
+use crate::{Fixed, SimBackoff, Step};
 
 const FREE: u64 = 0;
 const L_FREE: u64 = 1;
@@ -19,7 +19,7 @@ const REMOTE_PATIENCE: u32 = 2;
 /// contains a copy of a lock — the lock storage cost is twice that of
 /// simple locking algorithms"), with `L_FREE` local handover and a
 /// node-winner election for remote capture.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct SimRh {
     /// `copies[n]` is node `n`'s lock copy, homed in node `n`.
     copies: [Addr; 2],
@@ -57,26 +57,17 @@ impl SimRh {
             remote,
         }
     }
-}
 
-impl SimLock for SimRh {
-    fn session(&self, _cpu: CpuId, node: NodeId) -> Box<dyn LockSession> {
+    pub(crate) fn session(&self, node: NodeId) -> RhSession {
         assert!(node.index() < 2, "RH session outside its two nodes");
-        Box::new(RhSession {
-            my_copy: self.copies[node.index()],
-            other_copy: self.copies[1 - node.index()],
-            handovers: self.handovers,
-            max_handovers: self.max_handovers,
-            local: self.local,
-            remote: self.remote,
+        RhSession {
+            lock: Fixed(*self),
+            my_copy: Fixed(self.copies[node.index()]),
+            other_copy: Fixed(self.copies[1 - node.index()]),
             backoff: SimBackoff::new(self.local),
             failures: 0,
             state: RhState::Idle,
-        })
-    }
-
-    fn kind(&self) -> LockKind {
-        LockKind::Rh
+        }
     }
 }
 
@@ -112,14 +103,12 @@ enum RhState {
     WriteTag,
 }
 
+/// An RH contender.
 #[derive(Debug, Clone, Hash)]
-struct RhSession {
-    my_copy: Addr,
-    other_copy: Addr,
-    handovers: Addr,
-    max_handovers: u64,
-    local: BackoffConfig,
-    remote: BackoffConfig,
+pub struct RhSession {
+    lock: Fixed<SimRh>,
+    my_copy: Fixed<Addr>,
+    other_copy: Fixed<Addr>,
     backoff: SimBackoff,
     failures: u32,
     state: RhState,
@@ -129,7 +118,7 @@ impl RhSession {
     fn try_free(&mut self) -> Step {
         self.state = RhState::TryFree;
         Step::Op(Command::Cas {
-            addr: self.my_copy,
+            addr: *self.my_copy,
             expected: FREE,
             new: HELD,
         })
@@ -139,30 +128,28 @@ impl RhSession {
         if self.failures >= REMOTE_PATIENCE {
             self.state = RhState::FishLFree;
             Step::Op(Command::Cas {
-                addr: self.other_copy,
+                addr: *self.other_copy,
                 expected: L_FREE,
                 new: REMOTE,
             })
         } else {
             self.state = RhState::FishFree;
             Step::Op(Command::Cas {
-                addr: self.other_copy,
+                addr: *self.other_copy,
                 expected: FREE,
                 new: REMOTE,
             })
         }
     }
-}
 
-impl LockSession for RhSession {
-    fn start_acquire(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
+    pub(crate) fn start_acquire(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
         debug_assert_eq!(self.state, RhState::Idle);
-        self.backoff.reset(self.local);
+        self.backoff.reset(self.lock.local);
         self.failures = 0;
         self.try_free()
     }
 
-    fn resume_acquire(&mut self, ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
+    pub(crate) fn resume_acquire(&mut self, ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
         match self.state {
             RhState::TryFree => {
                 let old = result.expect("cas returns old");
@@ -170,12 +157,12 @@ impl LockSession for RhSession {
                     FREE => {
                         // Fresh global capture: restart the budget.
                         self.state = RhState::FreshReset;
-                        Step::Op(Command::Write(self.handovers, 0))
+                        Step::Op(Command::Write(self.lock.handovers, 0))
                     }
                     L_FREE => {
                         self.state = RhState::TryLFree;
                         Step::Op(Command::Cas {
-                            addr: self.my_copy,
+                            addr: *self.my_copy,
                             expected: L_FREE,
                             new: HELD,
                         })
@@ -183,7 +170,7 @@ impl LockSession for RhSession {
                     REMOTE => {
                         self.state = RhState::TryElect;
                         Step::Op(Command::Cas {
-                            addr: self.my_copy,
+                            addr: *self.my_copy,
                             expected: REMOTE,
                             new: FISHING,
                         })
@@ -207,7 +194,7 @@ impl LockSession for RhSession {
                     // Local handover: consume budget.
                     self.state = RhState::BumpHandover;
                     Step::Op(Command::FetchAdd {
-                        addr: self.handovers,
+                        addr: self.lock.handovers,
                         delta: 1,
                     })
                 } else {
@@ -223,7 +210,7 @@ impl LockSession for RhSession {
                 let old = result.expect("cas returns old");
                 if old == REMOTE {
                     // We are the node winner: fish the other node's copy.
-                    self.backoff.reset(self.remote);
+                    self.backoff.reset(self.lock.remote);
                     self.failures = 0;
                     self.fish()
                 } else {
@@ -238,14 +225,14 @@ impl LockSession for RhSession {
                 if captured {
                     // Lock migrated here: reset budget, mark our copy HELD.
                     self.state = RhState::MigrateReset;
-                    Step::Op(Command::Write(self.handovers, 0))
+                    Step::Op(Command::Write(self.lock.handovers, 0))
                 } else if self.state == RhState::FishFree && old == L_FREE {
                     // The copy is offered to locals only; after a failed
                     // FREE capture that *observed* L_FREE, claim it
                     // directly (locals had their window).
                     self.state = RhState::FishLFree;
                     Step::Op(Command::Cas {
-                        addr: self.other_copy,
+                        addr: *self.other_copy,
                         expected: L_FREE,
                         new: REMOTE,
                     })
@@ -272,7 +259,7 @@ impl LockSession for RhSession {
             RhState::FishPause => self.fish(),
             RhState::MigrateReset => {
                 self.state = RhState::MigrateMark;
-                Step::Op(Command::Write(self.my_copy, HELD))
+                Step::Op(Command::Write(*self.my_copy, HELD))
             }
             RhState::MigrateMark => {
                 self.state = RhState::Holding;
@@ -282,19 +269,23 @@ impl LockSession for RhSession {
         }
     }
 
-    fn start_release(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
+    pub(crate) fn start_release(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
         debug_assert_eq!(self.state, RhState::Holding);
         self.state = RhState::ReadHandovers;
-        Step::Op(Command::Read(self.handovers))
+        Step::Op(Command::Read(self.lock.handovers))
     }
 
-    fn resume_release(&mut self, _ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
+    pub(crate) fn resume_release(&mut self, _ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
         match self.state {
             RhState::ReadHandovers => {
                 let h = result.expect("read returns value");
-                let tag = if h < self.max_handovers { L_FREE } else { FREE };
+                let tag = if h < self.lock.max_handovers {
+                    L_FREE
+                } else {
+                    FREE
+                };
                 self.state = RhState::WriteTag;
-                Step::Op(Command::Write(self.my_copy, tag))
+                Step::Op(Command::Write(*self.my_copy, tag))
             }
             RhState::WriteTag => {
                 self.state = RhState::Idle;
@@ -307,8 +298,8 @@ impl LockSession for RhSession {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::testutil::{exclusion_test, uncontested_cost};
+    use hbo_locks::LockKind;
 
     #[test]
     fn mutual_exclusion() {

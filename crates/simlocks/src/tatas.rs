@@ -1,19 +1,19 @@
 //! Simulator TATAS and TATAS_EXP.
 
-use hbo_locks::{BackoffConfig, LockKind};
-use nuca_topology::{CpuId, NodeId};
+use hbo_locks::BackoffConfig;
+use nuca_topology::NodeId;
 use nucasim::{Addr, BackoffClass, Command, CpuCtx, MemorySystem};
 
-use crate::{LockSession, SimBackoff, SimLock, Step};
+use crate::{Fixed, SimBackoff, Step};
 
 const FREE: u64 = 0;
 const HELD: u64 = 1;
 
 /// Traditional test-and-test&set in simulated memory: `tas`, then spin
 /// with plain (cached) loads until the word reads free, then `tas` again.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct SimTatas {
-    word: Addr,
+    pub(crate) word: Addr,
 }
 
 impl SimTatas {
@@ -23,22 +23,12 @@ impl SimTatas {
             word: mem.alloc(home),
         }
     }
-}
 
-impl SimLock for SimTatas {
-    fn session(&self, _cpu: CpuId, _node: NodeId) -> Box<dyn LockSession> {
-        Box::new(TatasSession {
-            word: self.word,
+    pub(crate) fn session(&self) -> TatasSession {
+        TatasSession {
+            lock: Fixed(*self),
             state: TatasState::Idle,
-        })
-    }
-
-    fn kind(&self) -> LockKind {
-        LockKind::Tatas
-    }
-
-    fn lock_word(&self) -> Option<Addr> {
-        Some(self.word)
+        }
     }
 }
 
@@ -51,20 +41,21 @@ enum TatasState {
     Releasing,
 }
 
+/// A TATAS contender.
 #[derive(Debug, Clone, Hash)]
-struct TatasSession {
-    word: Addr,
+pub struct TatasSession {
+    lock: Fixed<SimTatas>,
     state: TatasState,
 }
 
-impl LockSession for TatasSession {
-    fn start_acquire(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
+impl TatasSession {
+    pub(crate) fn start_acquire(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
         debug_assert_eq!(self.state, TatasState::Idle);
         self.state = TatasState::TasIssued;
-        Step::Op(Command::Tas(self.word))
+        Step::Op(Command::Tas(self.lock.word))
     }
 
-    fn resume_acquire(&mut self, _ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
+    pub(crate) fn resume_acquire(&mut self, _ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
         match self.state {
             TatasState::TasIssued => {
                 if result == Some(FREE) {
@@ -75,7 +66,7 @@ impl LockSession for TatasSession {
                     // invalidates it.
                     self.state = TatasState::Spinning;
                     Step::Op(Command::WaitWhile {
-                        addr: self.word,
+                        addr: self.lock.word,
                         equals: HELD,
                     })
                 }
@@ -83,19 +74,19 @@ impl LockSession for TatasSession {
             TatasState::Spinning => {
                 // The word changed (presumably to FREE): stampede.
                 self.state = TatasState::TasIssued;
-                Step::Op(Command::Tas(self.word))
+                Step::Op(Command::Tas(self.lock.word))
             }
             s => unreachable!("resume_acquire in state {s:?}"),
         }
     }
 
-    fn start_release(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
+    pub(crate) fn start_release(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
         debug_assert_eq!(self.state, TatasState::Holding);
         self.state = TatasState::Releasing;
-        Step::Op(Command::Write(self.word, FREE))
+        Step::Op(Command::Write(self.lock.word, FREE))
     }
 
-    fn resume_release(&mut self, _ctx: &mut CpuCtx<'_>, _result: Option<u64>) -> Step {
+    pub(crate) fn resume_release(&mut self, _ctx: &mut CpuCtx<'_>, _result: Option<u64>) -> Step {
         debug_assert_eq!(self.state, TatasState::Releasing);
         self.state = TatasState::Idle;
         Step::Released
@@ -104,9 +95,9 @@ impl LockSession for TatasSession {
 
 /// TATAS with exponential backoff in simulated memory — the paper's §3
 /// listing: delay, re-check with a load, retry the `tas`.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct SimTatasExp {
-    word: Addr,
+    pub(crate) word: Addr,
     cfg: BackoffConfig,
 }
 
@@ -118,24 +109,13 @@ impl SimTatasExp {
             cfg,
         }
     }
-}
 
-impl SimLock for SimTatasExp {
-    fn session(&self, _cpu: CpuId, _node: NodeId) -> Box<dyn LockSession> {
-        Box::new(TatasExpSession {
-            word: self.word,
-            cfg: self.cfg,
+    pub(crate) fn session(&self) -> TatasExpSession {
+        TatasExpSession {
+            lock: Fixed(*self),
             backoff: SimBackoff::new(self.cfg),
             state: ExpState::Idle,
-        })
-    }
-
-    fn kind(&self) -> LockKind {
-        LockKind::TatasExp
-    }
-
-    fn lock_word(&self) -> Option<Addr> {
-        Some(self.word)
+        }
     }
 }
 
@@ -149,23 +129,23 @@ enum ExpState {
     Releasing,
 }
 
+/// A TATAS_EXP contender.
 #[derive(Debug, Clone, Hash)]
-struct TatasExpSession {
-    word: Addr,
-    cfg: BackoffConfig,
+pub struct TatasExpSession {
+    lock: Fixed<SimTatasExp>,
     backoff: SimBackoff,
     state: ExpState,
 }
 
-impl LockSession for TatasExpSession {
-    fn start_acquire(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
+impl TatasExpSession {
+    pub(crate) fn start_acquire(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
         debug_assert_eq!(self.state, ExpState::Idle);
-        self.backoff.reset(self.cfg);
+        self.backoff.reset(self.lock.cfg);
         self.state = ExpState::TasIssued;
-        Step::Op(Command::Tas(self.word))
+        Step::Op(Command::Tas(self.lock.word))
     }
 
-    fn resume_acquire(&mut self, ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
+    pub(crate) fn resume_acquire(&mut self, ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
         match self.state {
             ExpState::TasIssued => {
                 if result == Some(FREE) {
@@ -180,12 +160,12 @@ impl LockSession for TatasExpSession {
             }
             ExpState::Delaying => {
                 self.state = ExpState::ReadCheck;
-                Step::Op(Command::Read(self.word))
+                Step::Op(Command::Read(self.lock.word))
             }
             ExpState::ReadCheck => {
                 if result == Some(FREE) {
                     self.state = ExpState::TasIssued;
-                    Step::Op(Command::Tas(self.word))
+                    Step::Op(Command::Tas(self.lock.word))
                 } else {
                     self.state = ExpState::Delaying;
                     let d = self.backoff.next_delay();
@@ -197,13 +177,13 @@ impl LockSession for TatasExpSession {
         }
     }
 
-    fn start_release(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
+    pub(crate) fn start_release(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
         debug_assert_eq!(self.state, ExpState::Holding);
         self.state = ExpState::Releasing;
-        Step::Op(Command::Write(self.word, FREE))
+        Step::Op(Command::Write(self.lock.word, FREE))
     }
 
-    fn resume_release(&mut self, _ctx: &mut CpuCtx<'_>, _result: Option<u64>) -> Step {
+    pub(crate) fn resume_release(&mut self, _ctx: &mut CpuCtx<'_>, _result: Option<u64>) -> Step {
         debug_assert_eq!(self.state, ExpState::Releasing);
         self.state = ExpState::Idle;
         Step::Released

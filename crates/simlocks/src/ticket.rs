@@ -7,15 +7,14 @@
 //! queue locks were invented to avoid. Running it through the simulator
 //! (`experiments -- ticket`) shows exactly that contrast.
 
-use hbo_locks::LockKind;
-use nuca_topology::{CpuId, NodeId};
+use nuca_topology::NodeId;
 use nucasim::{Addr, Command, CpuCtx, MemorySystem};
 
-use crate::{LockSession, SimLock, Step};
+use crate::{Fixed, Step};
 
 /// Ticket lock in simulated memory: a `next_ticket` dispenser word and a
 /// `now_serving` word, both homed in `home`.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct SimTicket {
     next_ticket: Addr,
     now_serving: Addr,
@@ -29,20 +28,13 @@ impl SimTicket {
             now_serving: mem.alloc(home),
         }
     }
-}
 
-impl SimLock for SimTicket {
-    fn session(&self, _cpu: CpuId, _node: NodeId) -> Box<dyn LockSession> {
-        Box::new(TicketSession {
-            next_ticket: self.next_ticket,
-            now_serving: self.now_serving,
+    pub(crate) fn session(&self) -> TicketSession {
+        TicketSession {
+            lock: Fixed(*self),
             my_ticket: 0,
             state: TkState::Idle,
-        })
-    }
-
-    fn kind(&self) -> LockKind {
-        LockKind::Ticket
+        }
     }
 }
 
@@ -59,30 +51,30 @@ enum TkState {
     Releasing,
 }
 
+/// A TICKET contender.
 #[derive(Debug, Clone, Hash)]
-struct TicketSession {
-    next_ticket: Addr,
-    now_serving: Addr,
+pub struct TicketSession {
+    lock: Fixed<SimTicket>,
     my_ticket: u64,
     state: TkState,
 }
 
-impl LockSession for TicketSession {
-    fn start_acquire(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
+impl TicketSession {
+    pub(crate) fn start_acquire(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
         debug_assert_eq!(self.state, TkState::Idle);
         self.state = TkState::TakeTicket;
         Step::Op(Command::FetchAdd {
-            addr: self.next_ticket,
+            addr: self.lock.next_ticket,
             delta: 1,
         })
     }
 
-    fn resume_acquire(&mut self, _ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
+    pub(crate) fn resume_acquire(&mut self, _ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
         match self.state {
             TkState::TakeTicket => {
                 self.my_ticket = result.expect("fetch_add returns old");
                 self.state = TkState::CheckServing;
-                Step::Op(Command::Read(self.now_serving))
+                Step::Op(Command::Read(self.lock.now_serving))
             }
             TkState::CheckServing | TkState::Spinning => {
                 let serving = result.expect("read/wait returns value");
@@ -94,7 +86,7 @@ impl LockSession for TicketSession {
                     // all of us — the ticket storm.
                     self.state = TkState::Spinning;
                     Step::Op(Command::WaitWhile {
-                        addr: self.now_serving,
+                        addr: self.lock.now_serving,
                         equals: serving,
                     })
                 }
@@ -103,13 +95,13 @@ impl LockSession for TicketSession {
         }
     }
 
-    fn start_release(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
+    pub(crate) fn start_release(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
         debug_assert_eq!(self.state, TkState::Holding);
         self.state = TkState::Releasing;
-        Step::Op(Command::Write(self.now_serving, self.my_ticket + 1))
+        Step::Op(Command::Write(self.lock.now_serving, self.my_ticket + 1))
     }
 
-    fn resume_release(&mut self, _ctx: &mut CpuCtx<'_>, _result: Option<u64>) -> Step {
+    pub(crate) fn resume_release(&mut self, _ctx: &mut CpuCtx<'_>, _result: Option<u64>) -> Step {
         debug_assert_eq!(self.state, TkState::Releasing);
         self.state = TkState::Idle;
         Step::Released
@@ -183,7 +175,7 @@ mod tests {
     fn mutual_exclusion_and_exact_count() {
         let mut m = Machine::new(MachineConfig::wildfire(2, 3));
         let topo = Arc::clone(m.topology());
-        let lock = SimTicket::alloc(m.mem_mut(), NodeId(0));
+        let lock = crate::Lock::Ticket(SimTicket::alloc(m.mem_mut(), NodeId(0)));
         let counter = m.mem_mut().alloc(NodeId(0));
         for cpu in topo.cpus() {
             m.add_program(

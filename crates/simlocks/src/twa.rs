@@ -22,11 +22,10 @@
 //! final step; the published order would let the successor (correctly)
 //! enter while the releaser still owed its bump, a false positive.
 
-use hbo_locks::LockKind;
-use nuca_topology::{CpuId, NodeId, Topology};
+use nuca_topology::{NodeId, Topology};
 use nucasim::{Addr, Command, CpuCtx, MemorySystem};
 
-use crate::{LockSession, SimLock, Step, TwaHash};
+use crate::{alloc_table, Fixed, Step, TwaHash};
 
 /// Default waiting-array slots. The real lock shares one 4096-slot array
 /// across the process; the simulator scales it down but keeps the
@@ -40,11 +39,13 @@ pub(crate) const WA_SLOTS: usize = 16;
 const LONG_TERM: u64 = 1;
 
 /// TWA in simulated memory.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct SimTwa {
     next_ticket: Addr,
     now_serving: Addr,
-    wa: Vec<Addr>,
+    /// Base of the waiting array, `slots` words back to back.
+    wa: Addr,
+    slots: usize,
     hash: TwaHash,
 }
 
@@ -71,34 +72,28 @@ impl SimTwa {
         hash: TwaHash,
     ) -> SimTwa {
         crate::assert_twa_slots(slots);
-        let nodes: Vec<NodeId> = topo.nodes().collect();
-        let wa = (0..slots)
-            .map(|i| mem.alloc(nodes[i % nodes.len()]))
-            .collect();
+        let wa = alloc_table(mem, slots, 1, |i| NodeId(i % topo.num_nodes()));
         SimTwa {
             next_ticket: mem.alloc(home),
             now_serving: mem.alloc(home),
             wa,
+            slots,
             hash,
         }
     }
-}
 
-impl SimLock for SimTwa {
-    fn session(&self, _cpu: CpuId, _node: NodeId) -> Box<dyn LockSession> {
-        Box::new(TwaSession {
-            next_ticket: self.next_ticket,
-            now_serving: self.now_serving,
-            wa: self.wa.clone(),
-            hash: self.hash,
+    pub(crate) fn session(&self) -> TwaSession {
+        TwaSession {
+            lock: Fixed(*self),
             ticket: 0,
             seen: 0,
             state: TwaState::Idle,
-        })
+        }
     }
 
-    fn kind(&self) -> LockKind {
-        LockKind::Twa
+    /// The waiting-array slot `ticket` parks on.
+    fn slot_of(&self, ticket: u64) -> Addr {
+        self.wa.offset(self.hash.slot(ticket, self.slots))
     }
 }
 
@@ -121,12 +116,10 @@ enum TwaState {
     WrServing,
 }
 
+/// A TWA contender.
 #[derive(Debug, Clone, Hash)]
-struct TwaSession {
-    next_ticket: Addr,
-    now_serving: Addr,
-    wa: Vec<Addr>,
-    hash: TwaHash,
+pub struct TwaSession {
+    lock: Fixed<SimTwa>,
     ticket: u64,
     /// Slot value read before parking.
     seen: u64,
@@ -134,10 +127,6 @@ struct TwaSession {
 }
 
 impl TwaSession {
-    fn slot_of(&self, ticket: u64) -> Addr {
-        self.wa[self.hash.slot(ticket, self.wa.len())]
-    }
-
     /// Dispatch on a freshly read `now_serving` value.
     fn on_serving(&mut self, serving: u64) -> Step {
         let distance = self.ticket.wrapping_sub(serving);
@@ -146,39 +135,37 @@ impl TwaSession {
             // array to short-term spinning, then enter.
             self.state = TwaState::EntryBump;
             Step::Op(Command::FetchAdd {
-                addr: self.slot_of(self.ticket.wrapping_add(LONG_TERM)),
+                addr: self.lock.slot_of(self.ticket.wrapping_add(LONG_TERM)),
                 delta: 1,
             })
         } else if distance <= LONG_TERM {
             // Short-term: we are next; spin on `now_serving` itself.
             self.state = TwaState::CheckServing;
             Step::Op(Command::WaitWhile {
-                addr: self.now_serving,
+                addr: self.lock.now_serving,
                 equals: serving,
             })
         } else {
             self.state = TwaState::RdSlot;
-            Step::Op(Command::Read(self.slot_of(self.ticket)))
+            Step::Op(Command::Read(self.lock.slot_of(self.ticket)))
         }
     }
-}
 
-impl LockSession for TwaSession {
-    fn start_acquire(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
+    pub(crate) fn start_acquire(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
         debug_assert_eq!(self.state, TwaState::Idle);
         self.state = TwaState::TakeTicket;
         Step::Op(Command::FetchAdd {
-            addr: self.next_ticket,
+            addr: self.lock.next_ticket,
             delta: 1,
         })
     }
 
-    fn resume_acquire(&mut self, _ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
+    pub(crate) fn resume_acquire(&mut self, _ctx: &mut CpuCtx<'_>, result: Option<u64>) -> Step {
         match self.state {
             TwaState::TakeTicket => {
                 self.ticket = result.expect("fetch_add returns old");
                 self.state = TwaState::CheckServing;
-                Step::Op(Command::Read(self.now_serving))
+                Step::Op(Command::Read(self.lock.now_serving))
             }
             TwaState::CheckServing => {
                 let serving = result.expect("read/wait returns value");
@@ -187,7 +174,7 @@ impl LockSession for TwaSession {
             TwaState::RdSlot => {
                 self.seen = result.expect("read returns value");
                 self.state = TwaState::ReCheck;
-                Step::Op(Command::Read(self.now_serving))
+                Step::Op(Command::Read(self.lock.now_serving))
             }
             TwaState::ReCheck => {
                 let serving = result.expect("read returns value");
@@ -196,7 +183,7 @@ impl LockSession for TwaSession {
                 } else {
                     self.state = TwaState::LongWait;
                     Step::Op(Command::WaitWhile {
-                        addr: self.slot_of(self.ticket),
+                        addr: self.lock.slot_of(self.ticket),
                         equals: self.seen,
                     })
                 }
@@ -205,7 +192,7 @@ impl LockSession for TwaSession {
                 // Woken (possibly spuriously, by a colliding bump):
                 // re-read the ground truth.
                 self.state = TwaState::CheckServing;
-                Step::Op(Command::Read(self.now_serving))
+                Step::Op(Command::Read(self.lock.now_serving))
             }
             TwaState::EntryBump => {
                 self.state = TwaState::Holding;
@@ -215,13 +202,16 @@ impl LockSession for TwaSession {
         }
     }
 
-    fn start_release(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
+    pub(crate) fn start_release(&mut self, _ctx: &mut CpuCtx<'_>) -> Step {
         debug_assert_eq!(self.state, TwaState::Holding);
         self.state = TwaState::WrServing;
-        Step::Op(Command::Write(self.now_serving, self.ticket.wrapping_add(1)))
+        Step::Op(Command::Write(
+            self.lock.now_serving,
+            self.ticket.wrapping_add(1),
+        ))
     }
 
-    fn resume_release(&mut self, _ctx: &mut CpuCtx<'_>, _result: Option<u64>) -> Step {
+    pub(crate) fn resume_release(&mut self, _ctx: &mut CpuCtx<'_>, _result: Option<u64>) -> Step {
         match self.state {
             // The store is the whole release: the promote bump for the
             // waiter that just became distance-1 is issued by the incoming
@@ -237,8 +227,8 @@ impl LockSession for TwaSession {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::testutil::{exclusion_test, uncontested_cost};
+    use hbo_locks::LockKind;
 
     #[test]
     fn mutual_exclusion() {

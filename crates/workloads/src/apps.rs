@@ -21,7 +21,7 @@ use nuca_topology::NodeId;
 use nucasim::{
     Addr, Command, CpuCtx, Machine, MachineConfig, Program, SplitMix64, TrafficCounts,
 };
-use nucasim_locks::{build_lock, DriveResult, GtSlots, SessionDriver, SimLock, SimLockParams};
+use nucasim_locks::{build_lock, DriveResult, GtSlots, SessionDriver, SimLockParams};
 
 use crate::barrier::{BarrierClient, BarrierStep, SimBarrier};
 
@@ -392,7 +392,7 @@ pub fn run_app(model: &AppModel, cfg: &AppRunConfig) -> AppReport {
         .saturating_add((model.total_locks.saturating_sub(model.hot_locks)).min(MAX_COLD_LOCKS));
     // Locks and their data, homes striped across nodes like a real
     // first-touch allocation.
-    let mut locks: Vec<Box<dyn SimLock>> = Vec::with_capacity(lock_count);
+    let mut locks = Vec::with_capacity(lock_count);
     let mut data: Vec<Vec<Addr>> = Vec::with_capacity(lock_count);
     for i in 0..lock_count {
         let home = NodeId(i % topo.num_nodes());

@@ -11,7 +11,7 @@
 //!
 //! - **Sharding.** Objects hash onto `shards` locks of the swept
 //!   [`LockKind`]; the critical section touches the object's word. Only
-//!   the shard locks are real [`SimLock`]s — a million queue locks would
+//!   the shard locks are real [`nucasim_locks::Lock`]s — a million queue locks would
 //!   need two qnode words per CPU *each* — while per-object statistics go
 //!   through the sparse [`nucasim::LockTally`] tier (lock index
 //!   `shards + key`), which is what keeps 10^6 objects affordable.

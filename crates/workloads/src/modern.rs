@@ -14,7 +14,7 @@ use nucasim::{
     ProfileCollector, Program, SimReport, SplitMix64, TraceRecord, TraceSink,
 };
 use nuca_topology::Topology;
-use nucasim_locks::{build_lock, DriveResult, GtSlots, SessionDriver, SimLock, SimLockParams};
+use nucasim_locks::{build_lock, DriveResult, GtSlots, Lock, SessionDriver, SimLockParams};
 
 use crate::MicroReport;
 
@@ -318,8 +318,7 @@ pub fn run_modern_recorded(cfg: &ModernConfig) -> (SimReport, Vec<nucasim::Sched
 
 /// Lock factory signature for [`run_modern_with`]: builds the lock under
 /// test in the machine's memory.
-pub type LockFactory<'a> =
-    dyn Fn(&mut MemorySystem, &Topology, &GtSlots) -> Box<dyn SimLock> + 'a;
+pub type LockFactory<'a> = dyn Fn(&mut MemorySystem, &Topology, &GtSlots) -> Lock + 'a;
 
 /// Runs the benchmark with a caller-supplied lock (e.g. the hierarchical
 /// HBO extension, which is not one of the paper's eight

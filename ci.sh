@@ -18,19 +18,50 @@ echo "==> benchmark contract tests (hbobench calls the simulator's API)"
 cargo test --offline -q --manifest-path hbobench/Cargo.toml
 
 echo "==> harness smoke run (all artifacts, fast scale, 2 jobs)"
+rm -rf target/ci-experiments
 ./target/release/experiments all --fast --jobs 2 --out target/ci-experiments >/dev/null
 
-echo "==> cell cache (shared cells give the bytes each artifact makes alone)"
-# These artifacts share simulation cells with one another inside `all`;
-# run alone and serially, each must write the same TSVs.
+echo "==> one plan (shared cells give the bytes each artifact makes alone)"
+# Artifacts share simulation cells inside `all`; run alone and serially,
+# each must write the same TSVs.
 rm -rf target/ci-alone
-for id in fig5 table2 lat_hist table4 table5 table6 fig6 fig7 fig9 fig10 \
-    colloc ticket; do
+all_ids=$(./target/release/experiments --list |
+    sed -n 's/^\(paper artifacts\|extensions\): *//p' | tr -d ',')
+for id in $all_ids; do
     ./target/release/experiments "$id" --fast --jobs 1 --out target/ci-alone >/dev/null
 done
-for tsv in target/ci-alone/*.tsv; do
+alone=(target/ci-alone/*.tsv)
+together=(target/ci-experiments/*.tsv)
+if [ "${#alone[@]}" != "${#together[@]}" ]; then
+    echo "expected every TSV of \`all\` from the artifacts run alone"
+    exit 1
+fi
+for tsv in "${alone[@]}"; do
     cmp "$tsv" "target/ci-experiments/$(basename "$tsv")"
 done
+# `all --fast` declares 652 cells, 477 of them distinct; each distinct
+# cell runs once, so the counts and the simulated events are the same at
+# any --jobs.
+for jobs in 1 4; do
+    ./target/release/experiments all --fast --jobs "$jobs" \
+        --out "target/ci-plan-j$jobs" >/dev/null 2>"target/ci-plan-j$jobs.log"
+done
+plan_counts() {
+    sed -n 's/^\[\([0-9]* cells requested, [0-9]* run, [0-9]* simulated events\) in .*\]$/\1/p' "$1"
+}
+plan_j1=$(plan_counts target/ci-plan-j1.log)
+plan_j4=$(plan_counts target/ci-plan-j4.log)
+case "$plan_j1" in
+    "652 cells requested, 477 run, "*) ;;
+    *)
+        echo "expected 652 cells requested and 477 run, got \`$plan_j1\`"
+        exit 1
+        ;;
+esac
+if [ "$plan_j1" != "$plan_j4" ]; then
+    echo "the plan differs across --jobs: \`$plan_j1\` vs \`$plan_j4\`"
+    exit 1
+fi
 # A TSV that cannot be written (here --out names a regular file) must fail
 # the run.
 touch target/ci-out-is-a-file

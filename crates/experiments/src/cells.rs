@@ -1,43 +1,110 @@
-//! The cell cache: each simulation an `experiments` invocation needs is
-//! run once, and every artifact that asks for it reads the same result.
+//! The plan: every simulation an `experiments` invocation needs is
+//! declared up front, run once, and read back from one filled table.
 //!
 //! Several artifacts read the same runs. Table 2 is Fig. 5 at
 //! `critical_work = 1500`, `lat_hist` reads Fig. 5's whole grid, Tables 5
 //! and 6 and Fig. 6 share the application runs, and Table 4 and Fig. 7
-//! share Raytrace's. Artifacts ask a [`Cells`] for each run instead of
-//! simulating it themselves:
+//! share Raytrace's. So each artifact lists the [`Cell`]s it reads, the
+//! invocation runs the union of those lists once through one
+//! [`runner::run_jobs`] pool ([`Cells::fill`]), and the artifacts render
+//! from the filled, read-only table:
 //!
-//! * **Key.** A cell is keyed by the `Debug` rendering of its config.
+//! * **Key.** A cell is keyed by the `Debug` rendering of its spec.
 //!   Artifacts build complete configs from the invocation's
 //!   [`crate::Settings`] (protocol, binding, lock tunables), and the run
-//!   reads nothing else, so the key is exactly what the run sees.
-//!   Application cells key on the [`AppModel`] too. Profiled runs and
-//!   custom-lock runs are kept apart from plain runs of the same config.
-//! * **Scope.** One [`Cells`] per invocation: `main` makes one for every
-//!   requested id, and [`crate::run_experiment`] one per call. Two calls
-//!   never share, so each still simulates. The workload runners
-//!   (`run_modern*`, `run_app`) stay uncached.
-//! * **In flight.** The first requester of a cell simulates it; any other
-//!   requester blocks until it is done, with its `--jobs` permit handed
-//!   back (`runner::unmetered`). Exactly one run per cell at any
-//!   `--jobs`, so event counts and `--profile` output do not depend on
-//!   scheduling.
+//!   reads nothing else, so the key is exactly what the run sees. The
+//!   variant name is part of the key, so a profiled or custom-lock run
+//!   never stands in for a plain run of the same config.
+//! * **Order.** Duplicates are dropped by key, keeping the order in which
+//!   cells were first declared; the pool starts them in that order.
+//! * **Lookups.** [`Cells::modern`] and its siblings rebuild the spec and
+//!   look its key up. A lookup of a cell the artifact did not declare
+//!   panics and names the key: rendering never simulates.
 //! * **Memory.** A cell keeps only what artifacts read ([`ModernCell`],
-//!   [`AppReport`], [`ProfiledCell`]), never a run's final-memory image.
+//!   [`AppReport`], [`ProfiledCell`], …), never a run's final-memory image
+//!   or a lockserver's per-object tallies.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::any::Any;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
+use hbo_locks::{BackoffConfig, LevelBackoff, LockKind};
+use nuca_topology::NodeId;
 use nuca_workloads::apps::{run_app, AppModel, AppReport, AppRunConfig};
+use nuca_workloads::lockserver::{run_lockserver, LockServerConfig};
 use nuca_workloads::modern::{
-    run_modern_profiled, run_modern_raw, run_modern_with, LockFactory, ModernConfig,
+    run_modern_profiled, run_modern_raw, run_modern_traced, run_modern_with, ModernConfig,
 };
+use nuca_workloads::traditional::{run_traditional, TraditionalConfig};
+use nuca_workloads::uncontested::{run_uncontested, UncontestedReport};
 use nuca_workloads::MicroReport;
-use nucasim::{Histogram, LockProfile, LockTrace, SimReport};
+use nucasim::{Histogram, LockProfile, LockTrace, MachineConfig, SimReport};
+use nucasim_locks::{Lock, SimHierHbo, SimLockParams, SimTicket};
 
+use crate::falsesharing::{run_layout, LayoutConfig, LayoutOutcome};
+use crate::lockserver::Service;
 use crate::runner;
+use crate::tracecap::Capture;
+
+/// One simulation an artifact reads: a plain-data spec that names
+/// everything its run reads.
+#[derive(Debug, Clone)]
+pub enum Cell {
+    /// The new microbenchmark with a registered lock kind.
+    Modern(ModernConfig),
+    /// The new microbenchmark with a lock outside the catalog (the
+    /// config's `kind` only labels the run).
+    Custom(CustomLock, ModernConfig),
+    /// The new microbenchmark with the streaming profiler attached
+    /// (`handoff`).
+    Profiled(ModernConfig),
+    /// An application model run (Tables 4–6, Figs. 6 and 7).
+    App(AppModel, AppRunConfig),
+    /// The traditional microbenchmark (Fig. 3).
+    Traditional(TraditionalConfig),
+    /// One kind's uncontested acquire-release pairs (Table 1).
+    Uncontested(LockKind, MachineConfig, SimLockParams),
+    /// One sharded lock-service run (`lockserver`).
+    LockServer(LockServerConfig),
+    /// One lock/data layout run (`falsesharing`).
+    Layout(LayoutConfig),
+    /// The new microbenchmark with every trace event recorded (the
+    /// `--trace`/`--metrics-json` capture).
+    Traced(ModernConfig),
+}
+
+/// A lock built by name, so a [`Cell::Custom`] stays plain data.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CustomLock {
+    /// Hierarchical HBO (`hier`): flat HBO's node and remote constants
+    /// plus an extra-eager on-chip class, so the hierarchy only *adds* a
+    /// distinction.
+    HboHier,
+    /// The ticket lock (`ticket`): FIFO, every waiter spinning on one
+    /// shared `now_serving` word.
+    Ticket,
+}
+
+impl CustomLock {
+    fn run(self, cfg: &ModernConfig) -> SimReport {
+        let (sim, _) = match self {
+            CustomLock::HboHier => {
+                let table = LevelBackoff::new(vec![
+                    BackoffConfig::new(40, 2, 400),
+                    cfg.params.local,
+                    cfg.params.remote,
+                ]);
+                run_modern_with(cfg, &|mem, topo, _gt| {
+                    Lock::Hier(SimHierHbo::alloc(mem, topo, NodeId(0), table.clone()))
+                })
+            }
+            CustomLock::Ticket => run_modern_with(cfg, &|mem, _topo, _gt| {
+                Lock::Ticket(SimTicket::alloc(mem, NodeId(0)))
+            }),
+        };
+        sim
+    }
+}
 
 /// What artifacts read from one microbenchmark run (lock 0 is the lock
 /// under test).
@@ -81,199 +148,144 @@ pub struct ProfiledCell {
     pub lock: LockProfile,
 }
 
-/// One invocation's cell cache (see the module docs).
-#[derive(Default)]
+/// The result of one cell; its type follows from the spec's variant.
+type Output = Box<dyn Any + Send + Sync>;
+
+impl Cell {
+    /// The cell's key: its `Debug` rendering.
+    pub fn key(&self) -> String {
+        format!("{self:?}")
+    }
+
+    fn run(&self) -> Output {
+        match self {
+            Cell::Modern(cfg) => Box::new(ModernCell::from_sim(cfg, &run_modern_raw(cfg).0)),
+            Cell::Custom(lock, cfg) => Box::new(ModernCell::from_sim(cfg, &lock.run(cfg))),
+            Cell::Profiled(cfg) => {
+                let (mut sim, mut profile) = run_modern_profiled(cfg);
+                Box::new(ProfiledCell {
+                    trace: sim.lock_traces.swap_remove(0),
+                    lock: profile.locks.swap_remove(0),
+                })
+            }
+            Cell::App(model, cfg) => Box::new(run_app(model, cfg)),
+            Cell::Traditional(cfg) => Box::new(run_traditional(cfg)),
+            Cell::Uncontested(kind, machine, params) => {
+                Box::new(run_uncontested(*kind, machine, params))
+            }
+            Cell::LockServer(cfg) => Box::new(Service::from(&run_lockserver(cfg))),
+            Cell::Layout(cfg) => Box::new(run_layout(cfg)),
+            Cell::Traced(cfg) => {
+                let (report, records) = run_modern_traced(cfg);
+                Box::new(Capture {
+                    kind: cfg.kind,
+                    report,
+                    records,
+                })
+            }
+        }
+    }
+}
+
+/// One invocation's filled cell table (see the module docs).
 pub struct Cells {
-    modern: Memo<ModernCell>,
-    profiled: Memo<ProfiledCell>,
-    apps: Memo<AppReport>,
+    table: HashMap<String, Output>,
 }
 
 impl fmt::Debug for Cells {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Cells")
-            .field("modern", &self.modern.len())
-            .field("profiled", &self.profiled.len())
-            .field("apps", &self.apps.len())
-            .finish()
+        f.debug_struct("Cells").field("len", &self.len()).finish()
     }
 }
 
 impl Cells {
-    /// An empty cache.
-    pub fn new() -> Cells {
-        Cells::default()
+    /// Runs each distinct cell of `specs` once, through one
+    /// [`runner::run_jobs`] pool, in the order of first declaration.
+    pub fn fill(specs: Vec<Cell>) -> Cells {
+        let mut seen = HashSet::new();
+        let unique: Vec<(String, Cell)> = specs
+            .into_iter()
+            .map(|spec| (spec.key(), spec))
+            .filter(|(key, _)| seen.insert(key.clone()))
+            .collect();
+        drop(seen); // the keys' second copies are not needed while cells run
+        let outputs = runner::run_jobs(unique.iter().map(|(_, spec)| || spec.run()).collect());
+        let keys = unique.into_iter().map(|(key, _)| key);
+        Cells {
+            table: keys.zip(outputs).collect(),
+        }
+    }
+
+    /// Distinct cells in the table.
+    pub fn len(&self) -> usize {
+        self.table.len()
+    }
+
+    /// Whether the table holds no cell.
+    pub fn is_empty(&self) -> bool {
+        self.table.is_empty()
+    }
+
+    /// The output of `spec`, which its artifact must have declared.
+    fn get<T: 'static>(&self, spec: Cell) -> &T {
+        let key = spec.key();
+        let output = self.table.get(&key);
+        let output = output.unwrap_or_else(|| panic!("cell read but not declared: {key}"));
+        output.downcast_ref().expect("a key names its variant")
     }
 
     /// The microbenchmark run of `cfg` with its registered lock kind.
-    pub fn modern(&self, cfg: &ModernConfig) -> Arc<ModernCell> {
-        self.modern.get_or_run(format!("{cfg:?}"), || {
-            let (sim, _) = run_modern_raw(cfg);
-            ModernCell::from_sim(cfg, &sim)
-        })
+    pub fn modern(&self, cfg: &ModernConfig) -> &ModernCell {
+        self.get(Cell::Modern(cfg.clone()))
     }
 
-    /// The microbenchmark run of `cfg` with the lock `factory` builds;
-    /// `lock` names that lock and keeps the cell apart from the plain run
-    /// of `cfg` (whose `kind` only labels this one).
-    pub fn custom(
-        &self,
-        lock: &str,
-        cfg: &ModernConfig,
-        factory: &LockFactory<'_>,
-    ) -> Arc<ModernCell> {
-        self.modern.get_or_run(format!("{lock} {cfg:?}"), || {
-            let (sim, _) = run_modern_with(cfg, factory);
-            ModernCell::from_sim(cfg, &sim)
-        })
+    /// The microbenchmark run of `cfg` with `lock`.
+    pub fn custom(&self, lock: CustomLock, cfg: &ModernConfig) -> &ModernCell {
+        self.get(Cell::Custom(lock, cfg.clone()))
     }
 
     /// The microbenchmark run of `cfg` with the streaming profiler
     /// attached.
-    pub fn profiled(&self, cfg: &ModernConfig) -> Arc<ProfiledCell> {
-        self.profiled.get_or_run(format!("{cfg:?}"), || {
-            let (mut sim, mut profile) = run_modern_profiled(cfg);
-            ProfiledCell {
-                trace: sim.lock_traces.swap_remove(0),
-                lock: profile.locks.swap_remove(0),
-            }
-        })
+    pub fn profiled(&self, cfg: &ModernConfig) -> &ProfiledCell {
+        self.get(Cell::Profiled(cfg.clone()))
     }
 
     /// The run of application `model` under `cfg`.
-    pub fn app(&self, model: &AppModel, cfg: &AppRunConfig) -> Arc<AppReport> {
-        self.apps
-            .get_or_run(format!("{model:?} {cfg:?}"), || run_app(model, cfg))
-    }
-}
-
-/// A single-flight map from key to shared result.
-struct Memo<T> {
-    slots: Mutex<HashMap<String, Arc<Slot<T>>>>,
-}
-
-impl<T> Default for Memo<T> {
-    fn default() -> Self {
-        Memo {
-            slots: Mutex::new(HashMap::new()),
-        }
-    }
-}
-
-struct Slot<T> {
-    state: Mutex<State<T>>,
-    done: Condvar,
-}
-
-enum State<T> {
-    Running,
-    Ready(Arc<T>),
-    /// The run panicked; its requesters panic too instead of waiting.
-    Failed,
-}
-
-/// The claim of the requester that runs a slot's cell. Dropping it wakes
-/// the waiters, and marks the slot failed if no result was published
-/// (the run unwound).
-struct Claim<'a, T>(&'a Slot<T>);
-
-impl<T> Drop for Claim<'_, T> {
-    fn drop(&mut self) {
-        // Every update of a slot is one assignment, so a poisoned state is
-        // still whole; a panic here would abort the unwinding run instead.
-        let mut state = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if matches!(*state, State::Running) {
-            *state = State::Failed;
-        }
-        drop(state);
-        self.0.done.notify_all();
-    }
-}
-
-impl<T> Memo<T> {
-    fn len(&self) -> usize {
-        self.slots.lock().expect("cell map poisoned").len()
+    pub fn app(&self, model: &AppModel, cfg: &AppRunConfig) -> &AppReport {
+        self.get(Cell::App(model.clone(), cfg.clone()))
     }
 
-    /// The value for `key`, running `run` if this is the key's first
-    /// request. Later requests wait for the first one's result.
-    fn get_or_run(&self, key: String, run: impl FnOnce() -> T) -> Arc<T> {
-        let (slot, first) = match self.slots.lock().expect("cell map poisoned").entry(key) {
-            Entry::Occupied(e) => (Arc::clone(e.get()), false),
-            Entry::Vacant(e) => {
-                let slot = e.insert(Arc::new(Slot {
-                    state: Mutex::new(State::Running),
-                    done: Condvar::new(),
-                }));
-                (Arc::clone(slot), true)
-            }
-        };
-        if first {
-            let claim = Claim(&slot);
-            let value = Arc::new(run());
-            *slot.state.lock().expect("cell slot poisoned") = State::Ready(Arc::clone(&value));
-            drop(claim);
-            return value;
-        }
-        let wait = || {
-            let mut state = slot.state.lock().expect("cell slot poisoned");
-            loop {
-                match &*state {
-                    State::Ready(value) => return Some(Arc::clone(value)),
-                    State::Failed => return None,
-                    State::Running => state = slot.done.wait(state).expect("cell slot poisoned"),
-                }
-            }
-        };
-        if let State::Ready(value) = &*slot.state.lock().expect("cell slot poisoned") {
-            return Arc::clone(value);
-        }
-        runner::unmetered(wait).expect("a shared simulation cell panicked in another job")
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn a_request_for_an_in_flight_cell_waits_for_its_run() {
-        let memo: Memo<u32> = Memo::default();
-        // References to the slot: the map's, then one per requester.
-        let refs = || {
-            let slots = memo.slots.lock().expect("cell map poisoned");
-            slots.get("k").map(Arc::strong_count)
-        };
-        std::thread::scope(|s| {
-            let first = s.spawn(|| {
-                memo.get_or_run("k".to_owned(), || {
-                    // Still running when the second requester finds the slot.
-                    while refs() != Some(3) {
-                        std::thread::yield_now();
-                    }
-                    7
-                })
-            });
-            while refs().is_none() {
-                std::thread::yield_now();
-            }
-            let second = s.spawn(|| memo.get_or_run("k".to_owned(), || panic!("ran twice")));
-            assert_eq!(*first.join().expect("first requester"), 7);
-            assert_eq!(*second.join().expect("second requester"), 7);
-        });
-        assert_eq!(memo.len(), 1);
+    /// The traditional-microbenchmark run of `cfg`.
+    pub fn traditional(&self, cfg: &TraditionalConfig) -> &MicroReport {
+        self.get(Cell::Traditional(cfg.clone()))
     }
 
-    #[test]
-    fn a_panicked_run_fails_its_waiters_instead_of_hanging() {
-        let memo: Memo<u32> = Memo::default();
-        let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            memo.get_or_run("k".to_owned(), || panic!("boom"))
-        }));
-        assert!(first.is_err());
-        let again = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            memo.get_or_run("k".to_owned(), || 1)
-        }));
-        assert!(again.is_err(), "a failed cell must not be silently rerun");
+    /// `kind`'s uncontested acquire-release costs on `machine`.
+    pub fn uncontested(
+        &self,
+        kind: LockKind,
+        machine: &MachineConfig,
+        params: &SimLockParams,
+    ) -> &UncontestedReport {
+        self.get(Cell::Uncontested(kind, machine.clone(), *params))
+    }
+
+    /// The lock-service run of `cfg`.
+    pub fn lockserver(&self, cfg: &LockServerConfig) -> &Service {
+        self.get(Cell::LockServer(cfg.clone()))
+    }
+
+    /// The lock/data layout run of `cfg`.
+    pub fn layout(&self, cfg: &LayoutConfig) -> &LayoutOutcome {
+        self.get(Cell::Layout(cfg.clone()))
+    }
+
+    /// Moves the output of `spec` out of the table (a traced run's
+    /// [`Capture`] holds its whole event stream, so it is not copied).
+    pub fn take<T: 'static>(&mut self, spec: &Cell) -> T {
+        let key = spec.key();
+        let output = self.table.remove(&key);
+        let output = output.unwrap_or_else(|| panic!("cell read but not declared: {key}"));
+        *output.downcast().expect("a key names its variant")
     }
 }

@@ -111,8 +111,7 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Invocation, 
     if run.ids.is_empty() {
         run.ids.push("all".to_owned());
     }
-    // Expanded here, not in `run_experiment`, so each artifact gets its
-    // own wall-clock line.
+    // `all` stands for every artifact id, paper artifacts first.
     run.ids = run
         .ids
         .iter()

@@ -16,7 +16,7 @@ use nuca_workloads::modern::ModernConfig;
 use nucasim::MachineConfig;
 
 use crate::report::Report;
-use crate::{Cells, Scale, Settings};
+use crate::{Cell, Cells, Scale, Settings};
 
 pub(crate) fn cfg(
     settings: &Settings,
@@ -36,26 +36,39 @@ pub(crate) fn cfg(
     }
 }
 
-/// Runs the collocation ablation across contention levels.
+/// The swept `critical_work` levels.
+const CWS: [u32; 3] = [8, 100, 1500];
+
+/// The rows: label, lock, collocated.
+const ROWS: [(&str, LockKind, bool); 4] = [
+    ("HBO_GT", LockKind::HboGt, false),
+    ("HBO_GT+colloc", LockKind::HboGt, true),
+    ("MCS (control)", LockKind::Mcs, false),
+    ("MCS+colloc (no-op)", LockKind::Mcs, true),
+];
+
+/// The cells the ablation reads: row × contention level.
+pub fn cells(settings: &Settings, scale: Scale) -> Vec<Cell> {
+    ROWS.iter()
+        .flat_map(|&(_, kind, colloc)| {
+            CWS.map(|cw| Cell::Modern(cfg(settings, scale, kind, cw, colloc)))
+        })
+        .collect()
+}
+
+/// Renders the collocation ablation across contention levels.
 pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
-    let cws = [8u32, 100, 1500];
     let mut header = vec!["Configuration".to_owned()];
-    header.extend(cws.iter().map(|c| format!("cw={c} ns/iter")));
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
+    header.extend(CWS.iter().map(|c| format!("cw={c} ns/iter")));
     let mut report = Report::new(
         "colloc",
         "Collocating the first protected line with the lock word",
-        &header_refs,
+        &header,
     );
 
-    for (label, kind, colloc) in [
-        ("HBO_GT", LockKind::HboGt, false),
-        ("HBO_GT+colloc", LockKind::HboGt, true),
-        ("MCS (control)", LockKind::Mcs, false),
-        ("MCS+colloc (no-op)", LockKind::Mcs, true),
-    ] {
+    for (label, kind, colloc) in ROWS {
         let mut row = vec![label.to_owned()];
-        for &cw in &cws {
+        for cw in CWS {
             let r = &cells.modern(&cfg(settings, scale, kind, cw, colloc)).micro;
             row.push(format!("{:.0}", r.ns_per_iteration));
         }
@@ -74,13 +87,13 @@ mod tests {
 
     #[test]
     fn four_configurations() {
-        let r = run(&Settings::default(), Scale::Fast, &Cells::new());
+        let r = crate::fast(cells, run);
         assert_eq!(r.rows(), 4);
     }
 
     #[test]
     fn collocation_helps_tiny_critical_sections() {
-        let r = run(&Settings::default(), Scale::Fast, &Cells::new());
+        let r = crate::fast(cells, run);
         let ns = |k: &str| -> f64 { r.row_by_key(k).unwrap()[1].parse().unwrap() };
         assert!(
             ns("HBO_GT+colloc") <= ns("HBO_GT") * 1.05,
@@ -92,7 +105,7 @@ mod tests {
 
     #[test]
     fn collocation_is_noop_for_queue_locks() {
-        let r = run(&Settings::default(), Scale::Fast, &Cells::new());
+        let r = crate::fast(cells, run);
         let ns = |k: &str| -> f64 { r.row_by_key(k).unwrap()[1].parse().unwrap() };
         let plain = ns("MCS (control)");
         let colloc = ns("MCS+colloc (no-op)");

@@ -36,11 +36,12 @@ use std::sync::Arc;
 
 use hbo_locks::LockKind;
 use nuca_topology::NodeId;
+use nuca_workloads::modern::ModernConfig;
 use nucasim::{Addr, Command, CpuCtx, Machine, MachineConfig, MemorySystem, Program, ProtocolKind};
 use nucasim_locks::{build_lock, DriveResult, GtSlots, SessionDriver, SimLockParams, TwaHash};
 
 use crate::report::Report;
-use crate::{Cells, Scale, Settings};
+use crate::{Cell, Cells, Scale, Settings};
 
 /// Data-word updates per critical section. One write would be a wash
 /// (the QOLB effect — `colloc` — pays it back at handover); the storm
@@ -51,8 +52,9 @@ const CS_UPDATES: u32 = 12;
 /// critical section, long enough for spinner polls to interleave.
 const CS_THINK: u64 = 40;
 
+/// Where the guarded data word sits relative to the lock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Layout {
+pub enum Layout {
     /// Data word allocated directly after the lock words (shares the
     /// lock's cache line under the default geometry).
     Colocated,
@@ -173,30 +175,44 @@ fn align_to_line(mem: &mut MemorySystem, line: usize) {
     while !(mem.alloc(NodeId(0)).index() + 1).is_multiple_of(line) {}
 }
 
-struct FsOutcome {
-    ns_per_acquire: f64,
-    global: u64,
+/// One cell of the layout table: `kind` × `layout` on `machine`, whose
+/// protocol is the column.
+#[derive(Debug, Clone)]
+pub struct LayoutConfig {
+    /// Lock under test.
+    pub kind: LockKind,
+    /// Where the data word sits.
+    pub layout: Layout,
+    /// The machine, with the column's protocol.
+    pub machine: MachineConfig,
+    /// Acquire-release iterations per CPU.
+    pub iterations: u32,
+    /// Lock tunables.
+    pub params: SimLockParams,
 }
 
-/// One cell of the sweep: `kind` × `layout` × `proto`.
-fn run_fs(
-    settings: &Settings,
-    scale: Scale,
-    kind: LockKind,
-    layout: Layout,
-    proto: ProtocolKind,
-) -> FsOutcome {
-    let (per_node, iters) = scale.pick((14, 24), (4, 8));
-    let machine = MachineConfig::wildfire(2, per_node).with_protocol(proto);
-    let line = machine.geometry.line_words;
-    let mut m = Machine::new(machine);
+/// What the layout table reads from one run.
+#[derive(Debug, Clone, Copy)]
+pub struct LayoutOutcome {
+    /// Simulated nanoseconds per acquisition.
+    pub ns_per_acquire: f64,
+    /// Global coherence transactions.
+    pub global: u64,
+}
+
+/// Runs one cell of the layout table.
+pub fn run_layout(cfg: &LayoutConfig) -> LayoutOutcome {
+    let (kind, layout, iters) = (cfg.kind, cfg.layout, cfg.iterations);
+    let proto = cfg.machine.protocol;
+    let line = cfg.machine.geometry.line_words;
+    let mut m = Machine::new(cfg.machine.clone());
     let topo = Arc::clone(m.topology());
     let gt = GtSlots::alloc(m.mem_mut(), &topo);
     // Line-align the lock so "directly after the lock" deterministically
     // means "on the lock's line" regardless of how many words the global
     // throttling slots consumed.
     align_to_line(m.mem_mut(), line);
-    let lock = build_lock(kind, m.mem_mut(), &topo, &gt, NodeId(0), &settings.params());
+    let lock = build_lock(kind, m.mem_mut(), &topo, &gt, NodeId(0), &cfg.params);
     if layout == Layout::Padded {
         align_to_line(m.mem_mut(), line);
     }
@@ -217,22 +233,68 @@ fn run_fs(
     assert!(status.finished_all, "{kind}/{}/{proto}: run stuck", layout.name());
     let report = m.into_report();
     let acquires = topo.num_cpus() as u64 * u64::from(iters);
-    FsOutcome {
+    LayoutOutcome {
         ns_per_acquire: report.end_time as f64 / acquires as f64,
         global: report.traffic.global,
     }
 }
 
+/// The layout table's cells, row-major: lock kind × layout rows,
+/// per-protocol columns.
+fn layouts(settings: &Settings, scale: Scale) -> Vec<LayoutConfig> {
+    let (per_node, iterations) = scale.pick((14, 24), (4, 8));
+    let mut cfgs = Vec::new();
+    for kind in [LockKind::TatasExp, LockKind::HboGt, LockKind::Mcs] {
+        for layout in Layout::ALL {
+            for proto in ProtocolKind::ALL {
+                cfgs.push(LayoutConfig {
+                    kind,
+                    layout,
+                    machine: MachineConfig::wildfire(2, per_node).with_protocol(proto),
+                    iterations,
+                    params: settings.params(),
+                });
+            }
+        }
+    }
+    cfgs
+}
+
+/// The TWA geometry table's cells: slot count × ticket hash, under MESI.
+fn geometries(settings: &Settings, scale: Scale) -> Vec<ModernConfig> {
+    let (per_node, iters) = scale.pick((14, 40), (4, 15));
+    let slot_counts = [4, 16, 64];
+    let geometry = |(slots, hash)| ModernConfig {
+        kind: LockKind::Twa,
+        machine: MachineConfig::wildfire(2, per_node).with_protocol(ProtocolKind::Mesi),
+        threads: per_node * 2,
+        iterations: iters,
+        critical_work: 8,
+        params: SimLockParams::default().with_twa(slots, hash),
+        binding: settings.binding,
+        ..ModernConfig::default()
+    };
+    let axes = slot_counts.into_iter().flat_map(|n| TwaHash::ALL.map(|h| (n, h)));
+    axes.map(geometry).collect()
+}
+
+/// The cells the `falsesharing` artifact reads: both tables'.
+pub fn cells(settings: &Settings, scale: Scale) -> Vec<Cell> {
+    let layouts = layouts(settings, scale).into_iter().map(Cell::Layout);
+    let geometries = geometries(settings, scale).into_iter().map(Cell::Modern);
+    layouts.chain(geometries).collect()
+}
+
 /// Runs the layout × protocol sweep plus the TWA-geometry table.
 pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Vec<Report> {
     vec![
-        run_layouts(settings, scale),
+        run_layouts(settings, scale, cells),
         run_twa_geometry(settings, scale, cells),
     ]
 }
 
 /// The main table: lock kind × layout rows, per-protocol columns.
-fn run_layouts(settings: &Settings, scale: Scale) -> Report {
+fn run_layouts(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
     let mut report = Report::new(
         "falsesharing",
         "Lock/data false sharing by layout and coherence protocol",
@@ -246,16 +308,13 @@ fn run_layouts(settings: &Settings, scale: Scale) -> Report {
             "dragon gtxn",
         ],
     );
-    for kind in [LockKind::TatasExp, LockKind::HboGt, LockKind::Mcs] {
-        for layout in Layout::ALL {
-            let mut row = vec![format!("{kind} {}", layout.name())];
-            for proto in ProtocolKind::ALL {
-                let r = run_fs(settings, scale, kind, layout, proto);
-                row.push(format!("{:.0}", r.ns_per_acquire));
-                row.push(format!("{}", r.global));
-            }
-            report.push_row(row);
+    for cfgs in layouts(settings, scale).chunks(ProtocolKind::ALL.len()) {
+        let mut row = vec![format!("{} {}", cfgs[0].kind, cfgs[0].layout.name())];
+        for r in cfgs.iter().map(|cfg| cells.layout(cfg)) {
+            row.push(format!("{:.0}", r.ns_per_acquire));
+            row.push(format!("{}", r.global));
         }
+        report.push_row(row);
     }
     report.push_note(
         "flat is word-granular: colocated and padded rows are identical by \
@@ -278,29 +337,15 @@ fn run_twa_geometry(settings: &Settings, scale: Scale, cells: &Cells) -> Report 
         "TWA waiting-array geometry under MESI (slots x ticket hash)",
         &["Geometry", "ns/acq", "global txns"],
     );
-    use nuca_workloads::modern::ModernConfig;
-    let (per_node, iters) = scale.pick((14, 40), (4, 15));
-    for slots in [4usize, 16, 64] {
-        for hash in TwaHash::ALL {
-            let cfg = ModernConfig {
-                kind: LockKind::Twa,
-                machine: MachineConfig::wildfire(2, per_node)
-                    .with_protocol(ProtocolKind::Mesi),
-                threads: per_node * 2,
-                iterations: iters,
-                critical_work: 8,
-                params: SimLockParams::default().with_twa(slots, hash),
-                binding: settings.binding,
-                ..ModernConfig::default()
-            };
-            let r = &cells.modern(&cfg).micro;
-            assert!(r.finished, "TWA slots={slots} {hash} hit the cycle limit");
-            report.push_row(vec![
-                format!("slots={slots} {hash}"),
-                format!("{:.0}", r.ns_per_iteration),
-                format!("{}", r.traffic.global),
-            ]);
-        }
+    for cfg in geometries(settings, scale) {
+        let (slots, hash) = (cfg.params.twa_slots, cfg.params.twa_hash);
+        let r = &cells.modern(&cfg).micro;
+        assert!(r.finished, "TWA slots={slots} {hash} hit the cycle limit");
+        report.push_row(vec![
+            format!("slots={slots} {hash}"),
+            format!("{:.0}", r.ns_per_iteration),
+            format!("{}", r.traffic.global),
+        ]);
     }
     report.push_note(
         "mod parks consecutive tickets on adjacent array words (one line \
@@ -320,7 +365,7 @@ mod tests {
 
     #[test]
     fn both_tables_have_every_row() {
-        let reports = run(&Settings::default(), Scale::Fast, &Cells::new());
+        let reports = crate::fast(cells, run);
         assert_eq!(reports.len(), 2);
         assert_eq!(reports[0].rows(), 6, "3 kinds x 2 layouts");
         assert_eq!(reports[1].rows(), 6, "3 slot counts x 2 hashes");
@@ -328,7 +373,7 @@ mod tests {
 
     #[test]
     fn flat_cannot_see_the_layout_but_mesi_pays_for_it() {
-        let r = run_layouts(&Settings::default(), Scale::Fast);
+        let r = crate::fast(cells, run_layouts);
         for kind in ["TATAS_EXP", "HBO_GT", "MCS"] {
             let colocated = format!("{kind} colocated");
             let padded = format!("{kind} padded");
@@ -362,7 +407,7 @@ mod tests {
 
     #[test]
     fn twa_geometry_changes_the_run() {
-        let r = run_twa_geometry(&Settings::default(), Scale::Fast, &Cells::new());
+        let r = crate::fast(cells, run_twa_geometry);
         // Not asserting a direction (collision vs line-sharing trade), only
         // that the knob is live: the 6 geometries cannot all agree.
         let all: Vec<String> =

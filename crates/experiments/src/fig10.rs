@@ -2,46 +2,48 @@
 //! (26-processor new-microbenchmark runs, HBO_GT for comparison).
 
 use hbo_locks::LockKind;
+use nuca_workloads::modern::ModernConfig;
 
 use crate::fig9::base_config;
 use crate::report::Report;
-use crate::{runner, Cells, Scale, Settings};
+use crate::{Cell, Cells, Scale, Settings};
 
-/// Sweeps the anger threshold; values normalized to HBO_GT.
+fn limits(scale: Scale) -> Vec<u32> {
+    scale.pick(vec![2, 4, 8, 16, 32, 64, 128], vec![2, 16, 128])
+}
+
+/// HBO_GT_SD at anger threshold `limit`.
+fn limited(settings: &Settings, scale: Scale, limit: u32) -> ModernConfig {
+    let mut cfg = base_config(settings, scale, LockKind::HboGtSd);
+    cfg.params = cfg.params.with_get_angry_limit(limit);
+    cfg
+}
+
+/// The cells Fig. 10 reads: the HBO_GT reference and one per swept limit.
+pub fn cells(settings: &Settings, scale: Scale) -> Vec<Cell> {
+    let mut cfgs = vec![base_config(settings, scale, LockKind::HboGt)];
+    cfgs.extend(limits(scale).into_iter().map(|limit| limited(settings, scale, limit)));
+    cfgs.into_iter().map(Cell::Modern).collect()
+}
+
+/// Renders the anger threshold sweep, normalized to HBO_GT.
 pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
-    let limits: Vec<u32> = scale.pick(vec![2, 4, 8, 16, 32, 64, 128], vec![2, 16, 128]);
+    let limits = limits(scale);
     let mut header = vec!["Lock Type".to_owned()];
     header.extend(limits.iter().map(|l| format!("limit={l}")));
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
     let mut report = Report::new(
         "fig10",
         "Sensitivity of HBO_GT_SD to GET_ANGRY_LIMIT (normalized iteration time, 26 CPUs)",
-        &header_refs,
+        &header,
     );
-
-    // Jobs: [reference HBO_GT] + one per swept limit; normalization
-    // happens at assembly against the shared reference run.
-    let mut jobs: Vec<Box<dyn FnOnce() -> f64 + Send + '_>> = vec![Box::new(move || {
-        cells
-            .modern(&base_config(settings, scale, LockKind::HboGt))
-            .micro
-            .ns_per_iteration
-    })];
-    for &limit in &limits {
-        jobs.push(Box::new(move || {
-            let mut cfg = base_config(settings, scale, LockKind::HboGtSd);
-            cfg.params = cfg.params.with_get_angry_limit(limit);
-            cells.modern(&cfg).micro.ns_per_iteration
-        }));
-    }
-    let results = runner::run_jobs(jobs);
+    let ns = |cfg: &ModernConfig| cells.modern(cfg).micro.ns_per_iteration;
 
     // Reference: plain HBO_GT (no starvation detection).
-    let reference = results[0];
+    let reference = ns(&base_config(settings, scale, LockKind::HboGt));
 
     let mut sd_row = vec!["HBO_GT_SD".to_owned()];
-    for ns in &results[1..] {
-        sd_row.push(format!("{:.2}", ns / reference));
+    for &limit in &limits {
+        sd_row.push(format!("{:.2}", ns(&limited(settings, scale, limit)) / reference));
     }
     report.push_row(sd_row);
 
@@ -64,13 +66,13 @@ mod tests {
 
     #[test]
     fn rows_present() {
-        let r = run(&Settings::default(), Scale::Fast, &Cells::new());
+        let r = crate::fast(cells, run);
         assert_eq!(r.rows(), 2);
     }
 
     #[test]
     fn large_limit_approaches_hbo_gt() {
-        let r = run(&Settings::default(), Scale::Fast, &Cells::new());
+        let r = crate::fast(cells, run);
         let sd = r.row_by_key("HBO_GT_SD").unwrap();
         let at_max: f64 = sd.last().unwrap().parse().unwrap();
         // With a huge limit, anger never triggers: within 40% of HBO_GT.

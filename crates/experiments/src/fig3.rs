@@ -2,57 +2,63 @@
 //! iteration time (left panel) and node-handoff ratio (right panel) as the
 //! processor count grows.
 
-use nuca_workloads::traditional::{run_traditional, TraditionalConfig};
+use hbo_locks::{LockCatalog, LockKind};
+use nuca_workloads::traditional::TraditionalConfig;
 use nucasim::MachineConfig;
 
 use crate::report::{fmt_ratio, Report};
-use crate::{runner, Scale, Settings};
+use crate::{Cell, Cells, Scale, Settings};
 
-/// Runs the processor-count sweep for all eight locks; returns the two
-/// panels as separate reports.
-///
-/// The sweep is a grid of independent simulations (lock kind × processor
-/// count); each grid point is one self-contained job handed to
-/// [`runner::run_jobs`] and the rows are assembled from the results in
-/// fixed grid order, so the reports are identical however many threads ran
-/// the jobs.
-pub fn run(settings: &Settings, scale: Scale) -> Vec<Report> {
-    let (max_per_node, iters, step) = scale.pick((14, 50, 2), (4, 15, 2));
-    let proc_counts: Vec<usize> = (2..=2 * max_per_node).step_by(step).collect();
+/// The swept processor counts.
+fn proc_counts(scale: Scale) -> Vec<usize> {
+    let (max_per_node, step) = scale.pick((14, 2), (4, 2));
+    (2..=2 * max_per_node).step_by(step).collect()
+}
+
+/// The grid point for `kind` at `threads` processors.
+fn config(settings: &Settings, scale: Scale, kind: LockKind, threads: usize) -> TraditionalConfig {
+    let (max_per_node, iters) = scale.pick((14, 50), (4, 15));
+    TraditionalConfig {
+        kind,
+        machine: settings.machine(MachineConfig::wildfire(2, max_per_node)),
+        threads,
+        iterations: iters,
+        params: settings.params(),
+        ..TraditionalConfig::default()
+    }
+}
+
+/// The cells Fig. 3 reads: lock kind × processor count.
+pub fn cells(settings: &Settings, scale: Scale) -> Vec<Cell> {
+    let counts = proc_counts(scale);
+    LockCatalog::paper()
+        .iter()
+        .flat_map(|&kind| counts.iter().map(move |&p| (kind, p)))
+        .map(|(kind, p)| Cell::Traditional(config(settings, scale, kind, p)))
+        .collect()
+}
+
+/// Renders the processor-count sweep for all eight locks as two panels.
+pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Vec<Report> {
+    let proc_counts = proc_counts(scale);
+    let mut header = vec!["Lock Type".to_owned()];
+    header.extend(proc_counts.iter().map(|p| format!("{p}p")));
 
     let mut time = Report::new(
         "fig3_time",
         "Traditional microbenchmark: time per iteration (ns) vs processors",
-        &header(&proc_counts),
+        &header,
     );
     let mut handoff = Report::new(
         "fig3_handoff",
         "Traditional microbenchmark: node-handoff ratio vs processors",
-        &header(&proc_counts),
+        &header,
     );
-
-    let jobs: Vec<_> = hbo_locks::LockCatalog::paper()
-        .iter()
-        .flat_map(|&kind| proc_counts.iter().map(move |&p| (kind, p)))
-        .map(|(kind, p)| {
-            move || {
-                run_traditional(&TraditionalConfig {
-                    kind,
-                    machine: settings.machine(MachineConfig::wildfire(2, max_per_node)),
-                    threads: p,
-                    iterations: iters,
-                    params: settings.params(),
-                    ..TraditionalConfig::default()
-                })
-            }
-        })
-        .collect();
-    let results = runner::run_jobs(jobs);
-
-    for (ki, kind) in hbo_locks::LockCatalog::paper().iter().enumerate() {
+    for &kind in LockCatalog::paper() {
         let mut trow = vec![kind.as_str().to_owned()];
         let mut hrow = vec![kind.as_str().to_owned()];
-        for r in &results[ki * proc_counts.len()..(ki + 1) * proc_counts.len()] {
+        for &p in &proc_counts {
+            let r = cells.traditional(&config(settings, scale, kind, p));
             trow.push(format!("{:.0}", r.ns_per_iteration));
             hrow.push(fmt_ratio(r.handoff_ratio));
         }
@@ -70,23 +76,13 @@ pub fn run(settings: &Settings, scale: Scale) -> Vec<Report> {
     vec![time, handoff]
 }
 
-fn header(proc_counts: &[usize]) -> Vec<&'static str> {
-    // Leak the small header strings: reports want &str and the sweep is
-    // tiny and created once per process.
-    let mut cols = vec!["Lock Type"];
-    for p in proc_counts {
-        cols.push(Box::leak(format!("{p}p").into_boxed_str()));
-    }
-    cols
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn produces_two_panels_with_all_locks() {
-        let reports = run(&Settings::default(), Scale::Fast);
+        let reports = crate::fast(cells, run);
         assert_eq!(reports.len(), 2);
         for r in &reports {
             assert_eq!(r.rows(), 8);
@@ -95,7 +91,7 @@ mod tests {
 
     #[test]
     fn queue_lock_handoff_exceeds_nuca_handoff_at_max_procs() {
-        let reports = run(&Settings::default(), Scale::Fast);
+        let reports = crate::fast(cells, run);
         let handoff = &reports[1];
         let last = handoff.row_by_key("MCS").unwrap().len() - 1;
         let mcs: f64 = handoff.row_by_key("MCS").unwrap()[last].parse().unwrap();

@@ -6,15 +6,13 @@
 //! post-2003 contenders ride alongside the paper's eight); Table 2 stays
 //! on the catalog's paper set, normalized to TATAS_EXP as published.
 
-use std::sync::Arc;
-
 use hbo_locks::{LockCatalog, LockKind};
 use nuca_workloads::modern::ModernConfig;
 use nucasim::MachineConfig;
 
 use crate::cells::ModernCell;
 use crate::report::{fmt_ratio, Report};
-use crate::{runner, Cells, Scale, Settings};
+use crate::{Cell, Cells, Scale, Settings};
 
 /// The Fig. 5 cell for `kind` at `critical_work` (28 CPUs at full
 /// scale, 8 at fast).
@@ -41,26 +39,29 @@ pub(crate) fn sweep(scale: Scale) -> Vec<u32> {
     }
 }
 
-/// The sweep's cells, one job each, in row-major (kind, `critical_work`)
-/// order; TATAS cells beyond cw=1300 are `None`.
-pub(crate) fn grid(
+/// The sweep's configs in row-major (kind, `critical_work`) order; TATAS
+/// cells beyond cw=1300 are `None`.
+fn grid(settings: &Settings, scale: Scale) -> Vec<Option<ModernConfig>> {
+    let cws = sweep(scale);
+    let cell = |kind, cw| {
+        (kind != LockKind::Tatas || cw <= 1300).then(|| config(settings, scale, kind, cw))
+    };
+    settings.kinds.iter().flat_map(|&kind| cws.iter().map(move |&cw| cell(kind, cw))).collect()
+}
+
+/// The cells Fig. 5 reads (`lat_hist` reads the same grid).
+pub fn cells(settings: &Settings, scale: Scale) -> Vec<Cell> {
+    grid(settings, scale).into_iter().flatten().map(Cell::Modern).collect()
+}
+
+/// The sweep's results in [`grid`] order.
+pub(crate) fn results<'c>(
     settings: &Settings,
     scale: Scale,
-    cells: &Cells,
-) -> Vec<Option<Arc<ModernCell>>> {
-    let cws = sweep(scale);
-    let jobs: Vec<_> = settings
-        .kinds
-        .iter()
-        .flat_map(|&kind| cws.iter().map(move |&cw| (kind, cw)))
-        .map(|(kind, cw)| {
-            move || {
-                (kind != LockKind::Tatas || cw <= 1300)
-                    .then(|| cells.modern(&config(settings, scale, kind, cw)))
-            }
-        })
-        .collect();
-    runner::run_jobs(jobs)
+    cells: &'c Cells,
+) -> Vec<Option<&'c ModernCell>> {
+    let grid = grid(settings, scale);
+    grid.iter().map(|cfg| cfg.as_ref().map(|cfg| cells.modern(cfg))).collect()
 }
 
 /// Runs the `critical_work` sweep for all locks; returns the two panels.
@@ -71,21 +72,20 @@ pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Vec<Report> {
     let cws = sweep(scale);
     let mut header = vec!["Lock Type".to_owned()];
     header.extend(cws.iter().map(|c| format!("cw={c}")));
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
 
     let mut time = Report::new(
         "fig5_time",
         "New microbenchmark: time per iteration (ns) vs critical_work, 28 processors",
-        &header_refs,
+        &header,
     );
     let mut handoff = Report::new(
         "fig5_handoff",
         "New microbenchmark: node-handoff ratio vs critical_work",
-        &header_refs,
+        &header,
     );
 
     let sweep_kinds = &settings.kinds;
-    let results = grid(settings, scale, cells);
+    let results = results(settings, scale, cells);
 
     for (ki, kind) in sweep_kinds.iter().enumerate() {
         let mut trow = vec![kind.as_str().to_owned()];
@@ -112,17 +112,25 @@ pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Vec<Report> {
     vec![time, handoff]
 }
 
+/// Table 2's operating point.
+const TABLE2_CRITICAL_WORK: u32 = 1500;
+
+/// The cells Table 2 reads: Fig. 5's paper kinds at its operating point.
+pub fn table2_cells(settings: &Settings, scale: Scale) -> Vec<Cell> {
+    LockCatalog::paper()
+        .iter()
+        .map(|&kind| Cell::Modern(config(settings, scale, kind, TABLE2_CRITICAL_WORK)))
+        .collect()
+}
+
 /// Table 2 — local/global transactions at `critical_work = 1500`,
 /// normalized to TATAS_EXP.
 pub fn run_table2(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
-    let cw = 1500;
     let table_kinds = LockCatalog::paper();
-    let results: Vec<_> = runner::run_jobs(
-        table_kinds
-            .iter()
-            .map(|&kind| move || cells.modern(&config(settings, scale, kind, cw)))
-            .collect(),
-    );
+    let results: Vec<_> = table_kinds
+        .iter()
+        .map(|&kind| cells.modern(&config(settings, scale, kind, TABLE2_CRITICAL_WORK)))
+        .collect();
     let baseline_idx = table_kinds
         .iter()
         .position(|&k| k == LockKind::TatasExp)
@@ -133,7 +141,7 @@ pub fn run_table2(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
         "Normalized local and global traffic, new microbenchmark (critical_work=1500)",
         &["Lock Type", "Local Transactions", "Global Transactions"],
     );
-    for (kind, cell) in table_kinds.iter().zip(&results) {
+    for (kind, cell) in table_kinds.iter().zip(results) {
         let r = &cell.micro;
         report.push_row(vec![
             kind.as_str().to_owned(),
@@ -161,7 +169,7 @@ mod tests {
 
     #[test]
     fn panels_cover_all_selected_locks() {
-        let reports = run(&Settings::default(), Scale::Fast, &Cells::new());
+        let reports = crate::fast(cells, run);
         assert_eq!(reports.len(), 2);
         assert_eq!(reports[0].rows(), LockCatalog::kinds().len());
         // The modern contenders ride alongside the paper's eight.
@@ -174,7 +182,7 @@ mod tests {
 
     #[test]
     fn table2_normalizes_baseline_to_one() {
-        let t = run_table2(&Settings::default(), Scale::Fast, &Cells::new());
+        let t = crate::fast(table2_cells, run_table2);
         let exp = t.row_by_key("TATAS_EXP").unwrap();
         assert_eq!(exp[1], "1.00");
         assert_eq!(exp[2], "1.00");

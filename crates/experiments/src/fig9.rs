@@ -8,7 +8,7 @@ use nucasim::MachineConfig;
 use nucasim_locks::SimLockParams;
 
 use crate::report::Report;
-use crate::{runner, Cells, Scale, Settings};
+use crate::{Cell, Cells, Scale, Settings};
 
 /// The 26-CPU cell at `critical_work = 1000` that Figs. 9 and 10 vary,
 /// at the default lock constants.
@@ -23,57 +23,54 @@ pub(crate) fn base_config(settings: &Settings, scale: Scale, kind: LockKind) -> 
     }
 }
 
-/// Sweeps the remote backoff cap; values normalized to the default cap.
-pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
-    let caps: Vec<u32> = scale.pick(
+fn caps(scale: Scale) -> Vec<u32> {
+    scale.pick(
         vec![3_200, 6_400, 12_800, 25_600, 51_200, 102_400, 204_800],
         vec![6_400, 51_200, 204_800],
-    );
+    )
+}
+
+/// HBO_GT_SD at remote backoff cap `cap`.
+fn capped(settings: &Settings, scale: Scale, cap: u32) -> ModernConfig {
+    let mut cfg = base_config(settings, scale, LockKind::HboGtSd);
+    cfg.params = cfg.params.with_remote_cap(cap);
+    cfg
+}
+
+/// The cells Fig. 9 reads: the reference HBO_GT_SD at its default cap,
+/// one per swept cap, and the MCS comparison.
+pub fn cells(settings: &Settings, scale: Scale) -> Vec<Cell> {
+    let mut cfgs = vec![base_config(settings, scale, LockKind::HboGtSd)];
+    cfgs.extend(caps(scale).into_iter().map(|cap| capped(settings, scale, cap)));
+    cfgs.push(base_config(settings, scale, LockKind::Mcs));
+    cfgs.into_iter().map(Cell::Modern).collect()
+}
+
+/// Renders the remote backoff cap sweep, normalized to the default cap.
+pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
+    let caps = caps(scale);
     let default_cap = SimLockParams::default().remote.cap;
     let mut header = vec!["Lock Type".to_owned()];
     header.extend(caps.iter().map(|c| format!("cap={c}")));
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
     let mut report = Report::new(
         "fig9",
         "Sensitivity of HBO_GT_SD to REMOTE_BACKOFF_CAP (normalized iteration time, 26 CPUs)",
-        &header_refs,
+        &header,
     );
+    let ns = |cfg: &ModernConfig| cells.modern(cfg).micro.ns_per_iteration;
 
-    // Jobs: [reference HBO_GT_SD at default cap] + one per swept cap +
-    // [MCS comparison]; normalization happens at assembly so every cell
-    // divides by the same reference run.
-    let mut jobs: Vec<Box<dyn FnOnce() -> f64 + Send + '_>> = vec![Box::new(move || {
-        cells
-            .modern(&base_config(settings, scale, LockKind::HboGtSd))
-            .micro
-            .ns_per_iteration
-    })];
-    for &cap in &caps {
-        jobs.push(Box::new(move || {
-            let mut cfg = base_config(settings, scale, LockKind::HboGtSd);
-            cfg.params = cfg.params.with_remote_cap(cap);
-            cells.modern(&cfg).micro.ns_per_iteration
-        }));
-    }
-    jobs.push(Box::new(move || {
-        cells
-            .modern(&base_config(settings, scale, LockKind::Mcs))
-            .micro
-            .ns_per_iteration
-    }));
-    let results = runner::run_jobs(jobs);
-
-    // Reference point: HBO_GT_SD at its default cap.
-    let reference = results[0];
+    // Reference point: HBO_GT_SD at its default cap, so every cell
+    // divides by the same run.
+    let reference = ns(&base_config(settings, scale, LockKind::HboGtSd));
 
     let mut sd_row = vec!["HBO_GT_SD".to_owned()];
-    for ns in &results[1..=caps.len()] {
-        sd_row.push(format!("{:.2}", ns / reference));
+    for &cap in &caps {
+        sd_row.push(format!("{:.2}", ns(&capped(settings, scale, cap)) / reference));
     }
     report.push_row(sd_row);
 
     // MCS comparison line (cap-independent — one value repeated).
-    let mcs = results[caps.len() + 1];
+    let mcs = ns(&base_config(settings, scale, LockKind::Mcs));
     let mut mcs_row = vec!["MCS".to_owned()];
     for _ in &caps {
         mcs_row.push(format!("{:.2}", mcs / reference));
@@ -94,7 +91,7 @@ mod tests {
 
     #[test]
     fn sd_and_mcs_rows_present() {
-        let r = run(&Settings::default(), Scale::Fast, &Cells::new());
+        let r = crate::fast(cells, run);
         assert_eq!(r.rows(), 2);
         assert!(r.row_by_key("HBO_GT_SD").is_some());
         assert!(r.row_by_key("MCS").is_some());
@@ -102,7 +99,7 @@ mod tests {
 
     #[test]
     fn sd_beats_mcs_at_default_cap() {
-        let r = run(&Settings::default(), Scale::Fast, &Cells::new());
+        let r = crate::fast(cells, run);
         // Column for cap=51200 (the default) in the fast sweep.
         let sd: f64 = r.row_by_key("HBO_GT_SD").unwrap()[2].parse().unwrap();
         let mcs: f64 = r.row_by_key("MCS").unwrap()[2].parse().unwrap();

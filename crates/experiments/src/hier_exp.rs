@@ -12,14 +12,14 @@
 //!   cross-chip neighbors),
 //! * hierarchical HBO (three backoff classes: chip / node / remote).
 
-use hbo_locks::{BackoffConfig, LevelBackoff, LockKind};
-use nuca_topology::{NodeId, Topology};
+use hbo_locks::LockKind;
+use nuca_topology::Topology;
 use nuca_workloads::modern::ModernConfig;
 use nucasim::{LatencyModel, MachineConfig};
-use nucasim_locks::{Lock, SimHierHbo};
 
+use crate::cells::CustomLock;
 use crate::report::{fmt_ratio, Report};
-use crate::{Cells, Scale, Settings};
+use crate::{Cell, Cells, Scale, Settings};
 
 fn cmp_numa_machine(scale: Scale) -> (MachineConfig, usize) {
     let (chips, cpus) = scale.pick((2, 7), (2, 2));
@@ -49,24 +49,41 @@ fn base_cfg(settings: &Settings, scale: Scale, kind: LockKind, critical_work: u3
     }
 }
 
-/// Runs the hierarchy ablation across two contention levels.
+/// The two contention levels.
+const CWS: [u32; 2] = [400, 1500];
+
+/// The hierarchy-blind and flat-HBO rows.
+const KINDS: [LockKind; 3] = [LockKind::TatasExp, LockKind::Mcs, LockKind::Hbo];
+
+/// The cells the ablation reads: each row's run per contention level,
+/// HBO_HIER on flat HBO's configs.
+pub fn cells(settings: &Settings, scale: Scale) -> Vec<Cell> {
+    let mut cells: Vec<Cell> = KINDS
+        .iter()
+        .flat_map(|&kind| CWS.map(|cw| Cell::Modern(base_cfg(settings, scale, kind, cw))))
+        .collect();
+    cells.extend(CWS.map(|cw| {
+        Cell::Custom(CustomLock::HboHier, base_cfg(settings, scale, LockKind::Hbo, cw))
+    }));
+    cells
+}
+
+/// Renders the hierarchy ablation across two contention levels.
 pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
-    let cws = [400u32, 1500];
     let mut header = vec!["Lock".to_owned()];
-    for cw in cws {
+    for cw in CWS {
         header.push(format!("cw={cw} ns/iter"));
         header.push(format!("cw={cw} handoff"));
     }
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
     let mut report = Report::new(
         "hier",
         "Hierarchical HBO on a CMP-in-NUMA machine (2 nodes x chips x cpus)",
-        &header_refs,
+        &header,
     );
 
-    for kind in [LockKind::TatasExp, LockKind::Mcs, LockKind::Hbo] {
+    for kind in KINDS {
         let mut row = vec![kind.as_str().to_owned()];
-        for cw in cws {
+        for cw in CWS {
             let r = &cells.modern(&base_cfg(settings, scale, kind, cw)).micro;
             row.push(format!("{:.0}", r.ns_per_iteration));
             row.push(fmt_ratio(r.handoff_ratio));
@@ -74,21 +91,11 @@ pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
         report.push_row(row);
     }
 
-    // The hierarchical variant: three distance classes, each 4x lazier.
+    // The hierarchical variant: three distance classes.
     let mut row = vec!["HBO_HIER".to_owned()];
-    for cw in cws {
+    for cw in CWS {
         let cfg = base_cfg(settings, scale, LockKind::Hbo, cw);
-        // Same node/remote constants as flat HBO, plus an extra-eager
-        // on-chip class — the hierarchy only *adds* a distinction.
-        let table = LevelBackoff::new(vec![
-            BackoffConfig::new(40, 2, 400),
-            cfg.params.local,
-            cfg.params.remote,
-        ]);
-        let cell = cells.custom("HBO_HIER", &cfg, &|mem, topo, _gt| {
-            Lock::Hier(SimHierHbo::alloc(mem, topo, NodeId(0), table.clone()))
-        });
-        let r = &cell.micro;
+        let r = &cells.custom(CustomLock::HboHier, &cfg).micro;
         row.push(format!("{:.0}", r.ns_per_iteration));
         row.push(fmt_ratio(r.handoff_ratio));
     }
@@ -108,14 +115,14 @@ mod tests {
 
     #[test]
     fn four_rows_produced() {
-        let r = run(&Settings::default(), Scale::Fast, &Cells::new());
+        let r = crate::fast(cells, run);
         assert_eq!(r.rows(), 4);
         assert!(r.row_by_key("HBO_HIER").is_some());
     }
 
     #[test]
     fn nuca_aware_beats_blind_baselines_at_high_cw() {
-        let r = run(&Settings::default(), Scale::Fast, &Cells::new());
+        let r = crate::fast(cells, run);
         let ns = |k: &str| -> f64 { r.row_by_key(k).unwrap()[3].parse().unwrap() };
         assert!(ns("HBO_HIER") < ns("MCS"));
         assert!(ns("HBO") < ns("MCS"));

@@ -18,17 +18,16 @@ pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
     let cws = fig5::sweep(scale);
     let mut header = vec!["Lock Type".to_owned()];
     header.extend(cws.iter().map(|c| format!("cw={c}")));
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
 
     let mut report = Report::new(
         "lat_hist",
         "Time-to-acquire p50/p99/max (ns) vs critical_work, 28 processors",
-        &header_refs,
+        &header,
     );
 
     // Fig. 5's grid, so within one invocation these are Fig. 5's cells.
     let sweep_kinds = &settings.kinds;
-    let results = fig5::grid(settings, scale, cells);
+    let results = fig5::results(settings, scale, cells);
 
     for (ki, kind) in sweep_kinds.iter().enumerate() {
         let mut row = vec![kind.as_str().to_owned()];
@@ -67,7 +66,7 @@ mod tests {
     #[test]
     fn covers_all_locks_with_percentile_cells() {
         let settings = Settings::default();
-        let r = run(&settings, Scale::Fast, &Cells::new());
+        let r = crate::fast(fig5::cells, run);
         assert_eq!(r.rows(), settings.kinds.len());
         for &kind in &settings.kinds {
             let row = r.row_by_key(kind.as_str()).unwrap();
@@ -93,7 +92,7 @@ mod tests {
     fn queue_lock_tail_is_bounded_vs_backoff() {
         // FIFO order bounds the p99/p50 spread; plain TATAS does not. A
         // shape check at the last column TATAS is still measured at.
-        let r = run(&Settings::default(), Scale::Fast, &Cells::new());
+        let r = crate::fast(fig5::cells, run);
         let tatas = r.row_by_key("TATAS").unwrap();
         let col = tatas
             .iter()

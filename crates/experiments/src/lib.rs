@@ -1,9 +1,11 @@
 //! Regenerates every table and figure of the paper's evaluation (§5–§6).
 //!
 //! Each experiment has an id matching the paper artifact (`table1`,
-//! `fig3`, ..., `fig10`); [`run_experiment`] dispatches on it, prints the
-//! rows/series the paper reports, and writes a TSV next to the binary's
-//! working directory under `target/experiments/`.
+//! `fig3`, ..., `fig10`). Each artifact lists the simulation cells it
+//! reads and renders its reports from them ([`artifact`]);
+//! [`run_experiments`] runs the union of the requested artifacts' cells
+//! once ([`cells`]) and renders every report, which the binary prints and
+//! writes as TSVs under `target/experiments/`.
 //!
 //! ```bash
 //! cargo run --release -p nuca-experiments -- all          # everything
@@ -53,8 +55,9 @@ use nuca_workloads::modern::{BindingKind, ModernConfig};
 use nucasim::{MachineConfig, ProtocolKind};
 use nucasim_locks::{SimLockParams, TwaHash};
 
-pub use cells::Cells;
+pub use cells::{Cell, Cells};
 pub use report::Report;
+pub use tracecap::Capture;
 
 /// How big to run: `Full` approximates the paper's workload volume;
 /// `Fast` is for tests and smoke runs.
@@ -182,9 +185,106 @@ pub const EXTENSIONS: [&str; 10] = [
     "showdown",
 ];
 
+/// Lists the cells an artifact reads.
+pub type CellsFn = fn(&Settings, Scale) -> Vec<Cell>;
+
+/// Renders an artifact's reports from a filled table.
+pub type RenderFn = fn(&Settings, Scale, &Cells) -> Vec<Report>;
+
+/// The artifact `id` names: the cells it reads, and how it renders them
+/// (reading only those cells, so rendering never simulates).
+///
+/// # Errors
+///
+/// Returns [`UnknownExperiment`] if `id` is not a known artifact id.
+pub fn artifact(id: &str) -> Result<(CellsFn, RenderFn), UnknownExperiment> {
+    Ok(match id {
+        "table1" => (table1::cells, |s, sc, c| vec![table1::run(s, sc, c)]),
+        "fig3" => (fig3::cells, fig3::run),
+        "fig5" => (fig5::cells, fig5::run),
+        "table2" => (fig5::table2_cells, |s, sc, c| vec![fig5::run_table2(s, sc, c)]),
+        "table3" => (|_, _| Vec::new(), |_, _, _| vec![table3::run()]),
+        "table4" => (raytrace_exp::table4_cells, |s, sc, c| {
+            vec![raytrace_exp::run_table4(s, sc, c)]
+        }),
+        "table5" => (apps_exp::grid_cells, |s, sc, c| vec![apps_exp::run_table5(s, sc, c)]),
+        "table6" => (apps_exp::grid_cells, |s, sc, c| vec![apps_exp::run_table6(s, sc, c)]),
+        "fig6" => (apps_exp::fig6_cells, |s, sc, c| vec![apps_exp::run_fig6(s, sc, c)]),
+        "fig7" => (raytrace_exp::fig7_cells, |s, sc, c| vec![raytrace_exp::run_fig7(s, sc, c)]),
+        "fig8" => (fig8::cells, |s, sc, c| vec![fig8::run(s, sc, c)]),
+        "fig9" => (fig9::cells, |s, sc, c| vec![fig9::run(s, sc, c)]),
+        "fig10" => (fig10::cells, |s, sc, c| vec![fig10::run(s, sc, c)]),
+        "nuca_ratio" => (nuca_ratio::cells, |s, sc, c| vec![nuca_ratio::run(s, sc, c)]),
+        "hier" => (hier_exp::cells, |s, sc, c| vec![hier_exp::run(s, sc, c)]),
+        "colloc" => (colloc::cells, |s, sc, c| vec![colloc::run(s, sc, c)]),
+        "falsesharing" => (falsesharing::cells, falsesharing::run),
+        "ticket" => (ticket_exp::cells, |s, sc, c| vec![ticket_exp::run(s, sc, c)]),
+        "lat_hist" => (fig5::cells, |s, sc, c| vec![lat_hist::run(s, sc, c)]),
+        "robustness" => (robustness::cells, |s, sc, c| vec![robustness::run(s, sc, c)]),
+        "handoff" => (profiler::cells, |s, sc, c| vec![profiler::run_handoff(s, sc, c)]),
+        "lockserver" => (lockserver::cells, |s, sc, c| vec![lockserver::run(s, sc, c)]),
+        "showdown" => (showdown::cells, |s, sc, c| vec![showdown::run(s, sc, c)]),
+        other => return Err(UnknownExperiment(other.to_owned())),
+    })
+}
+
+/// What one invocation produced.
+#[derive(Debug)]
+pub struct Outcome {
+    /// Every report, in id order.
+    pub reports: Vec<Report>,
+    /// The `--trace`/`--metrics-json` captures, when asked for.
+    pub captures: Vec<Capture>,
+    /// Cells the artifacts declared, counting every declaration.
+    pub requested: usize,
+    /// Distinct cells simulated.
+    pub run: usize,
+}
+
+/// Runs artifacts `ids` (not `all`) as one plan under `settings`: the
+/// union of their cells, plus the trace capture's when `capture` is set,
+/// runs once through one [`runner::run_jobs`] pool, then every report
+/// renders from the filled table, in id order.
+///
+/// # Errors
+///
+/// Returns [`UnknownExperiment`] for the first unknown id, before anything
+/// runs.
+pub fn run_experiments(
+    ids: &[&str],
+    settings: &Settings,
+    scale: Scale,
+    capture: bool,
+) -> Result<Outcome, UnknownExperiment> {
+    let artifacts = ids.iter().map(|id| artifact(id)).collect::<Result<Vec<_>, _>>()?;
+    let traced = if capture {
+        tracecap::cells(settings, scale)
+    } else {
+        Vec::new()
+    };
+    let mut specs: Vec<Cell> = artifacts
+        .iter()
+        .flat_map(|(cells, _)| cells(settings, scale))
+        .collect();
+    specs.extend(traced.iter().cloned());
+    let requested = specs.len();
+    let mut cells = Cells::fill(specs);
+    let run = cells.len();
+    let reports = artifacts
+        .iter()
+        .flat_map(|(_, render)| render(settings, scale, &cells))
+        .collect();
+    let captures = traced.iter().map(|spec| cells.take(spec)).collect();
+    Ok(Outcome {
+        reports,
+        captures,
+        requested,
+        run,
+    })
+}
+
 /// Runs one experiment (or `all`) under the default [`Settings`] and
-/// returns its report(s). The call has its own [`Cells`], so every cell it
-/// needs is simulated here, once.
+/// returns its report(s). Each call plans and simulates afresh.
 ///
 /// The protocol is the one exception to the defaults: it is
 /// [`nucasim::default_protocol`], because the repository benchmark selects
@@ -199,63 +299,19 @@ pub fn run_experiment(id: &str, scale: Scale) -> Result<Vec<Report>, UnknownExpe
         protocol: nucasim::default_protocol(),
         ..Settings::default()
     };
-    run_experiment_in(id, &settings, scale, &Cells::new())
+    let ids: Vec<&str> = match id {
+        "all" => EXPERIMENTS.iter().chain(&EXTENSIONS).copied().collect(),
+        _ => vec![id],
+    };
+    Ok(run_experiments(&ids, &settings, scale, false)?.reports)
 }
 
-/// Like [`run_experiment`], but under `settings`, reading and filling
-/// `cells`: artifacts run against the same [`Cells`] simulate each shared
-/// cell once between them.
-///
-/// # Errors
-///
-/// Returns [`UnknownExperiment`] if `id` is not a known artifact id.
-pub fn run_experiment_in(
-    id: &str,
-    settings: &Settings,
-    scale: Scale,
-    cells: &Cells,
-) -> Result<Vec<Report>, UnknownExperiment> {
-    match id {
-        "table1" => Ok(vec![table1::run(settings, scale)]),
-        "fig3" => Ok(fig3::run(settings, scale)),
-        "fig5" => Ok(fig5::run(settings, scale, cells)),
-        "table2" => Ok(vec![fig5::run_table2(settings, scale, cells)]),
-        "table3" => Ok(vec![table3::run()]),
-        "table4" => Ok(vec![raytrace_exp::run_table4(settings, scale, cells)]),
-        "table5" => Ok(vec![apps_exp::run_table5(settings, scale, cells)]),
-        "table6" => Ok(vec![apps_exp::run_table6(settings, scale, cells)]),
-        "fig6" => Ok(vec![apps_exp::run_fig6(settings, scale, cells)]),
-        "fig7" => Ok(vec![raytrace_exp::run_fig7(settings, scale, cells)]),
-        "fig8" => Ok(vec![fig8::run(settings, scale, cells)]),
-        "fig9" => Ok(vec![fig9::run(settings, scale, cells)]),
-        "fig10" => Ok(vec![fig10::run(settings, scale, cells)]),
-        "nuca_ratio" => Ok(vec![nuca_ratio::run(settings, scale, cells)]),
-        "hier" => Ok(vec![hier_exp::run(settings, scale, cells)]),
-        "colloc" => Ok(vec![colloc::run(settings, scale, cells)]),
-        "falsesharing" => Ok(falsesharing::run(settings, scale, cells)),
-        "ticket" => Ok(vec![ticket_exp::run(settings, scale, cells)]),
-        "lat_hist" => Ok(vec![lat_hist::run(settings, scale, cells)]),
-        "robustness" => Ok(vec![robustness::run(settings, scale, cells)]),
-        "handoff" => Ok(vec![profiler::run_handoff(settings, scale, cells)]),
-        "lockserver" => Ok(vec![lockserver::run(settings, scale)]),
-        "showdown" => Ok(vec![showdown::run(settings, scale, cells)]),
-        "all" => {
-            // Fan the artifacts out across orchestration threads (their
-            // leaf sim jobs share the global --jobs budget and `cells`)
-            // and flatten the reports in the fixed id order.
-            let tasks: Vec<_> = EXPERIMENTS
-                .iter()
-                .chain(EXTENSIONS.iter())
-                .map(|&id| move || run_experiment_in(id, settings, scale, cells))
-                .collect();
-            let mut out = Vec::new();
-            for reports in runner::run_fanout(tasks) {
-                out.extend(reports.expect("every fanned-out id is a known artifact"));
-            }
-            Ok(out)
-        }
-        other => Err(UnknownExperiment(other.to_owned())),
-    }
+/// Renders `render` under the default settings at fast scale, from a
+/// table holding the cells `cells` declares (for the artifacts' tests).
+#[cfg(test)]
+fn fast<T>(cells: CellsFn, render: impl FnOnce(&Settings, Scale, &Cells) -> T) -> T {
+    let settings = Settings::default();
+    render(&settings, Scale::Fast, &Cells::fill(cells(&settings, Scale::Fast)))
 }
 
 #[cfg(test)]

@@ -14,16 +14,16 @@
 //! the table for CI. The `--shards`, `--zipf` and `--arrival-gap` flags
 //! override the corresponding axes for ad-hoc capacity exploration.
 //!
-//! Leaf runs go through [`runner::run_jobs`], so the TSV is byte-identical
-//! for any `--jobs` setting.
+//! Each cell is one [`Cell::LockServer`] of the invocation's plan, so the
+//! TSV is byte-identical for any `--jobs` setting.
 
 use hbo_locks::LockKind;
-use nuca_workloads::lockserver::{run_lockserver, LockServerConfig};
+use nuca_workloads::lockserver::{LockServerConfig, LockServerReport};
 use nucasim::MachineConfig;
 
 use crate::report::{fmt_ratio, Report};
 use crate::robustness::{extremes, Disturbance};
-use crate::{runner, Scale, Settings};
+use crate::{Cell, Cells, Scale, Settings};
 
 /// The swept shard counts: a contended table (few shards) and a spread
 /// one, or the single `--shards` value.
@@ -63,11 +63,10 @@ fn cell_cfg(
     }
 }
 
-/// One measured cell of the sweep.
+/// What the sweep reads from one lock-service run (the run's per-object
+/// tallies are dropped).
 #[derive(Debug, Clone, Copy)]
-pub struct Cell {
-    /// Disturbance level label.
-    pub level: &'static str,
+pub struct Service {
     /// Whether every thread served its quota inside the cycle budget.
     pub finished: bool,
     /// Median request latency, ns.
@@ -86,6 +85,21 @@ pub struct Cell {
     pub objects_touched: usize,
 }
 
+impl From<&LockServerReport> for Service {
+    fn from(r: &LockServerReport) -> Service {
+        Service {
+            finished: r.finished,
+            p50_ns: r.p50_ns,
+            p99_ns: r.p99_ns,
+            p999_ns: r.p999_ns,
+            goodput_pct: r.goodput_pct,
+            served: r.served,
+            fairness: r.fairness,
+            objects_touched: r.objects_touched,
+        }
+    }
+}
+
 /// One sweep row: a lock kind at a shard count, measured at every
 /// disturbance level.
 #[derive(Debug, Clone)]
@@ -95,54 +109,42 @@ pub struct SweepRow {
     /// Shard locks in the table.
     pub shards: usize,
     /// One cell per [`extremes`] entry, in order.
-    pub cells: Vec<Cell>,
+    pub cells: Vec<Service>,
 }
 
-/// Runs the full sweep; deterministic and byte-identical for any `--jobs`
-/// setting.
-pub fn sweep(settings: &Settings, scale: Scale) -> Vec<SweepRow> {
-    let shard_counts = shard_axis(settings, scale);
+/// The sweep's configs, row-major: lock kind × shard count rows, one
+/// column per [`extremes`] level.
+fn grid(settings: &Settings, scale: Scale) -> Vec<LockServerConfig> {
     let dist = extremes(scale);
-    let grid: Vec<(LockKind, usize)> = settings
-        .kinds
-        .iter()
-        .flat_map(|&kind| shard_counts.iter().map(move |&s| (kind, s)))
-        .collect();
-    let jobs: Vec<_> = grid
-        .iter()
-        .flat_map(|&(kind, shards)| dist.iter().map(move |d| (kind, shards, *d)))
-        .map(|(kind, shards, d)| {
-            move || {
-                let cfg = cell_cfg(settings, scale, kind, shards, &d);
-                let r = run_lockserver(&cfg);
-                Cell {
-                    level: d.name,
-                    finished: r.finished,
-                    p50_ns: r.p50_ns,
-                    p99_ns: r.p99_ns,
-                    p999_ns: r.p999_ns,
-                    goodput_pct: r.goodput_pct,
-                    served: r.served,
-                    fairness: r.fairness,
-                    objects_touched: r.objects_touched,
-                }
-            }
-        })
-        .collect();
-    let cells = runner::run_jobs(jobs);
-    grid.iter()
-        .zip(cells.chunks(dist.len()))
-        .map(|(&(kind, shards), chunk)| SweepRow {
-            kind,
-            shards,
-            cells: chunk.to_vec(),
+    let mut cfgs = Vec::new();
+    for &kind in &settings.kinds {
+        for shards in shard_axis(settings, scale) {
+            cfgs.extend(dist.iter().map(|d| cell_cfg(settings, scale, kind, shards, d)));
+        }
+    }
+    cfgs
+}
+
+/// The cells the `lockserver` artifact reads.
+pub fn cells(settings: &Settings, scale: Scale) -> Vec<Cell> {
+    grid(settings, scale).into_iter().map(Cell::LockServer).collect()
+}
+
+/// The full sweep, read from `cells`.
+pub fn sweep(settings: &Settings, scale: Scale, cells: &Cells) -> Vec<SweepRow> {
+    let grid = grid(settings, scale);
+    grid.chunks(extremes(scale).len())
+        .map(|row| SweepRow {
+            kind: row[0].kind,
+            shards: row[0].shards,
+            cells: row.iter().map(|cfg| *cells.lockserver(cfg)).collect(),
         })
         .collect()
 }
 
 /// The `lockserver` artifact: request-latency tails, goodput and fairness
 /// per lock kind × shard count × disturbance level.
-pub fn run(settings: &Settings, scale: Scale) -> Report {
+pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
     let dist = extremes(scale);
     let mut header = vec!["Lock Type".to_owned(), "Shards".to_owned()];
     for d in &dist {
@@ -153,13 +155,12 @@ pub fn run(settings: &Settings, scale: Scale) -> Report {
         header.push(format!("fairness {}", d.name));
     }
     header.push("served".to_owned());
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
     let mut report = Report::new(
         "lockserver",
         "Sharded lock service: latency tails, goodput and fairness under overload",
-        &header_refs,
+        &header,
     );
-    for row in sweep(settings, scale) {
+    for row in sweep(settings, scale, cells) {
         let mut cells = vec![row.kind.as_str().to_owned(), row.shards.to_string()];
         for c in &row.cells {
             let mark = |v: u64| {
@@ -199,9 +200,8 @@ mod tests {
 
     #[test]
     fn report_covers_the_grid() {
-        let settings = Settings::default();
-        let r = run(&settings, Scale::Fast);
-        assert_eq!(r.rows(), settings.kinds.len() * 2);
+        let r = crate::fast(cells, run);
+        assert_eq!(r.rows(), Settings::default().kinds.len() * 2);
     }
 
     #[test]
@@ -225,7 +225,7 @@ mod tests {
 
     #[test]
     fn sweep_metrics_are_sane() {
-        for row in sweep(&Settings::default(), Scale::Fast) {
+        for row in crate::fast(cells, sweep) {
             for c in &row.cells {
                 assert!(c.finished, "{} {} shards hit the budget", row.kind, row.shards);
                 assert!(c.p50_ns > 0 && c.p50_ns <= c.p99_ns && c.p99_ns <= c.p999_ns);
@@ -241,7 +241,7 @@ mod tests {
     fn fault_stack_never_improves_the_tail() {
         // Deterministic runs: the heaviest disturbance level must not
         // report a better p99 than the undisturbed one for any cell.
-        for row in sweep(&Settings::default(), Scale::Fast) {
+        for row in crate::fast(cells, sweep) {
             let none = &row.cells[0];
             let faulted = row.cells.last().expect("two levels");
             assert!(

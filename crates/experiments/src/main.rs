@@ -10,12 +10,10 @@
 //! ```
 
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use nuca_experiments::cli::{self, Invocation, USAGE};
-use nuca_experiments::{
-    run_experiment_in, runner, tracecap, Cells, Report, UnknownExperiment, EXPERIMENTS, EXTENSIONS,
-};
+use nuca_experiments::{run_experiments, runner, tracecap, EXPERIMENTS, EXTENSIONS};
 
 fn main() -> ExitCode {
     let run = match cli::parse_args(std::env::args().skip(1)) {
@@ -49,64 +47,50 @@ fn main() -> ExitCode {
         nucasim::profile::enable_global_profiling();
     }
 
-    // One orchestration task per artifact; leaf simulation jobs inside
-    // each artifact share the global --jobs budget, and every artifact
-    // shares one cell cache, so a run two artifacts need happens once.
-    // Results come back in request order, so rendering and TSV writes stay
-    // deterministic.
-    let cells = Cells::new();
-    type ArtifactRun = (Duration, Result<Vec<Report>, UnknownExperiment>);
-    let tasks: Vec<_> = run
-        .ids
-        .iter()
-        .map(|id| {
-            let cells = &cells;
-            move || -> ArtifactRun {
-                let started = Instant::now();
-                let result = run_experiment_in(id, settings, scale, cells);
-                (started.elapsed(), result)
-            }
-        })
-        .collect();
-    let results = runner::run_fanout(tasks);
-    drop(cells); // every artifact has read its cells
+    // One plan: the union of the artifacts' cells (and the trace
+    // capture's) runs once in the --jobs pool, then every report renders
+    // from the filled table in request order.
+    let started = Instant::now();
+    let events = nucasim::sim_events_total();
+    let ids: Vec<&str> = run.ids.iter().map(String::as_str).collect();
+    let capture = run.trace.is_some() || run.metrics_json.is_some();
+    let outcome = match run_experiments(&ids, settings, scale, capture) {
+        Ok(outcome) => outcome,
+        Err(err) => {
+            eprintln!("{err}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     // A TSV that cannot be written fails the run, after every artifact
     // has been reported.
     let mut tsv_failed = false;
-    for (id, (elapsed, result)) in run.ids.iter().zip(results) {
-        match result {
-            Ok(reports) => {
-                for report in reports {
-                    println!("{}", report.render());
-                    match report.write_tsv(&run.out_dir) {
-                        Ok(path) => println!("wrote {}\n", path.display()),
-                        Err(err) => {
-                            eprintln!("could not write TSV: {err}");
-                            tsv_failed = true;
-                        }
-                    }
-                }
-                eprintln!("[{id} done in {elapsed:.1?}]");
-            }
+    for report in &outcome.reports {
+        println!("{}", report.render());
+        match report.write_tsv(&run.out_dir) {
+            Ok(path) => println!("wrote {}\n", path.display()),
             Err(err) => {
-                eprintln!("{err}");
-                return ExitCode::FAILURE;
+                eprintln!("could not write TSV: {err}");
+                tsv_failed = true;
             }
         }
     }
+    eprintln!(
+        "[{} cells requested, {} run, {} simulated events in {:.1?}]",
+        outcome.requested,
+        outcome.run,
+        nucasim::sim_events_total() - events,
+        started.elapsed()
+    );
 
-    // Observability capture: dedicated traced runs, after the artifacts.
-    if run.trace.is_some() || run.metrics_json.is_some() {
-        if let Err(err) = tracecap::write_captures(
-            settings,
-            scale,
-            run.trace.as_deref(),
-            run.metrics_json.as_deref(),
-        ) {
-            eprintln!("could not write capture: {err}");
-            return ExitCode::FAILURE;
-        }
+    if let Err(err) = tracecap::write_captures(
+        scale,
+        &outcome.captures,
+        run.trace.as_deref(),
+        run.metrics_json.as_deref(),
+    ) {
+        eprintln!("could not write capture: {err}");
+        return ExitCode::FAILURE;
     }
 
     // nuca-prof output: the label-keyed merge of every profiled machine

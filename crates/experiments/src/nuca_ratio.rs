@@ -11,18 +11,50 @@ use nuca_workloads::modern::ModernConfig;
 use nucasim::{LatencyModel, MachineConfig};
 
 use crate::report::Report;
-use crate::{runner, Cells, Scale, Settings};
+use crate::{Cell, Cells, Scale, Settings};
 
-/// Runs the NUCA-ratio ablation.
-pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
-    let presets: [(&str, LatencyModel); 5] = [
+/// The latency presets, in row order.
+fn presets() -> [(&'static str, LatencyModel); 5] {
+    [
         ("E6000 (UMA)", LatencyModel::e6000()),
         ("DS-320-like (3.5)", LatencyModel::wildfire().with_nuca_ratio(3.5)),
         ("DASH (4.5)", LatencyModel::dash()),
         ("WildFire (6)", LatencyModel::wildfire()),
         ("NUMA-Q (10)", LatencyModel::numa_q()),
-    ];
+    ]
+}
+
+/// The locks compared on every preset.
+const KINDS: [LockKind; 3] = [LockKind::HboGt, LockKind::Mcs, LockKind::TatasExp];
+
+fn config(
+    settings: &Settings,
+    scale: Scale,
+    latency: LatencyModel,
+    kind: LockKind,
+) -> ModernConfig {
     let (per_node, iters) = scale.pick((14, 30), (4, 15));
+    ModernConfig {
+        kind,
+        threads: per_node * 2,
+        iterations: iters,
+        critical_work: 1000,
+        ..settings.modern(MachineConfig::wildfire(2, per_node).with_latency(latency))
+    }
+}
+
+/// The cells the ablation reads: preset × lock.
+pub fn cells(settings: &Settings, scale: Scale) -> Vec<Cell> {
+    presets()
+        .into_iter()
+        .flat_map(|(_, latency)| {
+            KINDS.map(|kind| Cell::Modern(config(settings, scale, latency, kind)))
+        })
+        .collect()
+}
+
+/// Renders the NUCA-ratio ablation.
+pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
     let mut report = Report::new(
         "nuca_ratio",
         "HBO_GT advantage vs NUCA ratio (new microbenchmark, critical_work=1000)",
@@ -34,31 +66,11 @@ pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
             "TATAS_EXP / HBO_GT",
         ],
     );
-    // One job per preset × lock cell, regrouped per preset at assembly.
-    let kinds = [LockKind::HboGt, LockKind::Mcs, LockKind::TatasExp];
-    let jobs: Vec<_> = presets
-        .iter()
-        .flat_map(|&(_, latency)| kinds.iter().map(move |&kind| (latency, kind)))
-        .map(|(latency, kind)| {
-            move || {
-                cells.modern(&ModernConfig {
-                    kind,
-                    threads: per_node * 2,
-                    iterations: iters,
-                    critical_work: 1000,
-                    ..settings.modern(MachineConfig::wildfire(2, per_node).with_latency(latency))
-                })
-            }
-        })
-        .collect();
-    let results = runner::run_jobs(jobs);
-    for (pi, (name, latency)) in presets.iter().enumerate() {
-        let [hbo, mcs, exp] = &results[pi * kinds.len()..(pi + 1) * kinds.len()] else {
-            unreachable!("three runs per preset");
-        };
-        let (hbo, mcs, exp) = (&hbo.micro, &mcs.micro, &exp.micro);
+    for (name, latency) in presets() {
+        let [hbo, mcs, exp] =
+            KINDS.map(|kind| &cells.modern(&config(settings, scale, latency, kind)).micro);
         report.push_row(vec![
-            (*name).to_owned(),
+            name.to_owned(),
             format!("{:.1}", latency.nuca_ratio()),
             format!("{:.0}", hbo.ns_per_iteration),
             format!("{:.2}", mcs.ns_per_iteration / hbo.ns_per_iteration),
@@ -75,7 +87,7 @@ mod tests {
 
     #[test]
     fn advantage_grows_with_ratio() {
-        let r = run(&Settings::default(), Scale::Fast, &Cells::new());
+        let r = crate::fast(cells, run);
         assert_eq!(r.rows(), 5);
         let ratio = |row: usize| -> f64 { r.cell(row, 3).unwrap().parse().unwrap() };
         // NUMA-Q advantage must exceed the UMA advantage.

@@ -26,7 +26,7 @@ use nucasim::{LabelProfile, MachineConfig};
 use crate::json::JsonWriter;
 use crate::report::{fmt_ratio, Report};
 use crate::tracecap::CAPTURE_CRITICAL_WORK;
-use crate::{runner, tracecap, Cells, Scale, Settings};
+use crate::{tracecap, Cell, Cells, Scale, Settings};
 
 /// Version stamp of the `--profile` JSON document (bump on any
 /// field/shape change; ci.sh validates against it). v2 added the
@@ -51,6 +51,18 @@ fn config(settings: &Settings, scale: Scale, kind: LockKind, per_node: usize) ->
     }
 }
 
+/// The handoff sweep's configs, kind-major.
+fn grid(settings: &Settings, scale: Scale) -> Vec<ModernConfig> {
+    let per_nodes = per_node_sweep(scale);
+    let row = |kind| per_nodes.iter().map(move |&pn| config(settings, scale, kind, pn));
+    settings.kinds.iter().flat_map(|&kind| row(kind)).collect()
+}
+
+/// The cells the `handoff` artifact reads: profiled runs of its grid.
+pub fn cells(settings: &Settings, scale: Scale) -> Vec<Cell> {
+    grid(settings, scale).into_iter().map(Cell::Profiled).collect()
+}
+
 /// One percentage cell, one decimal (integer-derived, so TSVs stay
 /// byte-identical across job counts and schedulers).
 fn pct(part: u64, total: u64) -> String {
@@ -63,7 +75,6 @@ fn pct(part: u64, total: u64) -> String {
 
 /// Runs the handoff-locality × phase-breakdown sweep.
 pub fn run_handoff(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
-    let per_nodes = per_node_sweep(scale);
     let mut report = Report::new(
         "handoff",
         "Handoff locality and acquire-phase breakdown, new microbenchmark \
@@ -86,21 +97,9 @@ pub fn run_handoff(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
         ],
     );
 
-    // One job per (kind, per_node) grid cell, reassembled in grid order
-    // so the TSV is byte-identical at any --jobs level.
-    let sweep_kinds = &settings.kinds;
-    let jobs: Vec<_> = sweep_kinds
-        .iter()
-        .flat_map(|&kind| per_nodes.iter().map(move |&pn| (kind, pn)))
-        .map(|(kind, pn)| move || cells.profiled(&config(settings, scale, kind, pn)))
-        .collect();
-    let results = runner::run_jobs(jobs);
-
-    for ((kind, pn), cell) in sweep_kinds
-        .iter()
-        .flat_map(|&kind| per_nodes.iter().map(move |&pn| (kind, pn)))
-        .zip(&results)
-    {
+    for cfg in grid(settings, scale) {
+        let cell = cells.profiled(&cfg);
+        let (kind, pn) = (cfg.kind, cfg.threads / 2);
         let (trace, lock) = (&cell.trace, &cell.lock);
         let wait = trace.wait.sum();
         report.push_row(vec![
@@ -255,7 +254,7 @@ mod tests {
 
     #[test]
     fn handoff_grid_covers_all_kinds_and_cpu_counts() {
-        let report = run_handoff(&Settings::default(), Scale::Fast, &Cells::new());
+        let report = crate::fast(cells, run_handoff);
         assert_eq!(report.rows(), hbo_locks::LockCatalog::kinds().len() * 2);
         let hbo = report.row_by_key("HBO_GT_SD").unwrap();
         assert_ne!(hbo[5], "-", "HBO_GT_SD remote rate missing");

@@ -17,11 +17,11 @@ pub struct Report {
 
 impl Report {
     /// Starts an empty report for artifact `id`.
-    pub fn new(id: &str, title: &str, columns: &[&str]) -> Report {
+    pub fn new(id: &str, title: &str, columns: &[impl AsRef<str>]) -> Report {
         Report {
             id: id.to_owned(),
             title: title.to_owned(),
-            columns: columns.iter().map(|c| (*c).to_owned()).collect(),
+            columns: columns.iter().map(|c| c.as_ref().to_owned()).collect(),
             rows: Vec::new(),
             notes: Vec::new(),
         }

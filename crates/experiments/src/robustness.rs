@@ -17,8 +17,9 @@ use nucasim::{
     PreemptionConfig, SlowNodeConfig,
 };
 
+use crate::cells::ModernCell;
 use crate::report::{fmt_secs, Report};
-use crate::{runner, Cells, Scale, Settings};
+use crate::{Cells, Scale, Settings};
 
 /// One disturbance level of the sweep.
 #[derive(Debug, Clone, Copy)]
@@ -124,6 +125,22 @@ pub struct Cell {
     pub preemptions: u64,
     /// Injected thread migrations applied.
     pub migrations: u64,
+    /// Node-handoff ratio (remote handovers / opportunities).
+    pub handoff_ratio: Option<f64>,
+}
+
+impl Cell {
+    fn read(d: &Disturbance, run: &ModernCell) -> Cell {
+        Cell {
+            level: d.name,
+            seconds: run.seconds,
+            finished: run.micro.finished,
+            p99_wait_ns: cycles_to_ns(run.wait.percentile(99.0).unwrap_or(0)),
+            preemptions: run.preemptions,
+            migrations: run.migrations,
+            handoff_ratio: run.micro.handoff_ratio,
+        }
+    }
 }
 
 /// One sweep row: a lock kind at a processor count, measured at every
@@ -134,7 +151,7 @@ pub struct SweepRow {
     pub kind: LockKind,
     /// Contending processors.
     pub cpus: usize,
-    /// One cell per [`levels`] entry, in order.
+    /// One cell per swept level, in order.
     pub cells: Vec<Cell>,
 }
 
@@ -178,44 +195,58 @@ fn cell_cfg(
     }
 }
 
-/// Runs the full sweep and returns structured rows (one per lock kind ×
-/// processor count), each measured at every disturbance level. Leaf runs
-/// go through [`runner::run_jobs`], so results are deterministic and
-/// byte-identical for any `--jobs` setting.
-pub fn sweep(settings: &Settings, scale: Scale, cells: &Cells) -> Vec<SweepRow> {
+/// The config of a disturbance sweep's cell: kind, CPUs, level.
+pub(crate) type CellCfg = fn(&Settings, Scale, LockKind, usize, &Disturbance) -> ModernConfig;
+
+/// A disturbance sweep's configs, row-major: lock kind × processor count
+/// rows, one column per level of `levels`.
+pub(crate) fn grid(
+    settings: &Settings,
+    scale: Scale,
+    levels: &[Disturbance],
+    cfg: CellCfg,
+) -> Vec<ModernConfig> {
     let cpu_counts: Vec<usize> = scale.pick(vec![8, 28], vec![4, 8]);
-    let lv = levels(scale);
-    let grid: Vec<(LockKind, usize)> = settings
-        .kinds
-        .iter()
-        .flat_map(|&kind| cpu_counts.iter().map(move |&c| (kind, c)))
-        .collect();
-    let jobs: Vec<_> = grid
-        .iter()
-        .flat_map(|&(kind, cpus)| lv.iter().map(move |d| (kind, cpus, *d)))
-        .map(|(kind, cpus, d)| {
-            move || {
-                let run = cells.modern(&cell_cfg(settings, scale, kind, cpus, &d));
-                Cell {
-                    level: d.name,
-                    seconds: run.seconds,
-                    finished: run.micro.finished,
-                    p99_wait_ns: cycles_to_ns(run.wait.percentile(99.0).unwrap_or(0)),
-                    preemptions: run.preemptions,
-                    migrations: run.migrations,
-                }
-            }
-        })
-        .collect();
-    let cells = runner::run_jobs(jobs);
-    grid.iter()
-        .zip(cells.chunks(lv.len()))
-        .map(|(&(kind, cpus), chunk)| SweepRow {
-            kind,
-            cpus,
-            cells: chunk.to_vec(),
+    let mut cfgs = Vec::new();
+    for &kind in &settings.kinds {
+        for &cpus in &cpu_counts {
+            cfgs.extend(levels.iter().map(|d| cfg(settings, scale, kind, cpus, d)));
+        }
+    }
+    cfgs
+}
+
+/// A disturbance sweep's rows, read from `cells`.
+pub(crate) fn sweep_rows(
+    settings: &Settings,
+    scale: Scale,
+    cells: &Cells,
+    levels: &[Disturbance],
+    cfg: CellCfg,
+) -> Vec<SweepRow> {
+    let grid = grid(settings, scale, levels, cfg);
+    grid.chunks(levels.len())
+        .map(|row| SweepRow {
+            kind: row[0].kind,
+            cpus: row[0].threads,
+            cells: levels
+                .iter()
+                .zip(row)
+                .map(|(d, cfg)| Cell::read(d, cells.modern(cfg)))
+                .collect(),
         })
         .collect()
+}
+
+/// The cells the `robustness` artifact reads.
+pub fn cells(settings: &Settings, scale: Scale) -> Vec<crate::Cell> {
+    let grid = grid(settings, scale, &levels(scale), cell_cfg);
+    grid.into_iter().map(crate::Cell::Modern).collect()
+}
+
+/// The full sweep, read from `cells`.
+pub fn sweep(settings: &Settings, scale: Scale, cells: &Cells) -> Vec<SweepRow> {
+    sweep_rows(settings, scale, cells, &levels(scale), cell_cfg)
 }
 
 /// The `robustness` artifact: completion time per disturbance level plus
@@ -226,11 +257,10 @@ pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
     header.extend(lv.iter().map(|d| format!("{} (s)", d.name)));
     header.push("p99 wait none (ns)".to_owned());
     header.push("p99 wait heavy+faults (ns)".to_owned());
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
     let mut report = Report::new(
         "robustness",
         "Lock robustness under preemption and injected faults",
-        &header_refs,
+        &header,
     );
     for row in sweep(settings, scale, cells) {
         let mut cells = vec![row.kind.as_str().to_owned(), row.cpus.to_string()];
@@ -271,7 +301,7 @@ mod tests {
 
     #[test]
     fn queue_locks_collapse_an_order_of_magnitude_harder() {
-        let rows = sweep(&Settings::default(), Scale::Fast, &Cells::new());
+        let rows = crate::fast(cells, sweep);
         for level in ["heavy", "heavy+faults"] {
             for queue in [LockKind::Mcs, LockKind::Clh] {
                 let q = max_degradation(&rows, queue, level);
@@ -289,7 +319,7 @@ mod tests {
 
     #[test]
     fn fault_layers_fire_in_the_heaviest_level() {
-        let rows = sweep(&Settings::default(), Scale::Fast, &Cells::new());
+        let rows = crate::fast(cells, sweep);
         let faulted: Vec<&Cell> = rows
             .iter()
             .flat_map(|r| r.cells.iter().filter(|c| c.level == "heavy+faults"))
@@ -305,8 +335,7 @@ mod tests {
 
     #[test]
     fn report_has_one_row_per_kind_and_cpu_count() {
-        let settings = Settings::default();
-        let r = run(&settings, Scale::Fast, &Cells::new());
-        assert_eq!(r.rows(), settings.kinds.len() * 2);
+        let r = crate::fast(cells, run);
+        assert_eq!(r.rows(), Settings::default().kinds.len() * 2);
     }
 }

@@ -19,54 +19,16 @@
 //! queue family's preemption fragility; the backoff family's anarchy is
 //! what degrades gracefully.)
 //!
-//! Honors `--kinds`; leaf runs go through [`runner::run_jobs`], so the
+//! Honors `--kinds`; each run is a cell of the invocation's plan, so the
 //! TSV is byte-identical for any `--jobs` setting.
 
 use hbo_locks::{LockCatalog, LockKind};
 use nuca_workloads::modern::ModernConfig;
-use nucasim::{cycles_to_ns, MachineConfig};
+use nucasim::MachineConfig;
 
 use crate::report::{fmt_ratio, fmt_secs, Report};
-use crate::robustness::{extremes, Disturbance};
-use crate::{runner, Cells, Scale, Settings};
-
-/// One measured cell.
-#[derive(Debug, Clone, Copy)]
-pub struct Cell {
-    /// Disturbance level label.
-    pub level: &'static str,
-    /// Simulated completion time in seconds; an unfinished run reports
-    /// its cycle budget (a lower bound).
-    pub seconds: f64,
-    /// Whether the run completed inside the cycle budget.
-    pub finished: bool,
-    /// 99th-percentile time-to-acquire, nanoseconds.
-    pub p99_wait_ns: u64,
-    /// Node-handoff ratio (remote handovers / opportunities).
-    pub handoff_ratio: Option<f64>,
-}
-
-/// One sweep row: a lock kind at a processor count, measured at both
-/// disturbance levels.
-#[derive(Debug, Clone)]
-pub struct SweepRow {
-    /// Algorithm under test.
-    pub kind: LockKind,
-    /// Contending processors.
-    pub cpus: usize,
-    /// One cell per [`extremes`] entry, in order.
-    pub cells: Vec<Cell>,
-}
-
-impl SweepRow {
-    /// Completion-time factor of the disturbed cell over the undisturbed
-    /// one. Unfinished runs report their cycle budget, so a collapsed
-    /// lock yields a lower bound.
-    pub fn degradation(&self) -> f64 {
-        let base = self.cells[0].seconds;
-        self.cells.last().expect("two levels").seconds / base
-    }
-}
+use crate::robustness::{extremes, grid, sweep_rows, Disturbance, SweepRow};
+use crate::{Cells, Scale, Settings};
 
 fn cell_cfg(
     settings: &Settings,
@@ -88,41 +50,16 @@ fn cell_cfg(
     }
 }
 
-/// Runs the full sweep over [`Settings::kinds`] × processor count ×
-/// disturbance level; deterministic for any `--jobs` setting.
+/// The cells the `showdown` artifact reads.
+pub fn cells(settings: &Settings, scale: Scale) -> Vec<crate::Cell> {
+    let grid = grid(settings, scale, &extremes(scale), cell_cfg);
+    grid.into_iter().map(crate::Cell::Modern).collect()
+}
+
+/// The sweep over [`Settings::kinds`] × processor count × disturbance
+/// level, read from `cells`.
 pub fn sweep(settings: &Settings, scale: Scale, cells: &Cells) -> Vec<SweepRow> {
-    let cpu_counts: Vec<usize> = scale.pick(vec![8, 28], vec![4, 8]);
-    let dist = extremes(scale);
-    let grid: Vec<(LockKind, usize)> = settings
-        .kinds
-        .iter()
-        .flat_map(|&kind| cpu_counts.iter().map(move |&c| (kind, c)))
-        .collect();
-    let jobs: Vec<_> = grid
-        .iter()
-        .flat_map(|&(kind, cpus)| dist.iter().map(move |d| (kind, cpus, *d)))
-        .map(|(kind, cpus, d)| {
-            move || {
-                let run = cells.modern(&cell_cfg(settings, scale, kind, cpus, &d));
-                Cell {
-                    level: d.name,
-                    seconds: run.seconds,
-                    finished: run.micro.finished,
-                    p99_wait_ns: cycles_to_ns(run.wait.percentile(99.0).unwrap_or(0)),
-                    handoff_ratio: run.micro.handoff_ratio,
-                }
-            }
-        })
-        .collect();
-    let cells = runner::run_jobs(jobs);
-    grid.iter()
-        .zip(cells.chunks(dist.len()))
-        .map(|(&(kind, cpus), chunk)| SweepRow {
-            kind,
-            cpus,
-            cells: chunk.to_vec(),
-        })
-        .collect()
+    sweep_rows(settings, scale, cells, &extremes(scale), cell_cfg)
 }
 
 /// The `showdown` artifact table.
@@ -140,12 +77,11 @@ pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
         header.push(format!("p99 wait {} (ns)", d.name));
     }
     header.push("remote HO rate".to_owned());
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
     let mut report = Report::new(
         "showdown",
         "Modern-lock showdown: 2003 field vs CNA/TWA/RECIP, undisturbed \
          and under the full fault stack (critical_work=1500)",
-        &header_refs,
+        &header,
     );
     for row in sweep(settings, scale, cells) {
         let info = LockCatalog::info(row.kind);
@@ -156,7 +92,7 @@ pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
             row.cpus.to_string(),
         ];
         cells.extend(row.cells.iter().map(|c| fmt_secs(c.seconds, c.finished)));
-        cells.push(format!("{:.1}", row.degradation()));
+        cells.push(format!("{:.1}", row.degradation("heavy+faults")));
         cells.extend(row.cells.iter().map(|c| c.p99_wait_ns.to_string()));
         // Locality from the undisturbed cell: the disturbed one measures
         // survival, not preference.
@@ -183,7 +119,7 @@ mod tests {
 
     #[test]
     fn report_covers_the_selected_grid_with_catalog_metadata() {
-        let r = run(&Settings::default(), Scale::Fast, &Cells::new());
+        let r = crate::fast(cells, run);
         assert_eq!(r.rows(), LockCatalog::kinds().len() * 2);
         // Modern contenders ride alongside every 2003 kind, with their
         // catalog family/year in the row.
@@ -199,13 +135,13 @@ mod tests {
 
     #[test]
     fn faults_never_speed_a_lock_up() {
-        for row in sweep(&Settings::default(), Scale::Fast, &Cells::new()) {
+        for row in crate::fast(cells, sweep) {
             assert!(
-                row.degradation() >= 1.0,
+                row.degradation("heavy+faults") >= 1.0,
                 "{} at {} cpus sped up under faults: {:.2}",
                 row.kind,
                 row.cpus,
-                row.degradation()
+                row.degradation("heavy+faults")
             );
         }
     }
@@ -215,7 +151,7 @@ mod tests {
         // The tentpole physics, visible in the artifact itself: CNA's
         // secondary queue keeps handoffs node-local; TWA inherits the
         // ticket lock's node-blind FIFO order.
-        let rows = sweep(&Settings::default(), Scale::Fast, &Cells::new());
+        let rows = crate::fast(cells, sweep);
         let rate = |kind: LockKind| {
             rows.iter()
                 .filter(|r| r.kind == kind)

@@ -1,23 +1,35 @@
 //! Table 1 — uncontested performance of a single acquire-release pair.
 
-use nuca_workloads::uncontested::run_uncontested;
+use hbo_locks::LockCatalog;
 use nucasim::MachineConfig;
 
 use crate::report::Report;
-use crate::{Scale, Settings};
+use crate::{Cell, Cells, Scale, Settings};
 
-/// Runs the three previous-owner scenarios for all eight locks.
-pub fn run(settings: &Settings, scale: Scale) -> Report {
+fn machine(settings: &Settings, scale: Scale) -> MachineConfig {
+    settings.machine(MachineConfig::wildfire(2, scale.pick(14, 2)))
+}
+
+/// The cells Table 1 reads: one per paper lock.
+pub fn cells(settings: &Settings, scale: Scale) -> Vec<Cell> {
+    let machine = machine(settings, scale);
+    LockCatalog::paper()
+        .iter()
+        .map(|&kind| Cell::Uncontested(kind, machine.clone(), settings.params()))
+        .collect()
+}
+
+/// Renders the three previous-owner scenarios for all eight locks.
+pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
     let mut report = Report::new(
         "table1",
         "Uncontested performance for a single acquire-release operation",
         &["Lock Type", "Same Processor", "Same Node", "Remote Node"],
     );
-    let cpus = scale.pick(14, 2);
-    let machine = settings.machine(MachineConfig::wildfire(2, cpus));
+    let machine = machine(settings, scale);
     let params = settings.params();
-    for &kind in hbo_locks::LockCatalog::paper() {
-        let r = run_uncontested(kind, &machine, &params);
+    for &kind in LockCatalog::paper() {
+        let r = cells.uncontested(kind, &machine, &params);
         report.push_row(vec![
             kind.as_str().to_owned(),
             format!("{} ns", r.same_processor_ns),
@@ -38,7 +50,7 @@ mod tests {
 
     #[test]
     fn table_has_all_locks_in_paper_order() {
-        let r = run(&Settings::default(), Scale::Fast);
+        let r = crate::fast(cells, run);
         assert_eq!(r.rows(), 8);
         assert_eq!(r.cell(0, 0), Some("TATAS"));
         assert_eq!(r.cell(7, 0), Some("HBO_GT_SD"));
@@ -46,7 +58,7 @@ mod tests {
 
     #[test]
     fn hbo_row_matches_tatas_class() {
-        let r = run(&Settings::default(), Scale::Fast);
+        let r = crate::fast(cells, run);
         let parse = |s: &str| s.trim_end_matches(" ns").parse::<u64>().unwrap();
         let tatas = parse(r.row_by_key("TATAS").unwrap()[1].as_str());
         let hbo = parse(r.row_by_key("HBO").unwrap()[1].as_str());

@@ -8,12 +8,11 @@
 //! node affinity places relative to both.
 
 use hbo_locks::LockKind;
-use nuca_topology::NodeId;
 use nuca_workloads::modern::ModernConfig;
-use nucasim_locks::{Lock, SimTicket};
 
+use crate::cells::CustomLock;
 use crate::report::{fmt_ratio, Report};
-use crate::{Cells, Scale, Settings};
+use crate::{Cell, Cells, Scale, Settings};
 
 /// colloc's uncollocated cell, so the two artifacts share their MCS and
 /// HBO_GT runs.
@@ -21,45 +20,57 @@ fn cfg(settings: &Settings, scale: Scale, kind: LockKind, critical_work: u32) ->
     crate::colloc::cfg(settings, scale, kind, critical_work, false)
 }
 
-/// Runs TICKET vs MCS vs TATAS_EXP vs HBO_GT on the new microbenchmark.
+/// The two contention levels.
+const CWS: [u32; 2] = [100, 1500];
+
+/// The catalog rows.
+const KINDS: [LockKind; 3] = [LockKind::TatasExp, LockKind::Mcs, LockKind::HboGt];
+
+/// The cells the comparison reads: each row's run per contention level,
+/// TICKET on MCS's configs (`kind` only labels a custom run).
+pub fn cells(settings: &Settings, scale: Scale) -> Vec<Cell> {
+    let mut cells: Vec<Cell> = KINDS
+        .iter()
+        .flat_map(|&kind| CWS.map(|cw| Cell::Modern(cfg(settings, scale, kind, cw))))
+        .collect();
+    cells.extend(
+        CWS.map(|cw| Cell::Custom(CustomLock::Ticket, cfg(settings, scale, LockKind::Mcs, cw))),
+    );
+    cells
+}
+
+/// Renders TICKET vs MCS vs TATAS_EXP vs HBO_GT on the new
+/// microbenchmark.
 pub fn run(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
-    let cws = [100u32, 1500];
     let mut header = vec!["Lock".to_owned()];
-    for cw in cws {
+    for cw in CWS {
         header.push(format!("cw={cw} ns/iter"));
         header.push(format!("cw={cw} handoff"));
         header.push(format!("cw={cw} traffic"));
     }
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
     let mut report = Report::new(
         "ticket",
         "Ticket lock (shared-counter FIFO) vs list-based queue locks",
-        &header_refs,
+        &header,
     );
 
-    for kind in [LockKind::TatasExp, LockKind::Mcs, LockKind::HboGt] {
-        let mut row = vec![kind.as_str().to_owned()];
-        for cw in cws {
-            let r = &cells.modern(&cfg(settings, scale, kind, cw)).micro;
+    let mut push = |label: &str, runs: [&crate::cells::ModernCell; 2]| {
+        let mut row = vec![label.to_owned()];
+        for cell in runs {
+            let r = &cell.micro;
             row.push(format!("{:.0}", r.ns_per_iteration));
             row.push(fmt_ratio(r.handoff_ratio));
             row.push(r.traffic.total().to_string());
         }
         report.push_row(row);
+    };
+    for kind in KINDS {
+        push(kind.as_str(), CWS.map(|cw| cells.modern(&cfg(settings, scale, kind, cw))));
     }
-
-    let mut row = vec!["TICKET".to_owned()];
-    for cw in cws {
-        let c = cfg(settings, scale, LockKind::Mcs, cw);
-        let cell = cells.custom("TICKET", &c, &|mem, _topo, _gt| {
-            Lock::Ticket(SimTicket::alloc(mem, NodeId(0)))
-        });
-        let r = &cell.micro;
-        row.push(format!("{:.0}", r.ns_per_iteration));
-        row.push(fmt_ratio(r.handoff_ratio));
-        row.push(r.traffic.total().to_string());
-    }
-    report.push_row(row);
+    push(
+        "TICKET",
+        CWS.map(|cw| cells.custom(CustomLock::Ticket, &cfg(settings, scale, LockKind::Mcs, cw))),
+    );
 
     report.push_note(
         "TICKET is FIFO like MCS but wakes every waiter per handover; MCS \
@@ -74,7 +85,7 @@ mod tests {
 
     #[test]
     fn four_rows() {
-        let r = run(&Settings::default(), Scale::Fast, &Cells::new());
+        let r = crate::fast(cells, run);
         assert_eq!(r.rows(), 4);
     }
 
@@ -83,7 +94,7 @@ mod tests {
         // The per-handover storm needs many waiters to dominate, so the
         // traffic comparison is a full-scale result (see EXPERIMENTS.md);
         // at smoke scale we assert the FIFO signature both ways.
-        let r = run(&Settings::default(), Scale::Fast, &Cells::new());
+        let r = crate::fast(cells, run);
         let handoff = |k: &str| -> f64 { r.row_by_key(k).unwrap()[2].parse().unwrap() };
         assert!(handoff("TICKET") > 0.3, "FIFO handoff expected");
         assert!(

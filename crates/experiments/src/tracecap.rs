@@ -2,10 +2,11 @@
 //!
 //! One traced run of the new microbenchmark per lock algorithm, at the
 //! Fig. 5 high-contention point (`critical_work = 1500`, the same
-//! configuration Table 2 reports traffic for). The capture is dispatched
-//! through [`runner::run_jobs`], so the emitted files are byte-identical
-//! at any `--jobs` level: jobs may *execute* in any order, but results are
-//! reassembled in [`hbo_locks::LockCatalog::paper()`] order before a byte is written.
+//! configuration Table 2 reports traffic for). The runs are
+//! [`Cell::Traced`] cells of the invocation's plan, so the emitted files
+//! are byte-identical at any `--jobs` level: cells may *execute* in any
+//! order, but the captures are read back in
+//! [`hbo_locks::LockCatalog::paper()`] order before a byte is written.
 //!
 //! `--trace` writes Chrome trace-event JSON (load it at
 //! <https://ui.perfetto.dev>): one process track per lock algorithm, one
@@ -20,15 +21,13 @@
 use std::io;
 use std::path::Path;
 
-use hbo_locks::LockKind;
+use hbo_locks::{LockCatalog, LockKind};
 use nucasim::{
     cycles_to_ns, BackoffClass, Histogram, SimEvent, SimReport, TraceRecord, NS_PER_CYCLE,
 };
 
-use nuca_workloads::modern::run_modern_traced;
-
 use crate::json::JsonWriter;
-use crate::{fig5, runner, Scale, Settings};
+use crate::{fig5, Cell, Scale, Settings};
 
 /// One traced benchmark run: the algorithm, its aggregate report, and the
 /// full event stream.
@@ -45,23 +44,13 @@ pub struct Capture {
 /// The `critical_work` level captured (the Table 2 operating point).
 pub const CAPTURE_CRITICAL_WORK: u32 = 1500;
 
-/// Runs one traced capture per lock algorithm, in [`hbo_locks::LockCatalog::paper()`] order.
-pub fn capture(settings: &Settings, scale: Scale) -> Vec<Capture> {
-    let jobs: Vec<_> = hbo_locks::LockCatalog::paper()
+/// The traced cells of the capture, one per lock algorithm, in
+/// [`LockCatalog::paper()`] order.
+pub fn cells(settings: &Settings, scale: Scale) -> Vec<Cell> {
+    LockCatalog::paper()
         .iter()
-        .map(|&kind| {
-            move || {
-                let cfg = fig5::config(settings, scale, kind, CAPTURE_CRITICAL_WORK);
-                let (report, records) = run_modern_traced(&cfg);
-                Capture {
-                    kind,
-                    report,
-                    records,
-                }
-            }
-        })
-        .collect();
-    runner::run_jobs(jobs)
+        .map(|&kind| Cell::Traced(fig5::config(settings, scale, kind, CAPTURE_CRITICAL_WORK)))
+        .collect()
 }
 
 /// Simulated cycles rendered as a trace timestamp (microseconds, with
@@ -460,24 +449,23 @@ pub fn metrics_json(scale: Scale, captures: &[Capture]) -> String {
     w.finish()
 }
 
-/// Captures once and writes the requested artifacts.
+/// Writes `captures` to the requested files.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors.
 pub fn write_captures(
-    settings: &Settings,
     scale: Scale,
+    captures: &[Capture],
     trace_path: Option<&Path>,
     metrics_path: Option<&Path>,
 ) -> io::Result<()> {
-    let captures = capture(settings, scale);
     if let Some(path) = trace_path {
-        std::fs::write(path, chrome_trace_json(&captures))?;
+        std::fs::write(path, chrome_trace_json(captures))?;
         eprintln!("wrote {}", path.display());
     }
     if let Some(path) = metrics_path {
-        std::fs::write(path, metrics_json(scale, &captures))?;
+        std::fs::write(path, metrics_json(scale, captures))?;
         eprintln!("wrote {}", path.display());
     }
     Ok(())
@@ -486,16 +474,19 @@ pub fn write_captures(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Cells;
     use std::collections::HashMap;
 
     fn fast_captures() -> Vec<Capture> {
-        capture(&Settings::default(), Scale::Fast)
+        let traced = cells(&Settings::default(), Scale::Fast);
+        let mut table = Cells::fill(traced.clone());
+        traced.iter().map(|spec| table.take(spec)).collect()
     }
 
     #[test]
     fn capture_covers_all_kinds_with_monotone_cpu_timestamps() {
         let caps = fast_captures();
-        assert_eq!(caps.len(), hbo_locks::LockCatalog::paper().len());
+        assert_eq!(caps.len(), LockCatalog::paper().len());
         for cap in &caps {
             assert!(cap.report.finished_all, "{} did not finish", cap.kind);
             assert!(!cap.records.is_empty(), "{} traced nothing", cap.kind);
@@ -546,7 +537,7 @@ mod tests {
             "no ThrottleSpin events"
         );
         // One process track per algorithm.
-        for &kind in hbo_locks::LockCatalog::paper() {
+        for &kind in LockCatalog::paper() {
             assert!(json.contains(&format!("\"name\":\"{}\"", kind.as_str())));
         }
         // Counter tracks ride along on the same timeline.
@@ -563,7 +554,7 @@ mod tests {
     fn metrics_json_reports_percentiles_per_kind() {
         let caps = fast_captures();
         let json = metrics_json(Scale::Fast, &caps);
-        for &kind in hbo_locks::LockCatalog::paper() {
+        for &kind in LockCatalog::paper() {
             assert!(json.contains(&format!("\"kind\": \"{}\"", kind.as_str())));
         }
         assert!(json.contains("\"p50_ns\""));
@@ -582,7 +573,7 @@ mod tests {
             LockKind::HboGtSd,
             CAPTURE_CRITICAL_WORK,
         );
-        let (traced, records) = run_modern_traced(&cfg);
+        let (traced, records) = nuca_workloads::modern::run_modern_traced(&cfg);
         let (plain, _) = nuca_workloads::modern::run_modern_raw(&cfg);
         assert!(!records.is_empty());
         assert_eq!(traced.end_time, plain.end_time);

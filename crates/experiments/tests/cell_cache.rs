@@ -1,15 +1,20 @@
-//! The cell cache's contract: a key names everything the run reads, a
-//! shared cell is simulated once per invocation at any `--jobs`, and
-//! separate invocations never share.
+//! The plan's contract: a key names everything the run reads, a cell
+//! several artifacts read is simulated once per invocation at any
+//! `--jobs`, separate invocations never share, and every simulation runs
+//! in the plan's pool — rendering a filled table simulates nothing.
 //!
 //! Simulated work is measured with `nucasim::sim_events_total()` deltas.
 //! That counter and the job budget are process-wide, so every test here
 //! holds [`SERIAL`].
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use hbo_locks::LockKind;
-use nuca_experiments::{fig5, run_experiment, run_experiment_in, runner, Cells, Scale, Settings};
+use nuca_experiments::cli::{self, Invocation};
+use nuca_experiments::{
+    artifact, fig5, run_experiment, run_experiments, runner, Cell, Cells, Scale, Settings,
+    EXPERIMENTS, EXTENSIONS,
+};
 use nuca_workloads::apps::{studied_apps, AppModel, AppRunConfig};
 use nuca_workloads::modern::{run_modern, ModernConfig};
 use nucasim::{MachineConfig, ProtocolKind};
@@ -39,14 +44,10 @@ fn the_settings_protocol_is_in_the_config_and_the_key() {
     let flat_cfg = fig5::config(&Settings::default(), Scale::Fast, LockKind::HboGt, 700);
     assert_eq!(flat_cfg.machine.protocol, ProtocolKind::Flat);
 
-    let cells = Cells::new();
-    let flat = cells.modern(&flat_cfg);
-    let (again, cost) = events(|| cells.modern(&flat_cfg));
-    assert!(Arc::ptr_eq(&flat, &again), "the same config must hit");
-    assert_eq!(cost, 0);
-
-    let (under_mesi, cost) = events(|| cells.modern(&cfg));
-    assert!(cost > 0, "another protocol must miss");
+    // Declared twice, the flat config runs once; MESI is another cell.
+    let cells = Cells::fill([&flat_cfg, &flat_cfg, &cfg].map(|c| Cell::Modern(c.clone())).into());
+    assert_eq!(cells.len(), 2, "one cell per protocol");
+    let (under_mesi, flat) = (cells.modern(&cfg), cells.modern(&flat_cfg));
     let expected = run_modern(&cfg);
     assert_eq!(under_mesi.micro.elapsed_ns, expected.elapsed_ns);
     assert_eq!(under_mesi.micro.traffic, expected.traffic);
@@ -58,10 +59,7 @@ fn the_settings_protocol_is_in_the_config_and_the_key() {
 
 #[test]
 fn key_sees_seed_critical_work_and_app_model() {
-    let _serial = serial();
-    let cells = Cells::new();
     let base = fig5::config(&Settings::default(), Scale::Fast, LockKind::Mcs, 0);
-    cells.modern(&base);
     let reseeded = ModernConfig {
         machine: base.machine.clone().with_seed(base.machine.seed + 1),
         ..base.clone()
@@ -70,9 +68,9 @@ fn key_sees_seed_critical_work_and_app_model() {
         critical_work: 8,
         ..base.clone()
     };
-    for changed in [reseeded, more_work] {
-        let (_, cost) = events(|| cells.modern(&changed));
-        assert!(cost > 0, "changed config hit a cached cell: {changed:?}");
+    let key = Cell::Modern(base.clone()).key();
+    for changed in [Cell::Modern(reseeded), Cell::Modern(more_work), Cell::Profiled(base)] {
+        assert_ne!(changed.key(), key, "{changed:?} shares a key");
     }
 
     let app = studied_apps().remove(0);
@@ -83,15 +81,13 @@ fn key_sees_seed_critical_work_and_app_model() {
         scale: 0.004,
         ..AppRunConfig::default()
     };
-    cells.app(&app, &cfg);
-    let (_, cost) = events(|| cells.app(&app, &cfg));
-    assert_eq!(cost, 0, "the same app cell must hit");
     let busier = AppModel {
         think_cycles: app.think_cycles + 1,
         ..app.clone()
     };
-    let (_, cost) = events(|| cells.app(&busier, &cfg));
-    assert!(cost > 0, "a changed AppModel must miss");
+    let key = |model: &AppModel| Cell::App(model.clone(), cfg.clone()).key();
+    assert_eq!(key(&app), key(&app.clone()));
+    assert_ne!(key(&busier), key(&app), "a changed AppModel must be another cell");
 }
 
 #[test]
@@ -102,20 +98,11 @@ fn shared_cells_run_once_per_invocation_at_any_jobs() {
     // The one cell table2 needs and fig5 skips (fig5 stops TATAS at
     // critical_work = 1300).
     let settings = Settings::default();
-    let (_, tatas) = events(|| {
-        Cells::new().modern(&fig5::config(&settings, Scale::Fast, LockKind::Tatas, 1500))
-    });
+    let tatas = fig5::config(&settings, Scale::Fast, LockKind::Tatas, 1500);
+    let (_, tatas) = events(|| Cells::fill(vec![Cell::Modern(tatas)]));
     for jobs in [1, 4] {
         runner::set_max_jobs(jobs);
-        let cells = Cells::new();
-        let tasks: Vec<_> = ids
-            .iter()
-            .map(|&id| {
-                let (settings, cells) = (&settings, &cells);
-                move || run_experiment_in(id, settings, Scale::Fast, cells).unwrap()
-            })
-            .collect();
-        let (_, together) = events(|| runner::run_fanout(tasks));
+        let (_, together) = events(|| run_experiments(&ids, &settings, Scale::Fast, false));
         runner::set_max_jobs(0);
         assert_eq!(together, fig5_alone + tatas, "--jobs {jobs}");
     }
@@ -128,4 +115,33 @@ fn each_run_experiment_call_simulates_afresh() {
     let (_, second) = events(|| run_experiment("lat_hist", Scale::Fast).unwrap());
     assert!(first > 0);
     assert_eq!(first, second);
+}
+
+/// Fills each artifact's declared cells, then renders it: rendering must
+/// simulate nothing (every machine ran in the pool, so `--jobs` bounds
+/// it) and must read no undeclared cell (such a lookup panics).
+fn render_simulates_nothing(settings: &Settings) {
+    runner::set_max_jobs(2);
+    for &id in EXPERIMENTS.iter().chain(&EXTENSIONS) {
+        let (declare, render) = artifact(id).expect("a known artifact");
+        let cells = Cells::fill(declare(settings, Scale::Fast));
+        let (reports, cost) = events(|| render(settings, Scale::Fast, &cells));
+        assert!(!reports.is_empty(), "{id} rendered no report");
+        assert_eq!(cost, 0, "{id} simulated {cost} events while rendering");
+    }
+    runner::set_max_jobs(0);
+}
+
+#[test]
+fn every_simulation_runs_in_the_plan() {
+    let _serial = serial();
+    render_simulates_nothing(&Settings::default());
+    // ci.sh's flag set: every setting away from its default.
+    let flags = "--protocol dragon --binding clustered --twa-slots 64 --twa-hash stride \
+                 --kinds TATAS,MCS,TWA,CNA --shards 4 --zipf 0.5 --arrival-gap 8000";
+    let Ok(Invocation::Run(run)) = cli::parse_args(flags.split(' ').map(str::to_owned)) else {
+        panic!("ci.sh's flags must parse");
+    };
+    assert_ne!(run.settings, Settings::default());
+    render_simulates_nothing(&run.settings);
 }

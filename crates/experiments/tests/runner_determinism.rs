@@ -1,11 +1,12 @@
 //! Regression test for the parallel runner's core guarantee: the TSV
 //! bytes of an artifact are identical whether its simulation jobs ran
 //! serially or on several threads — also when artifacts of one
-//! invocation share cells, and whichever of them computes a shared cell.
+//! invocation share cells, and whichever of them declared a shared cell
+//! first.
 
 use std::sync::Mutex;
 
-use nuca_experiments::{run_experiment, run_experiment_in, runner, Cells, Scale, Settings};
+use nuca_experiments::{run_experiment, run_experiments, runner, Scale, Settings};
 
 /// Serializes the tests in this file: they reconfigure the process-global
 /// job budget.
@@ -19,21 +20,14 @@ fn tsv_bytes(id: &str, jobs: usize) -> Vec<String> {
     reports.iter().map(|r| r.to_tsv()).collect()
 }
 
-/// Renders every report of `ids`, run as one invocation (one cell cache,
-/// one orchestration thread per id, like the CLI) under the job budget.
-fn tsv_bytes_together(ids: &[&'static str], jobs: usize) -> Vec<String> {
+/// Renders every report of `ids`, run as one invocation (one plan, like
+/// the CLI) under the job budget.
+fn tsv_bytes_together(ids: &[&str], jobs: usize) -> Vec<String> {
     runner::set_max_jobs(jobs);
-    let (settings, cells) = (Settings::default(), Cells::new());
-    let tasks: Vec<_> = ids
-        .iter()
-        .map(|&id| {
-            let (settings, cells) = (&settings, &cells);
-            move || run_experiment_in(id, settings, Scale::Fast, cells).expect("known artifact")
-        })
-        .collect();
-    let reports = runner::run_fanout(tasks);
+    let outcome = run_experiments(ids, &Settings::default(), Scale::Fast, false);
     runner::set_max_jobs(0);
-    reports.iter().flatten().map(|r| r.to_tsv()).collect()
+    let reports = outcome.expect("known artifacts").reports;
+    reports.iter().map(|r| r.to_tsv()).collect()
 }
 
 #[test]
@@ -85,9 +79,8 @@ fn table6_tsv_identical_serial_vs_parallel() {
 
 #[test]
 fn fig7_tsv_identical_serial_vs_parallel() {
-    // fig7 asks for each kind's p=1 cell twice (the baseline and the
-    // first sweep point); in parallel the second request waits on the
-    // first.
+    // fig7 declares each kind's p=1 cell twice (the baseline and the
+    // first sweep point); the plan runs it once and both read it.
     let _guard = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     assert_eq!(tsv_bytes("fig7", 1), tsv_bytes("fig7", 4));
 }

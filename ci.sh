@@ -41,27 +41,36 @@ for tsv in "${alone[@]}"; do
 done
 # `all --fast` declares 652 cells, 477 of them distinct; each distinct
 # cell runs once, so the counts and the simulated events are the same at
-# any --jobs.
-for jobs in 1 4; do
-    ./target/release/experiments all --fast --jobs "$jobs" \
-        --out "target/ci-plan-j$jobs" >/dev/null 2>"target/ci-plan-j$jobs.log"
-done
+# any --jobs. Under --profile every cell is profiled, so handoff's 13
+# profiled top-row cells are the same cells as fig5's and table2's at
+# critical_work = 1500, and 464 run.
 plan_counts() {
     sed -n 's/^\[\([0-9]* cells requested, [0-9]* run, [0-9]* simulated events\) in .*\]$/\1/p' "$1"
 }
-plan_j1=$(plan_counts target/ci-plan-j1.log)
-plan_j4=$(plan_counts target/ci-plan-j4.log)
-case "$plan_j1" in
-    "652 cells requested, 477 run, "*) ;;
-    *)
-        echo "expected 652 cells requested and 477 run, got \`$plan_j1\`"
+check_plan() { # name, expected "N cells requested, M run", flags...
+    local name=$1 expected=$2
+    shift 2
+    for jobs in 1 4; do
+        ./target/release/experiments all --fast --jobs "$jobs" "$@" \
+            --out "target/ci-$name-j$jobs" >/dev/null 2>"target/ci-$name-j$jobs.log"
+    done
+    local plan_j1 plan_j4
+    plan_j1=$(plan_counts "target/ci-$name-j1.log")
+    plan_j4=$(plan_counts "target/ci-$name-j4.log")
+    case "$plan_j1" in
+        "$expected, "*) ;;
+        *)
+            echo "expected \`$expected\` from \`all --fast $*\`, got \`$plan_j1\`"
+            exit 1
+            ;;
+    esac
+    if [ "$plan_j1" != "$plan_j4" ]; then
+        echo "the plan differs across --jobs: \`$plan_j1\` vs \`$plan_j4\`"
         exit 1
-        ;;
-esac
-if [ "$plan_j1" != "$plan_j4" ]; then
-    echo "the plan differs across --jobs: \`$plan_j1\` vs \`$plan_j4\`"
-    exit 1
-fi
+    fi
+}
+check_plan plan "652 cells requested, 477 run"
+check_plan plan-prof "652 cells requested, 464 run" --profile target/ci-plan-prof.json
 # A TSV that cannot be written (here --out names a regular file) must fail
 # the run.
 touch target/ci-out-is-a-file
@@ -136,11 +145,12 @@ echo "==> profiler smoke (nuca-prof observes without changing a byte)"
 # observes. The profile itself must be byte-identical across --jobs:
 # every label merges as a commutative integer fold. table4 runs under OS
 # preemption, so it covers the preemption counter's merge. lat_hist reads
-# fig5's cells, so each shared cell must be profiled once at any --jobs.
+# fig5's cells, and handoff's top row is fig5's critical_work = 1500
+# column, so each shared cell must be profiled once at any --jobs.
 ./target/release/experiments fig5 --fast --jobs 2 \
     --out target/ci-prof-off >/dev/null
 for jobs in 1 4; do
-    ./target/release/experiments fig5 lat_hist table4 --fast --jobs "$jobs" \
+    ./target/release/experiments fig5 lat_hist table4 handoff --fast --jobs "$jobs" \
         --out "target/ci-prof-j$jobs" \
         --profile "target/ci-prof-j$jobs/profile.json" >/dev/null
 done
@@ -173,12 +183,20 @@ fi
 
 echo "==> handoff artifact smoke (deterministic across --jobs)"
 ./target/release/experiments handoff --fast --jobs 1 \
-    --out target/ci-handoff-j1 >/dev/null
+    --out target/ci-handoff-j1 --profile target/ci-handoff-j1/profile.json >/dev/null
 ./target/release/experiments handoff --fast --jobs 4 \
     --out target/ci-handoff-j4 >/dev/null
 cmp target/ci-handoff-j1/handoff.tsv target/ci-handoff-j4/handoff.tsv
 if command -v python3 >/dev/null 2>&1; then
     python3 - <<'EOF'
+import json
+# handoff profiles its own machines, one per kind and CPU count, so its
+# document has one non-empty label per registered kind.
+doc = json.load(open("target/ci-handoff-j1/profile.json"))
+labels = [entry["label"] for entry in doc["labels"]]
+assert len(labels) == 13, f"expected 13 handoff labels, got {labels}"
+for entry in doc["labels"]:
+    assert entry["events"] > 0, f"{entry['label']}: empty profile"
 # The artifact's headline: HBO-family node-handoff locality beats the
 # node-blind locks at the sweep's top CPU count.
 rows = [line.rstrip("\n").split("\t")

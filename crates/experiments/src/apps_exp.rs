@@ -4,7 +4,7 @@
 
 use hbo_locks::{LockCatalog, LockKind};
 use nuca_workloads::apps::{studied_apps, AppModel, AppReport, AppRunConfig};
-use nucasim::{MachineConfig, PreemptionConfig};
+use nucasim::MachineConfig;
 
 use crate::report::{fmt_secs, Report};
 use crate::{Cell, Cells, Scale, Settings};
@@ -20,7 +20,6 @@ pub(crate) fn app_cfg(
     // Solaris daemons, so benchmark threads are never descheduled (which
     // is why the paper's queue locks survive 28p but collapse at 30p).
     let machine = settings.machine(MachineConfig::wildfire(2, per_node));
-    let _ = PreemptionConfig::solaris_daemons;
     AppRunConfig {
         kind,
         machine,

@@ -13,15 +13,19 @@
 //!   Artifacts build complete configs from the invocation's
 //!   [`crate::Settings`] (protocol, binding, lock tunables), and the run
 //!   reads nothing else, so the key is exactly what the run sees. The
-//!   variant name is part of the key, so a profiled or custom-lock run
-//!   never stands in for a plain run of the same config.
+//!   variant name and [`MachineConfig::profile`] are part of the key, so
+//!   neither a custom-lock nor a profiled run stands in for a plain run.
 //! * **Order.** Duplicates are dropped by key, keeping the order in which
 //!   cells were first declared; the pool starts them in that order.
 //! * **Lookups.** [`Cells::modern`] and its siblings rebuild the spec and
 //!   look its key up. A lookup of a cell the artifact did not declare
 //!   panics and names the key: rendering never simulates.
+//! * **Profiles.** Under `--profile`, every spec and lookup gets
+//!   [`MachineConfig::profile`] set (the trace capture's excepted). A
+//!   profiled cell keeps its account beside its output
+//!   ([`Cells::account`]); [`Cells::profiles`] merges them by label.
 //! * **Memory.** A cell keeps only what artifacts read ([`ModernCell`],
-//!   [`AppReport`], [`ProfiledCell`], …), never a run's final-memory image
+//!   [`AppReport`], …, and its account), never a run's final-memory image
 //!   or a lockserver's per-object tallies.
 
 use std::any::Any;
@@ -32,13 +36,12 @@ use hbo_locks::{BackoffConfig, LevelBackoff, LockKind};
 use nuca_topology::NodeId;
 use nuca_workloads::apps::{run_app, AppModel, AppReport, AppRunConfig};
 use nuca_workloads::lockserver::{run_lockserver, LockServerConfig};
-use nuca_workloads::modern::{
-    run_modern_profiled, run_modern_raw, run_modern_traced, run_modern_with, ModernConfig,
-};
+use nuca_workloads::modern::{run_modern_raw, run_modern_traced, run_modern_with, ModernConfig};
 use nuca_workloads::traditional::{run_traditional, TraditionalConfig};
 use nuca_workloads::uncontested::{run_uncontested, UncontestedReport};
 use nuca_workloads::MicroReport;
-use nucasim::{Histogram, LockProfile, LockTrace, MachineConfig, SimReport};
+use nucasim::profile::{merge_by_label, UNLABELED};
+use nucasim::{Histogram, LabelProfile, MachineConfig, SimReport};
 use nucasim_locks::{Lock, SimHierHbo, SimLockParams, SimTicket};
 
 use crate::falsesharing::{run_layout, LayoutConfig, LayoutOutcome};
@@ -55,9 +58,6 @@ pub enum Cell {
     /// The new microbenchmark with a lock outside the catalog (the
     /// config's `kind` only labels the run).
     Custom(CustomLock, ModernConfig),
-    /// The new microbenchmark with the streaming profiler attached
-    /// (`handoff`).
-    Profiled(ModernConfig),
     /// An application model run (Tables 4–6, Figs. 6 and 7).
     App(AppModel, AppRunConfig),
     /// The traditional microbenchmark (Fig. 3).
@@ -138,18 +138,24 @@ impl ModernCell {
     }
 }
 
-/// What the `handoff` artifact reads from one profiled run: lock 0's
-/// `SimStats` trace and its stream-only profile.
-#[derive(Debug)]
-pub struct ProfiledCell {
-    /// Lock 0's acquisition trace.
-    pub trace: LockTrace,
-    /// Lock 0's residency runs and acquire-phase split.
-    pub lock: LockProfile,
-}
-
 /// The result of one cell; its type follows from the spec's variant.
 type Output = Box<dyn Any + Send + Sync>;
+
+/// One filled cell: its output, and its machine's account under the
+/// cell's [`Cell::label`] when the machine was profiled.
+struct Filled {
+    output: Output,
+    account: Option<(&'static str, Box<LabelProfile>)>,
+}
+
+/// `out` boxed, with the account `account` points at moved out beside it.
+fn split<T: Any + Send + Sync>(
+    mut out: T,
+    account: impl FnOnce(&mut T) -> &mut Option<Box<LabelProfile>>,
+) -> (Output, Option<Box<LabelProfile>>) {
+    let account = account(&mut out).take();
+    (Box::new(out), account)
+}
 
 impl Cell {
     /// The cell's key: its `Debug` rendering.
@@ -157,39 +163,66 @@ impl Cell {
         format!("{self:?}")
     }
 
-    fn run(&self) -> Output {
+    /// The label its account merges under in the `--profile` document:
+    /// the lock kind of a microbenchmark or lock-service run,
+    /// [`UNLABELED`] for every other run.
+    pub fn label(&self) -> &'static str {
         match self {
-            Cell::Modern(cfg) => Box::new(ModernCell::from_sim(cfg, &run_modern_raw(cfg).0)),
-            Cell::Custom(lock, cfg) => Box::new(ModernCell::from_sim(cfg, &lock.run(cfg))),
-            Cell::Profiled(cfg) => {
-                let (mut sim, mut profile) = run_modern_profiled(cfg);
-                Box::new(ProfiledCell {
-                    trace: sim.lock_traces.swap_remove(0),
-                    lock: profile.locks.swap_remove(0),
-                })
-            }
-            Cell::App(model, cfg) => Box::new(run_app(model, cfg)),
-            Cell::Traditional(cfg) => Box::new(run_traditional(cfg)),
+            Cell::Modern(cfg) | Cell::Custom(_, cfg) => cfg.kind.as_str(),
+            Cell::LockServer(cfg) => cfg.kind.as_str(),
+            _ => UNLABELED,
+        }
+    }
+
+    /// The cell with its machine profiled when `on`. A traced run is left
+    /// as it is: its machine records every event instead.
+    fn profiled(mut self, on: bool) -> Cell {
+        let machine = match &mut self {
+            Cell::Modern(cfg) | Cell::Custom(_, cfg) => &mut cfg.machine,
+            Cell::App(_, cfg) => &mut cfg.machine,
+            Cell::Traditional(cfg) => &mut cfg.machine,
+            Cell::Uncontested(_, machine, _) => machine,
+            Cell::LockServer(cfg) => &mut cfg.machine,
+            Cell::Layout(cfg) => &mut cfg.machine,
+            Cell::Traced(_) => return self,
+        };
+        machine.profile |= on;
+        self
+    }
+
+    fn run(&self) -> Filled {
+        let (output, account): (Output, _) = match self {
+            Cell::Modern(cfg) => split(ModernCell::from_sim(cfg, &run_modern_raw(cfg).0), |c| {
+                &mut c.micro.account
+            }),
+            Cell::Custom(lock, cfg) => split(ModernCell::from_sim(cfg, &lock.run(cfg)), |c| {
+                &mut c.micro.account
+            }),
+            Cell::App(model, cfg) => split(run_app(model, cfg), |r| &mut r.account),
+            Cell::Traditional(cfg) => split(run_traditional(cfg), |r| &mut r.account),
             Cell::Uncontested(kind, machine, params) => {
-                Box::new(run_uncontested(*kind, machine, params))
+                split(run_uncontested(*kind, machine, params), |r| &mut r.account)
             }
-            Cell::LockServer(cfg) => Box::new(Service::from(&run_lockserver(cfg))),
-            Cell::Layout(cfg) => Box::new(run_layout(cfg)),
+            Cell::LockServer(cfg) => {
+                let report = run_lockserver(cfg);
+                (Box::new(Service::from(&report)), LabelProfile::of(&report.sim).map(Box::new))
+            }
+            Cell::Layout(cfg) => split(run_layout(cfg), |r| &mut r.account),
             Cell::Traced(cfg) => {
                 let (report, records) = run_modern_traced(cfg);
-                Box::new(Capture {
-                    kind: cfg.kind,
-                    report,
-                    records,
-                })
+                (Box::new(Capture { kind: cfg.kind, report, records }), None)
             }
-        }
+        };
+        let account = account.map(|account| (self.label(), account));
+        Filled { output, account }
     }
 }
 
 /// One invocation's filled cell table (see the module docs).
 pub struct Cells {
-    table: HashMap<String, Output>,
+    table: HashMap<String, Filled>,
+    /// Whether every cell's machine is profiled (`--profile`).
+    profile: bool,
 }
 
 impl fmt::Debug for Cells {
@@ -200,19 +233,22 @@ impl fmt::Debug for Cells {
 
 impl Cells {
     /// Runs each distinct cell of `specs` once, through one
-    /// [`runner::run_jobs`] pool, in the order of first declaration.
-    pub fn fill(specs: Vec<Cell>) -> Cells {
+    /// [`runner::run_jobs`] pool, in the order of first declaration; with
+    /// `profile`, every cell's machine is profiled.
+    pub fn fill(specs: Vec<Cell>, profile: bool) -> Cells {
         let mut seen = HashSet::new();
         let unique: Vec<(String, Cell)> = specs
             .into_iter()
+            .map(|spec| spec.profiled(profile))
             .map(|spec| (spec.key(), spec))
             .filter(|(key, _)| seen.insert(key.clone()))
             .collect();
         drop(seen); // the keys' second copies are not needed while cells run
-        let outputs = runner::run_jobs(unique.iter().map(|(_, spec)| || spec.run()).collect());
+        let filled = runner::run_jobs(unique.iter().map(|(_, spec)| || spec.run()).collect());
         let keys = unique.into_iter().map(|(key, _)| key);
         Cells {
-            table: keys.zip(outputs).collect(),
+            table: keys.zip(filled).collect(),
+            profile,
         }
     }
 
@@ -226,12 +262,30 @@ impl Cells {
         self.table.is_empty()
     }
 
+    /// The filled cell of `spec`, which its artifact must have declared.
+    fn filled(&self, spec: Cell) -> &Filled {
+        let key = spec.profiled(self.profile).key();
+        let filled = self.table.get(&key);
+        filled.unwrap_or_else(|| panic!("cell read but not declared: {key}"))
+    }
+
     /// The output of `spec`, which its artifact must have declared.
     fn get<T: 'static>(&self, spec: Cell) -> &T {
-        let key = spec.key();
-        let output = self.table.get(&key);
-        let output = output.unwrap_or_else(|| panic!("cell read but not declared: {key}"));
+        let output = &self.filled(spec).output;
         output.downcast_ref().expect("a key names its variant")
+    }
+
+    /// The account of `spec`'s machine: `None` unless it was profiled
+    /// and emitted events.
+    pub fn account(&self, spec: Cell) -> Option<&LabelProfile> {
+        self.filled(spec).account.as_ref().map(|(_, a)| &**a)
+    }
+
+    /// Every cell's account, merged by label in label order (the
+    /// `--profile` document).
+    pub fn profiles(&self) -> Vec<(String, LabelProfile)> {
+        let accounts = self.table.values().filter_map(|f| f.account.as_ref());
+        merge_by_label(accounts.map(|(label, account)| (*label, &**account)))
     }
 
     /// The microbenchmark run of `cfg` with its registered lock kind.
@@ -242,12 +296,6 @@ impl Cells {
     /// The microbenchmark run of `cfg` with `lock`.
     pub fn custom(&self, lock: CustomLock, cfg: &ModernConfig) -> &ModernCell {
         self.get(Cell::Custom(lock, cfg.clone()))
-    }
-
-    /// The microbenchmark run of `cfg` with the streaming profiler
-    /// attached.
-    pub fn profiled(&self, cfg: &ModernConfig) -> &ProfiledCell {
-        self.get(Cell::Profiled(cfg.clone()))
     }
 
     /// The run of application `model` under `cfg`.
@@ -283,9 +331,9 @@ impl Cells {
     /// Moves the output of `spec` out of the table (a traced run's
     /// [`Capture`] holds its whole event stream, so it is not copied).
     pub fn take<T: 'static>(&mut self, spec: &Cell) -> T {
-        let key = spec.key();
-        let output = self.table.remove(&key);
-        let output = output.unwrap_or_else(|| panic!("cell read but not declared: {key}"));
-        *output.downcast().expect("a key names its variant")
+        let key = spec.clone().profiled(self.profile).key();
+        let filled = self.table.remove(&key);
+        let filled = filled.unwrap_or_else(|| panic!("cell read but not declared: {key}"));
+        *filled.output.downcast().expect("a key names its variant")
     }
 }

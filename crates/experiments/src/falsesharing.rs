@@ -37,7 +37,10 @@ use std::sync::Arc;
 use hbo_locks::LockKind;
 use nuca_topology::NodeId;
 use nuca_workloads::modern::ModernConfig;
-use nucasim::{Addr, Command, CpuCtx, Machine, MachineConfig, MemorySystem, Program, ProtocolKind};
+use nucasim::{
+    Addr, Command, CpuCtx, LabelProfile, Machine, MachineConfig, MemorySystem, Program,
+    ProtocolKind,
+};
 use nucasim_locks::{build_lock, DriveResult, GtSlots, SessionDriver, SimLockParams, TwaHash};
 
 use crate::report::Report;
@@ -192,12 +195,14 @@ pub struct LayoutConfig {
 }
 
 /// What the layout table reads from one run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct LayoutOutcome {
     /// Simulated nanoseconds per acquisition.
     pub ns_per_acquire: f64,
     /// Global coherence transactions.
     pub global: u64,
+    /// The machine's account if it was profiled, boxed ([`LabelProfile::of`]).
+    pub account: Option<Box<LabelProfile>>,
 }
 
 /// Runs one cell of the layout table.
@@ -236,6 +241,7 @@ pub fn run_layout(cfg: &LayoutConfig) -> LayoutOutcome {
     LayoutOutcome {
         ns_per_acquire: report.end_time as f64 / acquires as f64,
         global: report.traffic.global,
+        account: LabelProfile::of(&report).map(Box::new),
     }
 }
 

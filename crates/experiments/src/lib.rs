@@ -52,7 +52,7 @@ use std::fmt;
 
 use hbo_locks::{LockCatalog, LockKind};
 use nuca_workloads::modern::{BindingKind, ModernConfig};
-use nucasim::{MachineConfig, ProtocolKind};
+use nucasim::{LabelProfile, MachineConfig, ProtocolKind};
 use nucasim_locks::{SimLockParams, TwaHash};
 
 pub use cells::{Cell, Cells};
@@ -235,6 +235,9 @@ pub struct Outcome {
     pub reports: Vec<Report>,
     /// The `--trace`/`--metrics-json` captures, when asked for.
     pub captures: Vec<Capture>,
+    /// Every profiled cell's account, merged by label in label order (the
+    /// `--profile` document).
+    pub profiles: Vec<(String, LabelProfile)>,
     /// Cells the artifacts declared, counting every declaration.
     pub requested: usize,
     /// Distinct cells simulated.
@@ -244,7 +247,8 @@ pub struct Outcome {
 /// Runs artifacts `ids` (not `all`) as one plan under `settings`: the
 /// union of their cells, plus the trace capture's when `capture` is set,
 /// runs once through one [`runner::run_jobs`] pool, then every report
-/// renders from the filled table, in id order.
+/// renders from the filled table, in id order. With `profile`, every
+/// cell but the capture's runs on a profiled machine (see [`cells`]).
 ///
 /// # Errors
 ///
@@ -255,6 +259,7 @@ pub fn run_experiments(
     settings: &Settings,
     scale: Scale,
     capture: bool,
+    profile: bool,
 ) -> Result<Outcome, UnknownExperiment> {
     let artifacts = ids.iter().map(|id| artifact(id)).collect::<Result<Vec<_>, _>>()?;
     let traced = if capture {
@@ -268,16 +273,18 @@ pub fn run_experiments(
         .collect();
     specs.extend(traced.iter().cloned());
     let requested = specs.len();
-    let mut cells = Cells::fill(specs);
+    let mut cells = Cells::fill(specs, profile);
     let run = cells.len();
     let reports = artifacts
         .iter()
         .flat_map(|(_, render)| render(settings, scale, &cells))
         .collect();
+    let profiles = cells.profiles();
     let captures = traced.iter().map(|spec| cells.take(spec)).collect();
     Ok(Outcome {
         reports,
         captures,
+        profiles,
         requested,
         run,
     })
@@ -303,7 +310,7 @@ pub fn run_experiment(id: &str, scale: Scale) -> Result<Vec<Report>, UnknownExpe
         "all" => EXPERIMENTS.iter().chain(&EXTENSIONS).copied().collect(),
         _ => vec![id],
     };
-    Ok(run_experiments(&ids, &settings, scale, false)?.reports)
+    Ok(run_experiments(&ids, &settings, scale, false, false)?.reports)
 }
 
 /// Renders `render` under the default settings at fast scale, from a
@@ -311,7 +318,7 @@ pub fn run_experiment(id: &str, scale: Scale) -> Result<Vec<Report>, UnknownExpe
 #[cfg(test)]
 fn fast<T>(cells: CellsFn, render: impl FnOnce(&Settings, Scale, &Cells) -> T) -> T {
     let settings = Settings::default();
-    render(&settings, Scale::Fast, &Cells::fill(cells(&settings, Scale::Fast)))
+    render(&settings, Scale::Fast, &Cells::fill(cells(&settings, Scale::Fast), false))
 }
 
 #[cfg(test)]

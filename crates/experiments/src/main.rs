@@ -40,21 +40,15 @@ fn main() -> ExitCode {
     }
     let (scale, settings) = (run.scale, &run.settings);
 
-    // Streaming profiling observes every machine the artifacts below run
-    // (observe-only, so TSV bytes are unchanged). Must be enabled before
-    // the first run; results are collected at the end.
-    if run.profile.is_some() {
-        nucasim::profile::enable_global_profiling();
-    }
-
     // One plan: the union of the artifacts' cells (and the trace
     // capture's) runs once in the --jobs pool, then every report renders
-    // from the filled table in request order.
+    // from the filled table in request order. Under --profile every cell's
+    // machine is profiled (observe-only, so TSV bytes are unchanged).
     let started = Instant::now();
     let events = nucasim::sim_events_total();
     let ids: Vec<&str> = run.ids.iter().map(String::as_str).collect();
     let capture = run.trace.is_some() || run.metrics_json.is_some();
-    let outcome = match run_experiments(&ids, settings, scale, capture) {
+    let outcome = match run_experiments(&ids, settings, scale, capture, run.profile.is_some()) {
         Ok(outcome) => outcome,
         Err(err) => {
             eprintln!("{err}");
@@ -93,12 +87,10 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // nuca-prof output: the label-keyed merge of every profiled machine
-    // above (one entry per lock kind, since workload runners label
-    // machines by kind).
+    // nuca-prof output: the label-keyed merge of every profiled cell's
+    // account (one entry per lock kind, and one for every other run).
     if let Some(path) = &run.profile {
-        let profiles = nucasim::profile::take_global_profiles();
-        let json = nuca_experiments::profiler::profile_json(&profiles);
+        let json = nuca_experiments::profiler::profile_json(&outcome.profiles);
         match std::fs::write(path, json) {
             Ok(()) => eprintln!("wrote {}", path.display()),
             Err(err) => {

@@ -10,14 +10,13 @@
 //! run lengths) and the acquire-latency phase split (spin vs.
 //! backoff-by-class), with the dominant phase as a critical-path label.
 //! The run lengths and the phase split need the ordered event stream, so
-//! every run has the streaming profiler ([`nucasim::profile`]) attached.
+//! every run is a profiled machine ([`nucasim::MachineConfig::profile`])
+//! and the artifact reads lock 0 from its account ([`Cells::account`]).
 //!
-//! `--profile <out.json>` works on *any* artifact: it turns on the
-//! process-global profiling registry
-//! ([`nucasim::profile::enable_global_profiling`]) so every machine the
-//! requested artifacts run is observed, and [`profile_json`] serializes
-//! the label-keyed merged result. Profiling only observes, so artifact
-//! TSVs are byte-identical with or without it.
+//! `--profile <out.json>` works on *any* artifact: the plan profiles every
+//! cell it runs ([`crate::run_experiments`]), and [`profile_json`]
+//! serializes the label-keyed merge of their accounts. Profiling only
+//! observes, so artifact TSVs are byte-identical with or without it.
 
 use hbo_locks::LockKind;
 use nuca_workloads::modern::ModernConfig;
@@ -40,14 +39,14 @@ fn per_node_sweep(scale: Scale) -> Vec<usize> {
 }
 
 /// The Fig. 5 configuration at `per_node` CPUs per node (cf.
-/// [`crate::fig5::config`], which fixes `per_node` by scale).
+/// [`crate::fig5::config`], which fixes `per_node` by scale), profiled.
 fn config(settings: &Settings, scale: Scale, kind: LockKind, per_node: usize) -> ModernConfig {
     ModernConfig {
         kind,
         threads: per_node * 2,
         iterations: scale.pick(60, 20),
         critical_work: CAPTURE_CRITICAL_WORK,
-        ..settings.modern(MachineConfig::wildfire(2, per_node))
+        ..settings.modern(MachineConfig { profile: true, ..MachineConfig::wildfire(2, per_node) })
     }
 }
 
@@ -60,7 +59,7 @@ fn grid(settings: &Settings, scale: Scale) -> Vec<ModernConfig> {
 
 /// The cells the `handoff` artifact reads: profiled runs of its grid.
 pub fn cells(settings: &Settings, scale: Scale) -> Vec<Cell> {
-    grid(settings, scale).into_iter().map(Cell::Profiled).collect()
+    grid(settings, scale).into_iter().map(Cell::Modern).collect()
 }
 
 /// One percentage cell, one decimal (integer-derived, so TSVs stay
@@ -98,9 +97,10 @@ pub fn run_handoff(settings: &Settings, scale: Scale, cells: &Cells) -> Report {
     );
 
     for cfg in grid(settings, scale) {
-        let cell = cells.profiled(&cfg);
         let (kind, pn) = (cfg.kind, cfg.threads / 2);
-        let (trace, lock) = (&cell.trace, &cell.lock);
+        let account = cells.account(Cell::Modern(cfg)).expect("a profiled run emits events");
+        let (trace, _) = account.locks().next().expect("lock 0 is traced");
+        let lock = &account.profile.locks[0];
         let wait = trace.wait.sum();
         report.push_row(vec![
             kind.as_str().to_owned(),
@@ -245,11 +245,12 @@ fn write_run_histogram(w: &mut JsonWriter, h: &nucasim::Histogram) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nuca_workloads::modern::run_modern_profiled;
-    use nucasim::{Profile, SimReport};
+    use nuca_workloads::modern::{run_modern_profiled, run_modern_raw};
+    use nucasim::SimReport;
 
-    fn cell(kind: LockKind) -> (SimReport, Profile) {
-        run_modern_profiled(&config(&Settings::default(), Scale::Fast, kind, 4))
+    /// The profiled run of `kind` at 4 CPUs per node.
+    fn cell(kind: LockKind) -> SimReport {
+        run_modern_raw(&config(&Settings::default(), Scale::Fast, kind, 4)).0
     }
 
     #[test]
@@ -272,10 +273,7 @@ mod tests {
         // NUCA-aware backoff turns migratory handoffs into node-local
         // runs; FIFO queue locks and TATAS cannot.
         let rate = |kind| {
-            let (sim, _) = cell(kind);
-            sim.lock_traces[0]
-                .handoff_ratio()
-                .expect("enough acquires for a rate")
+            cell(kind).lock_traces[0].handoff_ratio().expect("enough acquires for a rate")
         };
         let hbo_gt_sd = rate(LockKind::HboGtSd);
         let hbo = rate(LockKind::Hbo);
@@ -293,8 +291,8 @@ mod tests {
 
     #[test]
     fn phase_split_accounts_every_wait_cycle() {
-        let (sim, profile) = cell(LockKind::HboGtSd);
-        let lock = &profile.locks[0];
+        let sim = cell(LockKind::HboGtSd);
+        let lock = &sim.profile.as_ref().expect("a profiled run").locks[0];
         let wait = sim.lock_traces[0].wait.sum();
         // spin is the per-window residual (wait − backoff, saturating), so
         // summed spin can never exceed summed wait.
@@ -308,10 +306,10 @@ mod tests {
 
     #[test]
     fn profile_json_has_schema_fields() {
-        let (sim, profile) = cell(LockKind::HboGt);
-        let mut account = LabelProfile::default();
-        account.add(&sim, &profile);
-        account.add(&sim, &profile);
+        let sim = cell(LockKind::HboGt);
+        let one = LabelProfile::of(&sim).expect("a profiled run emits events");
+        let mut account = one.clone();
+        account.merge(&one);
         let json = profile_json(&[("HBO_GT".to_owned(), account)]);
         for key in [
             "\"version\"",

@@ -479,7 +479,7 @@ mod tests {
 
     fn fast_captures() -> Vec<Capture> {
         let traced = cells(&Settings::default(), Scale::Fast);
-        let mut table = Cells::fill(traced.clone());
+        let mut table = Cells::fill(traced.clone(), false);
         traced.iter().map(|spec| table.take(spec)).collect()
     }
 

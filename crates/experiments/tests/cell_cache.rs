@@ -9,14 +9,14 @@
 
 use std::sync::Mutex;
 
-use hbo_locks::LockKind;
+use hbo_locks::{LockCatalog, LockKind};
 use nuca_experiments::cli::{self, Invocation};
 use nuca_experiments::{
-    artifact, fig5, run_experiment, run_experiments, runner, Cell, Cells, Scale, Settings,
-    EXPERIMENTS, EXTENSIONS,
+    artifact, fig5, profiler, run_experiment, run_experiments, runner, Cell, Cells, Scale,
+    Settings, EXPERIMENTS, EXTENSIONS,
 };
 use nuca_workloads::apps::{studied_apps, AppModel, AppRunConfig};
-use nuca_workloads::modern::{run_modern, ModernConfig};
+use nuca_workloads::modern::{run_modern, run_modern_profiled, ModernConfig};
 use nucasim::{MachineConfig, ProtocolKind};
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -45,7 +45,8 @@ fn the_settings_protocol_is_in_the_config_and_the_key() {
     assert_eq!(flat_cfg.machine.protocol, ProtocolKind::Flat);
 
     // Declared twice, the flat config runs once; MESI is another cell.
-    let cells = Cells::fill([&flat_cfg, &flat_cfg, &cfg].map(|c| Cell::Modern(c.clone())).into());
+    let specs = [&flat_cfg, &flat_cfg, &cfg].map(|c| Cell::Modern(c.clone()));
+    let cells = Cells::fill(specs.into(), false);
     assert_eq!(cells.len(), 2, "one cell per protocol");
     let (under_mesi, flat) = (cells.modern(&cfg), cells.modern(&flat_cfg));
     let expected = run_modern(&cfg);
@@ -68,8 +69,10 @@ fn key_sees_seed_critical_work_and_app_model() {
         critical_work: 8,
         ..base.clone()
     };
+    let mut profiled = base.clone();
+    profiled.machine.profile = true;
     let key = Cell::Modern(base.clone()).key();
-    for changed in [Cell::Modern(reseeded), Cell::Modern(more_work), Cell::Profiled(base)] {
+    for changed in [Cell::Modern(reseeded), Cell::Modern(more_work), Cell::Modern(profiled)] {
         assert_ne!(changed.key(), key, "{changed:?} shares a key");
     }
 
@@ -99,13 +102,37 @@ fn shared_cells_run_once_per_invocation_at_any_jobs() {
     // critical_work = 1300).
     let settings = Settings::default();
     let tatas = fig5::config(&settings, Scale::Fast, LockKind::Tatas, 1500);
-    let (_, tatas) = events(|| Cells::fill(vec![Cell::Modern(tatas)]));
+    let (_, tatas) = events(|| Cells::fill(vec![Cell::Modern(tatas)], false));
     for jobs in [1, 4] {
         runner::set_max_jobs(jobs);
-        let (_, together) = events(|| run_experiments(&ids, &settings, Scale::Fast, false));
+        let (_, together) = events(|| run_experiments(&ids, &settings, Scale::Fast, false, false));
         runner::set_max_jobs(0);
         assert_eq!(together, fig5_alone + tatas, "--jobs {jobs}");
     }
+}
+
+#[test]
+fn a_profiled_plan_accounts_every_machine_once() {
+    let _serial = serial();
+    let settings = Settings::default();
+    let outcome = run_experiments(&["handoff"], &settings, Scale::Fast, false, true).unwrap();
+    let labels: Vec<&str> = outcome.profiles.iter().map(|(l, _)| l.as_str()).collect();
+    let mut kinds: Vec<&str> = LockCatalog::kinds().iter().map(|k| k.as_str()).collect();
+    kinds.sort_unstable();
+    assert_eq!(labels, kinds, "one account per registered kind, sorted");
+
+    // Every machine the plan ran is in the document exactly once: the
+    // labels' events sum to those of each cell run on its own.
+    let documented: u64 = outcome.profiles.iter().map(|(_, p)| p.profile.events).sum();
+    let alone: u64 = profiler::cells(&settings, Scale::Fast)
+        .iter()
+        .map(|spec| match spec {
+            Cell::Modern(cfg) => run_modern_profiled(cfg).1.events,
+            other => panic!("handoff declared {other:?}"),
+        })
+        .sum();
+    assert!(alone > 0);
+    assert_eq!(documented, alone);
 }
 
 #[test]
@@ -124,7 +151,7 @@ fn render_simulates_nothing(settings: &Settings) {
     runner::set_max_jobs(2);
     for &id in EXPERIMENTS.iter().chain(&EXTENSIONS) {
         let (declare, render) = artifact(id).expect("a known artifact");
-        let cells = Cells::fill(declare(settings, Scale::Fast));
+        let cells = Cells::fill(declare(settings, Scale::Fast), false);
         let (reports, cost) = events(|| render(settings, Scale::Fast, &cells));
         assert!(!reports.is_empty(), "{id} rendered no report");
         assert_eq!(cost, 0, "{id} simulated {cost} events while rendering");

@@ -24,7 +24,7 @@ fn tsv_bytes(id: &str, jobs: usize) -> Vec<String> {
 /// the CLI) under the job budget.
 fn tsv_bytes_together(ids: &[&str], jobs: usize) -> Vec<String> {
     runner::set_max_jobs(jobs);
-    let outcome = run_experiments(ids, &Settings::default(), Scale::Fast, false);
+    let outcome = run_experiments(ids, &Settings::default(), Scale::Fast, false, false);
     runner::set_max_jobs(0);
     let reports = outcome.expect("known artifacts").reports;
     reports.iter().map(|r| r.to_tsv()).collect()

@@ -336,6 +336,11 @@ pub struct MachineConfig {
     /// [`crate::DEFAULT_HOT_LOCKS`], which is far above any in-repo
     /// artifact's lock count — existing runs are unaffected.
     pub hot_locks: usize,
+    /// Attach the streaming profiler ([`crate::profile`]): the run's
+    /// [`crate::Profile`] comes back in [`crate::SimReport::profile`], and
+    /// every other report field is the same either way. An explicit
+    /// [`crate::Machine::set_trace_sink`] replaces the profiler.
+    pub profile: bool,
 }
 
 impl MachineConfig {
@@ -408,6 +413,7 @@ impl MachineConfig {
             geometry: CacheGeometry::default_geometry(),
             seed: 0x5EED,
             hot_locks: crate::DEFAULT_HOT_LOCKS,
+            profile: false,
         }
     }
 
@@ -422,6 +428,7 @@ impl MachineConfig {
             geometry: CacheGeometry::default_geometry(),
             seed: 0x5EED,
             hot_locks: crate::DEFAULT_HOT_LOCKS,
+            profile: false,
         }
     }
 

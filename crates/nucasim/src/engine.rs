@@ -9,6 +9,7 @@ use crate::config::MachineConfig;
 use crate::faults::{FaultConfig, FaultState};
 use crate::mem::{Addr, MemOp, MemorySystem};
 use crate::preempt::PreemptState;
+use crate::profile::Profile;
 use crate::program::{Command, CpuCtx, Program};
 use crate::rng::SplitMix64;
 use crate::sched::{RecordingQueue, SchedOpLog, SchedQueue, TimeWheel};
@@ -116,6 +117,10 @@ pub struct SimReport {
     pub cache_hits: u64,
     /// Program-resume events the engine processed.
     pub events: u64,
+    /// The streaming profile of the run, when the machine was built with
+    /// [`crate::MachineConfig::profile`] and no explicit trace sink
+    /// replaced the profiler.
+    pub profile: Option<Profile>,
 }
 
 impl SimReport {
@@ -180,12 +185,10 @@ pub struct Machine {
     /// Recycled buffer for the watchers each write wakes (engine-owned so
     /// the hot path never allocates).
     woken_buf: Vec<(CpuId, u64, u64)>,
-    /// Installed trace sink, if any. `None` (the default) keeps every
-    /// emission site down to one branch.
+    /// Installed trace sink, if any: the streaming profiler under
+    /// [`MachineConfig::profile`], or the caller's. `None` (the default)
+    /// keeps every emission site down to one branch.
     trace: Option<Box<dyn TraceSink>>,
-    /// Label this machine's global profile merges under when process-wide
-    /// profiling is on (see [`crate::profile::enable_global_profiling`]).
-    profile_label: Option<String>,
 }
 
 impl Machine {
@@ -224,6 +227,7 @@ impl Machine {
             FaultState::new(&f, topo.num_cpus(), &mut rng)
         });
         let cpus = CpuStates::new(topo.num_cpus());
+        let trace = cfg.profile.then(crate::profile::analyzer);
         Machine {
             mem,
             topo,
@@ -234,31 +238,17 @@ impl Machine {
             preempt,
             faults,
             woken_buf: Vec::new(),
-            trace: None,
-            profile_label: None,
+            trace,
         }
     }
 
     /// Installs a trace sink; subsequent simulation emits [`SimEvent`]s
     /// into it. Tracing only observes — simulation results are identical
-    /// with or without a sink.
+    /// with or without a sink. The sink replaces the profiler
+    /// [`MachineConfig::profile`] installs, so the report then carries no
+    /// profile.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.trace = Some(sink);
-    }
-
-    /// Removes and returns the installed trace sink, if any.
-    pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.trace.take()
-    }
-
-    /// Names this machine for the process-wide profiling registry: when
-    /// [`crate::profile::enable_global_profiling`] is on and no explicit
-    /// trace sink is installed, the machine's streaming profile merges into
-    /// the global table under `label` (unlabeled machines merge under
-    /// [`crate::profile::UNLABELED`]). Workload runners set this to the
-    /// lock kind so `--profile` output is keyed the way Fig. 5 is.
-    pub fn set_profile_label(&mut self, label: &str) {
-        self.profile_label = Some(label.to_owned());
     }
 
     /// Replaces the scheduler with a recording wheel and returns the
@@ -401,12 +391,6 @@ impl Machine {
     /// [`Machine::into_report`] turns the finished machine into a full
     /// [`SimReport`].
     pub fn run(&mut self, limit: u64) -> RunStatus {
-        // Global profiling observes machines that would otherwise run
-        // untraced; an explicitly installed sink always wins (profiling
-        // must never displace a capture the caller asked for).
-        if self.trace.is_none() && crate::profile::global_profiling_enabled() {
-            self.trace = Some(crate::profile::global_sink());
-        }
         self.run_with(limit, true)
     }
 
@@ -534,13 +518,12 @@ impl Machine {
     ///
     /// Lock traces are moved (not cloned) out of the statistics and final
     /// memory values are materialized once, here — keeping repeated
-    /// [`Machine::run`] continuations free of per-call copying. A machine
-    /// run under global profiling publishes its report's counters and its
-    /// stream-only profile to the label table here, together.
+    /// [`Machine::run`] continuations free of per-call copying. A profiled
+    /// machine's profile is finished (open residency runs flushed) here.
     pub fn into_report(mut self) -> SimReport {
         let finish_times = self.cpus.finished_at.clone();
         let finished_all = self.cpus.all_done();
-        let report = SimReport {
+        SimReport {
             end_time: self.time,
             finished_all,
             finish_times,
@@ -558,11 +541,8 @@ impl Machine {
             update_broadcasts: self.stats.update_broadcasts(),
             cache_hits: self.stats.cache_hits(),
             events: self.stats.events(),
-        };
-        if let Some(sink) = self.trace.take() {
-            crate::profile::publish(sink, self.profile_label.as_deref(), &report);
+            profile: self.trace.take().and_then(crate::profile::finish),
         }
-        report
     }
 }
 
@@ -1165,6 +1145,7 @@ mod tests {
             update_broadcasts: 0,
             cache_hits: 0,
             events: 0,
+            profile: None,
         };
         assert_eq!(r.finish_spread(), Some(0.2));
         assert_eq!(r.last_finish(), Some(100));

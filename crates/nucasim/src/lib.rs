@@ -90,7 +90,7 @@ pub use faults::{
 pub use mem::{Addr, MemOp, MemorySystem, MAX_SIM_CPUS, MAX_SIM_NODES};
 pub use metrics::Histogram;
 pub use preempt::PreemptionConfig;
-pub use profile::{LabelProfile, LockProfile, Profile, ProfileCollector};
+pub use profile::{LabelProfile, LockProfile, Profile};
 pub use program::{Command, CpuCtx, Program};
 pub use rng::SplitMix64;
 pub use stats::{LockTally, LockTrace, SimStats, TrafficCounts, DEFAULT_HOT_LOCKS};

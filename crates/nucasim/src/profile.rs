@@ -19,33 +19,30 @@
 //!   node-residency run lengths and per-acquire latency decomposition
 //!   (spin vs. backoff sleep by [`BackoffClass`] vs. coherence
 //!   transactions split local/global).
-//! * [`ProfileCollector`] — a cloneable [`TraceSink`] handle for profiling
-//!   one machine explicitly (the `handoff` artifact): clone it, box one
-//!   clone into the machine, call [`ProfileCollector::finish`] after.
-//! * the **global registry** — [`enable_global_profiling`] makes every
-//!   subsequently-run [`crate::Machine`] without an explicit sink install
-//!   a streaming profiler. [`crate::Machine::into_report`] then publishes
-//!   the machine's report counters and its profile together, keyed by the
-//!   machine's profile label, into a process-wide table of
-//!   [`LabelProfile`]s ([`take_global_profiles`]). This is what the
-//!   experiment harness's `--profile` flag turns on: the artifacts run
-//!   unchanged (profiling only observes, so every TSV byte is identical)
-//!   while the registry aggregates across all of them.
+//! * the analyzer — [`crate::MachineConfig::profile`] makes
+//!   [`crate::Machine::new`] install it as the machine's trace sink, and
+//!   [`crate::Machine::into_report`] hands its finished [`Profile`] back
+//!   in [`crate::SimReport::profile`]. An explicit
+//!   [`crate::Machine::set_trace_sink`] replaces it.
+//! * [`LabelProfile`] — one machine's account: its report's per-lock
+//!   statistics and counters next to its profile
+//!   ([`LabelProfile::of`]). Accounts merge ([`LabelProfile::merge`],
+//!   [`merge_by_label`]); the experiment harness's `--profile` flag
+//!   profiles every cell of its plan and writes the label-keyed merge.
+//!   Profiling only observes, so every TSV byte is identical.
 //!
 //! # Determinism contract
 //!
 //! A single machine's profile is a pure function of its event stream, and
 //! the event stream is a pure function of the simulation — so per-machine
 //! profiles are deterministic across schedulers and host thread counts.
-//! Global aggregation happens in whatever order parallel jobs finish, so
-//! every merged quantity is a commutative, associative integer fold
-//! (counts, sums, bucket-wise histogram merges); ratios are derived only
-//! at serialization time. Labels are reported in sorted order.
+//! Every merged quantity is a commutative, associative integer fold
+//! (counts, sums, bucket-wise histogram merges), so a merge does not
+//! depend on the order in which machines finished; ratios are derived
+//! only at serialization time. Labels are reported in sorted order.
 
 use std::any::Any;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
 
 use nuca_topology::NodeId;
 
@@ -163,7 +160,7 @@ pub struct Profile {
 
 impl Profile {
     /// Adds every count of `other` into `self` (commutative, associative —
-    /// global aggregation relies on this, see the module docs).
+    /// merged accounts rely on this, see the module docs).
     pub fn merge(&mut self, other: &Profile) {
         if self.locks.len() < other.locks.len() {
             self.locks.resize_with(other.locks.len(), LockProfile::default);
@@ -183,11 +180,11 @@ impl Profile {
     }
 }
 
-/// One label's entry in the global table: the per-lock statistics and
-/// machine counters of every [`SimReport`] published under the label,
-/// merged, next to their merged stream-only [`Profile`]. Every field is a
-/// commutative, associative integer fold.
-#[derive(Debug, Default)]
+/// One machine's account, or the merge of several under one label: the
+/// per-lock statistics and machine counters of their [`SimReport`]s next
+/// to their merged stream-only [`Profile`]. Every field is a commutative,
+/// associative integer fold.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LabelProfile {
     /// Per-lock statistics (dense tier), merged with [`LockTrace::merge`].
     locks: Vec<LockTrace>,
@@ -212,25 +209,56 @@ pub struct LabelProfile {
 }
 
 impl LabelProfile {
-    /// Folds one machine's report and stream-only profile into the entry.
-    pub fn add(&mut self, report: &SimReport, profile: &Profile) {
-        let n = report.lock_traces.len();
+    /// The account of one finished machine, or `None` when it was not
+    /// profiled or emitted no event (a silent machine adds nothing).
+    ///
+    /// ```
+    /// use nucasim::{LabelProfile, Machine, MachineConfig};
+    ///
+    /// let cfg = MachineConfig { profile: true, ..MachineConfig::wildfire(2, 2) };
+    /// let report = Machine::new(cfg).into_report(); // no program, no event
+    /// assert_eq!(report.profile.as_ref().map(|p| p.events), Some(0));
+    /// assert!(LabelProfile::of(&report).is_none(), "a silent machine has no account");
+    /// ```
+    pub fn of(report: &SimReport) -> Option<LabelProfile> {
+        let profile = report.profile.as_ref().filter(|p| p.events > 0)?;
+        Some(LabelProfile {
+            locks: report.lock_traces.clone(),
+            chains: report
+                .lock_traces
+                .iter()
+                .map(|t| u64::from(t.acquisitions > 0))
+                .collect(),
+            anger_episodes: report.anger_episodes,
+            throttle_spins: report.throttle_spins,
+            preemptions: report.preemptions,
+            migrations: report.migrations,
+            upgrades: report.upgrades,
+            evictions: report.evictions,
+            update_broadcasts: report.update_broadcasts,
+            profile: profile.clone(),
+        })
+    }
+
+    /// Adds every count of `other` into `self` (commutative, associative).
+    pub fn merge(&mut self, other: &LabelProfile) {
+        let n = other.locks.len();
         if self.locks.len() < n {
             self.locks.resize_with(n, LockTrace::default);
             self.chains.resize(n, 0);
         }
-        for (i, trace) in report.lock_traces.iter().enumerate() {
+        for (i, (trace, chains)) in other.locks().enumerate() {
             self.locks[i].merge(trace);
-            self.chains[i] += u64::from(trace.acquisitions > 0);
+            self.chains[i] += chains;
         }
-        self.anger_episodes += report.anger_episodes;
-        self.throttle_spins += report.throttle_spins;
-        self.preemptions += report.preemptions;
-        self.migrations += report.migrations;
-        self.upgrades += report.upgrades;
-        self.evictions += report.evictions;
-        self.update_broadcasts += report.update_broadcasts;
-        self.profile.merge(profile);
+        self.anger_episodes += other.anger_episodes;
+        self.throttle_spins += other.throttle_spins;
+        self.preemptions += other.preemptions;
+        self.migrations += other.migrations;
+        self.upgrades += other.upgrades;
+        self.evictions += other.evictions;
+        self.update_broadcasts += other.update_broadcasts;
+        self.profile.merge(&other.profile);
     }
 
     /// Each lock's merged statistics (dense tier) with its chain count:
@@ -243,9 +271,27 @@ impl LabelProfile {
     }
 }
 
+/// Label of the accounts of machines that run no registered lock kind.
+pub const UNLABELED: &str = "_other";
+
+/// Merges labeled accounts into one per label, sorted by label. Merging
+/// is commutative, so the result does not depend on the input order.
+pub fn merge_by_label<'a>(
+    accounts: impl IntoIterator<Item = (&'a str, &'a LabelProfile)>,
+) -> Vec<(String, LabelProfile)> {
+    let mut table: BTreeMap<&str, LabelProfile> = BTreeMap::new();
+    for (label, account) in accounts {
+        table.entry(label).or_default().merge(account);
+    }
+    table
+        .into_iter()
+        .map(|(label, account)| (label.to_owned(), account))
+        .collect()
+}
+
 /// The incremental analyzer: folds one event at a time into a [`Profile`].
-/// It is also the sink [`crate::Machine::run`] installs on globally
-/// profiled machines, read back by [`publish`].
+/// It is the sink [`crate::Machine::new`] installs on a profiled machine
+/// ([`analyzer`]), read back by [`finish`].
 #[derive(Debug, Default)]
 struct ProfCore {
     profile: Profile,
@@ -279,8 +325,19 @@ impl ProfCore {
         &mut self.profile.locks[i]
     }
 
+    /// Ends the stream: flushes open residency runs and returns the
+    /// profile.
+    fn finish(mut self) -> Profile {
+        for lock in &mut self.profile.locks {
+            lock.flush();
+        }
+        self.profile
+    }
+}
+
+impl TraceSink for ProfCore {
     #[inline]
-    fn on_event(&mut self, at: u64, event: SimEvent) {
+    fn record(&mut self, at: u64, event: SimEvent) {
         self.profile.events += 1;
         match event {
             SimEvent::AcquireStart { lock, cpu, .. } => {
@@ -358,126 +415,18 @@ impl ProfCore {
             | SimEvent::UpdateBroadcast { .. } => {}
         }
     }
-
-    /// Ends the stream: flushes open residency runs and returns the
-    /// profile, resetting the analyzer.
-    fn finish(&mut self) -> Profile {
-        for lock in &mut self.profile.locks {
-            lock.flush();
-        }
-        self.windows.clear();
-        std::mem::take(&mut self.profile)
-    }
 }
 
-impl TraceSink for ProfCore {
-    #[inline]
-    fn record(&mut self, at: u64, event: SimEvent) {
-        self.on_event(at, event);
-    }
-}
-
-/// A cloneable streaming-profiler handle, used like [`crate::EventLog`]:
-/// clone it, box one clone into the machine with
-/// [`crate::Machine::set_trace_sink`], and call
-/// [`ProfileCollector::finish`] on the other clone after the run.
-///
-/// ```
-/// use nucasim::{Machine, MachineConfig, ProfileCollector};
-///
-/// let prof = ProfileCollector::new();
-/// let mut machine = Machine::new(MachineConfig::wildfire(2, 2));
-/// machine.set_trace_sink(Box::new(prof.clone()));
-/// // ... add programs, run ...
-/// let profile = prof.finish();
-/// assert_eq!(profile.events, 0);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ProfileCollector {
-    inner: Arc<Mutex<ProfCore>>,
-}
-
-impl ProfileCollector {
-    /// A fresh collector.
-    pub fn new() -> ProfileCollector {
-        ProfileCollector::default()
-    }
-
-    /// Ends the stream and moves the accumulated [`Profile`] out (open
-    /// node-residency runs are flushed), leaving the collector empty.
-    pub fn finish(&self) -> Profile {
-        self.inner.lock().expect("profile collector poisoned").finish()
-    }
-}
-
-impl TraceSink for ProfileCollector {
-    fn record(&mut self, at: u64, event: SimEvent) {
-        self.inner
-            .lock()
-            .expect("profile collector poisoned")
-            .on_event(at, event);
-    }
-}
-
-/// Whether [`enable_global_profiling`] has been called.
-static GLOBAL_ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Label-keyed merged accounts from every machine reported since global
-/// profiling was enabled.
-static GLOBAL_PROFILES: Mutex<BTreeMap<String, LabelProfile>> = Mutex::new(BTreeMap::new());
-
-/// Label machines merge under when no profile label was set.
-pub const UNLABELED: &str = "_other";
-
-/// Turns on process-wide streaming profiling: every [`crate::Machine`]
-/// subsequently run without an explicit trace sink installs a profiler,
-/// and [`crate::Machine::into_report`] merges the machine's report and
-/// profile into the global table under its
-/// [`crate::Machine::set_profile_label`] (or [`UNLABELED`]). Profiling
-/// only observes — simulation results are bit-identical either way.
-/// Idempotent; there is deliberately no way to turn it off mid-process
-/// (runs would otherwise be profiled or not depending on timing).
-pub fn enable_global_profiling() {
-    GLOBAL_ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// Whether global profiling is on.
-pub fn global_profiling_enabled() -> bool {
-    GLOBAL_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Moves the globally-aggregated accounts out, sorted by label. Merging
-/// is commutative, so the result is deterministic no matter how many
-/// threads the contributing runs were spread over.
-pub fn take_global_profiles() -> Vec<(String, LabelProfile)> {
-    let mut table = GLOBAL_PROFILES.lock().expect("global profiles poisoned");
-    std::mem::take(&mut *table).into_iter().collect()
-}
-
-/// Builds the engine-side global sink (see [`crate::Machine::run`]).
-pub(crate) fn global_sink() -> Box<dyn TraceSink> {
+/// The analyzer a profiled machine installs as its trace sink.
+pub(crate) fn analyzer() -> Box<dyn TraceSink> {
     Box::new(ProfCore::default())
 }
 
-/// Merges a finished machine into the global table under `label` (or
-/// [`UNLABELED`]): its report's per-lock statistics and counters together
-/// with the stream-only profile `sink` folded — if `sink` is the profiler
-/// [`global_sink`] built. A machine that emitted no event publishes
-/// nothing.
-pub(crate) fn publish(sink: Box<dyn TraceSink>, label: Option<&str>, report: &SimReport) {
+/// The finished profile of `sink`, if it is the [`analyzer`] (an explicit
+/// sink replaced it otherwise).
+pub(crate) fn finish(sink: Box<dyn TraceSink>) -> Option<Profile> {
     let sink: Box<dyn Any> = sink;
-    let Ok(mut core) = sink.downcast::<ProfCore>() else {
-        return;
-    };
-    let profile = core.finish();
-    if profile.events == 0 {
-        return;
-    }
-    let mut table = GLOBAL_PROFILES.lock().expect("global profiles poisoned");
-    table
-        .entry(label.unwrap_or(UNLABELED).to_owned())
-        .or_default()
-        .add(report, &profile);
+    sink.downcast::<ProfCore>().ok().map(|core| core.finish())
 }
 
 #[cfg(test)]
@@ -503,14 +452,13 @@ mod tests {
 
     #[test]
     fn residency_runs_split_at_node_changes() {
-        let prof = ProfileCollector::new();
-        let mut sink: Box<dyn TraceSink> = Box::new(prof.clone());
+        let mut sink = ProfCore::default();
         // Nodes: 0, 0, 1, 1, 1, 0 → runs 2, 3, then an open run of 1
         // flushed at finish.
         for (i, node) in [0usize, 0, 1, 1, 1, 0].iter().enumerate() {
             sink.record(i as u64 * 10, acquire(0, *node * 2, *node));
         }
-        let p = prof.finish();
+        let p = sink.finish();
         let lock = &p.locks[0];
         assert_eq!(lock.residency_runs.count(), 3);
         assert_eq!(lock.residency_runs.sum(), 6);
@@ -519,8 +467,7 @@ mod tests {
 
     #[test]
     fn acquire_window_decomposes_into_phases() {
-        let prof = ProfileCollector::new();
-        let mut sink: Box<dyn TraceSink> = Box::new(prof.clone());
+        let mut sink = ProfCore::default();
         sink.record(100, start(0, 1, 0));
         sink.record(
             110,
@@ -550,7 +497,7 @@ mod tests {
             },
         );
         sink.record(300, acquire(0, 1, 0));
-        let p = prof.finish();
+        let p = sink.finish();
         let lock = &p.locks[0];
         // Window = 200 cycles: 40 local backoff + 100 remote backoff +
         // 60 residual spin.
@@ -569,8 +516,7 @@ mod tests {
         // A lock bug that records more backoff than the window is long
         // used to vanish into the saturating subtraction; now the clamp
         // is counted per window.
-        let prof = ProfileCollector::new();
-        let mut sink: Box<dyn TraceSink> = Box::new(prof.clone());
+        let mut sink = ProfCore::default();
         sink.record(0, start(0, 0, 0));
         sink.record(
             10,
@@ -585,7 +531,7 @@ mod tests {
         // A second, well-formed window on the same lock.
         sink.record(200, start(0, 0, 0));
         sink.record(250, acquire(0, 0, 0));
-        let p = prof.finish();
+        let p = sink.finish();
         let lock = &p.locks[0];
         assert_eq!(lock.spin_clamped, 1, "exactly the overlong window");
         assert_eq!(lock.backoff_remote_cycles, 500, "backoff still recorded");
@@ -600,8 +546,7 @@ mod tests {
 
     #[test]
     fn coherence_outside_windows_is_not_acquire_latency() {
-        let prof = ProfileCollector::new();
-        let mut sink: Box<dyn TraceSink> = Box::new(prof.clone());
+        let mut sink = ProfCore::default();
         sink.record(
             5,
             SimEvent::CoherenceTxn {
@@ -613,7 +558,7 @@ mod tests {
         );
         sink.record(10, start(0, 0, 0));
         sink.record(20, acquire(0, 0, 0));
-        let p = prof.finish();
+        let p = sink.finish();
         assert_eq!(p.locks[0].coh_local, 0);
         assert_eq!(p.locks[0].spin_cycles, 10);
         assert_eq!(p.events, 3);
@@ -622,12 +567,11 @@ mod tests {
     #[test]
     fn merge_is_commutative() {
         let mk = |nodes: &[usize]| {
-            let prof = ProfileCollector::new();
-            let mut sink: Box<dyn TraceSink> = Box::new(prof.clone());
+            let mut sink = ProfCore::default();
             for (i, &n) in nodes.iter().enumerate() {
                 sink.record(i as u64, acquire(0, n, n));
             }
-            prof.finish()
+            sink.finish()
         };
         let a = mk(&[0, 0, 1]);
         let b = mk(&[1, 0, 0, 1]);
@@ -641,8 +585,7 @@ mod tests {
 
     #[test]
     fn footprint_is_independent_of_event_count() {
-        let prof = ProfileCollector::new();
-        let mut sink: Box<dyn TraceSink> = Box::new(prof.clone());
+        let mut sink = ProfCore::default();
         for i in 0..100_000u64 {
             let node = (i % 2) as usize;
             sink.record(i * 3, start(0, node, node));
@@ -656,7 +599,7 @@ mod tests {
                 },
             );
         }
-        let p = prof.finish();
+        let p = sink.finish();
         assert_eq!(p.events, 300_000);
         assert!(
             p.approx_bytes() < 4096,
@@ -666,7 +609,7 @@ mod tests {
     }
 
     #[test]
-    fn global_profiling_aggregates_by_label() {
+    fn accounts_merge_by_label() {
         use crate::{Command, CpuCtx, Machine, MachineConfig, Program};
 
         struct OneAcquire(bool);
@@ -682,40 +625,29 @@ mod tests {
             }
         }
 
-        enable_global_profiling();
-        assert!(global_profiling_enabled());
-        let label = "test:profile-global";
-        for _ in 0..2 {
-            let mut m = Machine::new(MachineConfig::wildfire(1, 2));
-            m.set_profile_label(label);
-            m.add_program(nuca_topology::CpuId(0), Box::new(OneAcquire(false)));
-            let status = m.run(1_000);
-            assert!(status.finished_all);
-            drop(m.into_report());
-        }
-        // A machine that emitted no event publishes nothing.
-        let silent = "test:profile-silent";
-        let mut m = Machine::new(MachineConfig::wildfire(1, 2));
-        m.set_profile_label(silent);
-        m.run(1_000);
-        drop(m.into_report());
+        let account = |profile: bool, acquire: bool| {
+            let mut m = Machine::new(MachineConfig { profile, ..MachineConfig::wildfire(1, 2) });
+            if acquire {
+                m.add_program(nuca_topology::CpuId(0), Box::new(OneAcquire(false)));
+            }
+            assert!(m.run(1_000).finished_all);
+            LabelProfile::of(&m.into_report())
+        };
+        let one = account(true, true).expect("a profiled machine that emitted events");
+        // A machine that emitted no event gives no account, nor does an
+        // unprofiled one.
+        assert!(account(true, false).is_none());
+        assert!(account(false, true).is_none());
 
-        let profiles = take_global_profiles();
-        assert!(profiles.iter().all(|(l, _)| l != silent));
-        let (_, p) = profiles
-            .iter()
-            .find(|(l, _)| l == label)
-            .expect("labeled profile registered");
+        let (label, other) = ("test:b", "test:a");
+        let profiles = merge_by_label([(label, &one), (other, &one), (label, &one)]);
+        let labels: Vec<&str> = profiles.iter().map(|(l, _)| l.as_str()).collect();
+        assert_eq!(labels, [other, label], "one entry per label, sorted");
+        let p = &profiles[1].1;
         assert_eq!(p.locks[0].acquisitions, 2);
         assert_eq!(p.locks[0].cpu_acquires, vec![2]);
         assert_eq!(p.chains, vec![2], "one chain per machine");
         assert_eq!(p.profile.events, 4);
         assert_eq!(p.profile.locks[0].residency_runs.count(), 2);
-        // Other concurrently-running tests may have contributed profiles
-        // under other labels; sorted order is all we assert about them.
-        let labels: Vec<&String> = profiles.iter().map(|(l, _)| l).collect();
-        let mut sorted = labels.clone();
-        sorted.sort();
-        assert_eq!(labels, sorted);
     }
 }

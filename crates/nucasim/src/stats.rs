@@ -771,7 +771,7 @@ mod tests {
     #[test]
     fn tally_merge_commutes_and_associates() {
         // Property: merging per-shard tallies, and per-machine traces (the
-        // profiler's label table), must not depend on merge order, or
+        // profiler's per-label merge), must not depend on merge order, or
         // multi-job runs would produce different reports than single-job
         // runs. Returns `a` merged with `b`.
         fn check<T: Clone + PartialEq + std::fmt::Debug>(

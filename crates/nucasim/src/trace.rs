@@ -161,8 +161,8 @@ pub enum SimEvent {
 /// inline on the simulation path. `at` is the simulated time in cycles
 /// (convert with [`crate::cycles_to_ns`]); events for one CPU arrive in
 /// nondecreasing `at` order. The [`Any`](std::any::Any) supertrait lets
-/// the engine recognize the profiler it installs itself under global
-/// profiling (see [`crate::profile`]).
+/// the engine recognize the profiler a profiled machine installs (see
+/// [`crate::MachineConfig::profile`]).
 pub trait TraceSink: std::any::Any {
     /// Records `event` observed at simulated cycle `at`.
     fn record(&mut self, at: u64, event: SimEvent);

@@ -19,7 +19,8 @@ use std::sync::Arc;
 use hbo_locks::LockKind;
 use nuca_topology::NodeId;
 use nucasim::{
-    Addr, Command, CpuCtx, Machine, MachineConfig, Program, SplitMix64, TrafficCounts,
+    Addr, Command, CpuCtx, LabelProfile, Machine, MachineConfig, Program, SplitMix64,
+    TrafficCounts,
 };
 use nucasim_locks::{build_lock, DriveResult, GtSlots, SessionDriver, SimLockParams};
 
@@ -236,6 +237,8 @@ pub struct AppReport {
     pub acquires: u64,
     /// Node-handoff ratio of the hottest lock.
     pub hot_handoff: Option<f64>,
+    /// The machine's account if it was profiled, boxed ([`LabelProfile::of`]).
+    pub account: Option<Box<LabelProfile>>,
 }
 
 /// Cold locks actually allocated (cold traffic is spread uniformly, so a
@@ -459,6 +462,7 @@ pub fn run_app(model: &AppModel, cfg: &AppRunConfig) -> AppReport {
         traffic: report.traffic,
         acquires,
         hot_handoff: report.lock_traces.first().and_then(|t| t.handoff_ratio()),
+        account: LabelProfile::of(&report).map(Box::new),
     }
 }
 

@@ -41,7 +41,7 @@ pub mod uncontested;
 pub mod zipf;
 
 use hbo_locks::LockKind;
-use nucasim::{SimReport, TrafficCounts};
+use nucasim::{LabelProfile, SimReport, TrafficCounts};
 
 /// Outcome of a microbenchmark run, in the units the paper plots.
 #[derive(Debug, Clone)]
@@ -65,6 +65,8 @@ pub struct MicroReport {
     pub finish_spread: Option<f64>,
     /// Whether the run completed within its cycle budget.
     pub finished: bool,
+    /// The machine's account if it was profiled, boxed ([`LabelProfile::of`]).
+    pub account: Option<Box<LabelProfile>>,
 }
 
 impl MicroReport {
@@ -100,6 +102,7 @@ impl MicroReport {
             traffic: report.traffic,
             finish_spread: report.finish_spread(),
             finished: report.finished_all,
+            account: LabelProfile::of(report).map(Box::new),
         }
     }
 }

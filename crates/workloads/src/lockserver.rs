@@ -339,7 +339,6 @@ fn run_lockserver_inner(cfg: &LockServerConfig, hot_locks: usize) -> LockServerR
         cfg.shards
     );
     let mut machine = Machine::new(cfg.machine.clone().with_hot_locks(hot_locks));
-    machine.set_profile_label(cfg.kind.as_str());
     let topo = Arc::clone(machine.topology());
     assert!(
         cfg.threads <= topo.num_cpus(),

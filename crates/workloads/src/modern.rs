@@ -10,8 +10,8 @@ use std::sync::Arc;
 use hbo_locks::LockKind;
 use nuca_topology::NodeId;
 use nucasim::{
-    Addr, Command, CpuCtx, EventLog, Machine, MachineConfig, MemorySystem, Profile,
-    ProfileCollector, Program, SimReport, SplitMix64, TraceRecord, TraceSink,
+    Addr, Command, CpuCtx, EventLog, Machine, MachineConfig, MemorySystem, Profile, Program,
+    SimReport, SplitMix64, TraceRecord,
 };
 use nuca_topology::Topology;
 use nucasim_locks::{build_lock, DriveResult, GtSlots, Lock, SessionDriver, SimLockParams};
@@ -264,9 +264,7 @@ pub fn run_modern(cfg: &ModernConfig) -> MicroReport {
 /// Like [`run_modern`] but also returns the raw [`SimReport`] for callers
 /// needing finish times or final memory values.
 pub fn run_modern_raw(cfg: &ModernConfig) -> (SimReport, Vec<Addr>) {
-    run_modern_with(cfg, &|mem, topo, gt| {
-        build_lock(cfg.kind, mem, topo, gt, NodeId(0), &cfg.params)
-    })
+    run_catalog_lock(cfg, &|_| {})
 }
 
 /// Like [`run_modern_raw`] but with a trace sink installed for the whole
@@ -276,29 +274,20 @@ pub fn run_modern_raw(cfg: &ModernConfig) -> (SimReport, Vec<Addr>) {
 /// unchanged — tracing only observes.
 pub fn run_modern_traced(cfg: &ModernConfig) -> (SimReport, Vec<TraceRecord>) {
     let log = EventLog::new();
-    let (report, _) = run_modern_inner(
-        cfg,
-        &|mem, topo, gt| build_lock(cfg.kind, mem, topo, gt, NodeId(0), &cfg.params),
-        Some(Box::new(log.clone())),
-        None,
-    );
+    let (report, _) = run_catalog_lock(cfg, &|m| m.set_trace_sink(Box::new(log.clone())));
     (report, log.take())
 }
 
-/// Like [`run_modern_raw`] but with the streaming profiler
-/// ([`nucasim::profile`]) attached: returns the run's [`Profile`] —
-/// node-residency runs and the acquire-phase split — alongside the report.
-/// Memory stays bounded by machine shape (no event is buffered), and the
-/// simulated run itself is unchanged — profiling only observes.
+/// Like [`run_modern_raw`] on a profiled machine
+/// ([`MachineConfig::profile`]): returns the run's [`Profile`] —
+/// node-residency runs and the acquire-phase split — moved out of the
+/// report. Memory stays bounded by machine shape (no event is buffered),
+/// and the simulated run itself is unchanged — profiling only observes.
 pub fn run_modern_profiled(cfg: &ModernConfig) -> (SimReport, Profile) {
-    let prof = ProfileCollector::new();
-    let (report, _) = run_modern_inner(
-        cfg,
-        &|mem, topo, gt| build_lock(cfg.kind, mem, topo, gt, NodeId(0), &cfg.params),
-        Some(Box::new(prof.clone())),
-        None,
-    );
-    (report, prof.finish())
+    let machine = MachineConfig { profile: true, ..cfg.machine.clone() };
+    let (mut report, _) = run_modern_raw(&ModernConfig { machine, ..cfg.clone() });
+    let profile = report.profile.take().expect("a profiled machine reports its profile");
+    (report, profile)
 }
 
 /// Like [`run_modern_raw`] but records every scheduler operation the run
@@ -307,12 +296,7 @@ pub fn run_modern_profiled(cfg: &ModernConfig) -> (SimReport, Profile) {
 /// the determinism oracle replays it through the heap and the wheel.
 pub fn run_modern_recorded(cfg: &ModernConfig) -> (SimReport, Vec<nucasim::SchedOp>) {
     let log = nucasim::SchedOpLog::new();
-    let (report, _) = run_modern_inner(
-        cfg,
-        &|mem, topo, gt| build_lock(cfg.kind, mem, topo, gt, NodeId(0), &cfg.params),
-        None,
-        Some(&log),
-    );
+    let (report, _) = run_catalog_lock(cfg, &|m| m.record_sched_ops_into(log.clone()));
     (report, log.take())
 }
 
@@ -324,23 +308,25 @@ pub type LockFactory<'a> = dyn Fn(&mut MemorySystem, &Topology, &GtSlots) -> Loc
 /// HBO extension, which is not one of the paper's eight
 /// [`LockKind`]s). `cfg.kind` is used only for labeling.
 pub fn run_modern_with(cfg: &ModernConfig, factory: &LockFactory<'_>) -> (SimReport, Vec<Addr>) {
-    run_modern_inner(cfg, factory, None, None)
+    run_modern_inner(cfg, factory, &|_| {})
+}
+
+/// Runs the benchmark with `cfg.kind` from the catalog, on a machine
+/// `prepare` has set up before any program is added.
+fn run_catalog_lock(cfg: &ModernConfig, prepare: &dyn Fn(&mut Machine)) -> (SimReport, Vec<Addr>) {
+    let factory = |mem: &mut MemorySystem, topo: &Topology, gt: &GtSlots| {
+        build_lock(cfg.kind, mem, topo, gt, NodeId(0), &cfg.params)
+    };
+    run_modern_inner(cfg, &factory, prepare)
 }
 
 fn run_modern_inner(
     cfg: &ModernConfig,
     factory: &LockFactory<'_>,
-    trace: Option<Box<dyn TraceSink>>,
-    record_sched: Option<&nucasim::SchedOpLog>,
+    prepare: &dyn Fn(&mut Machine),
 ) -> (SimReport, Vec<Addr>) {
     let mut machine = Machine::new(cfg.machine.clone());
-    machine.set_profile_label(cfg.kind.as_str());
-    if let Some(log) = record_sched {
-        machine.record_sched_ops_into(log.clone());
-    }
-    if let Some(sink) = trace {
-        machine.set_trace_sink(sink);
-    }
+    prepare(&mut machine);
     let topo = Arc::clone(machine.topology());
     assert!(
         cfg.threads <= topo.num_cpus(),
@@ -388,11 +374,8 @@ fn run_modern_inner(
         BindingKind::Clustered => cfg.private_work.max(2),
     };
     let mut seed = SplitMix64::new(cfg.machine.seed ^ 0xB0B0);
-    for (i, cpu) in bound.into_iter().enumerate() {
+    for cpu in bound {
         let node = topo.node_of(cpu);
-        // Stagger start-up a little so contenders do not arrive in
-        // lockstep (real threads never do).
-        let _ = i;
         machine.add_program(
             cpu,
             Box::new(ModernProgram {
@@ -404,6 +387,8 @@ fn run_modern_inner(
                 collocated,
                 start_offset: node.index() as u64 * wave,
                 rng: seed.split(),
+                // Stagger start-up a little so contenders do not arrive in
+                // lockstep (real threads never do).
                 state: State::Stagger,
             }),
         );

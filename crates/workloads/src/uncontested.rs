@@ -6,12 +6,12 @@ use std::sync::Arc;
 
 use hbo_locks::LockKind;
 use nuca_topology::{CpuId, NodeId};
-use nucasim::{Addr, Command, CpuCtx, Machine, MachineConfig, Program};
+use nucasim::{Addr, Command, CpuCtx, LabelProfile, Machine, MachineConfig, Program};
 use nucasim_locks::{build_lock, DriveResult, GtSlots, SessionDriver, SimLockParams};
 
 /// Latencies of one acquire-release pair, in nanoseconds (Table 1's
 /// columns).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UncontestedReport {
     /// Algorithm measured.
     pub kind: LockKind,
@@ -21,6 +21,8 @@ pub struct UncontestedReport {
     pub same_node_ns: u64,
     /// Previous owner: a processor in a remote node.
     pub remote_node_ns: u64,
+    /// The machine's account if it was profiled, boxed ([`LabelProfile::of`]).
+    pub account: Option<Box<LabelProfile>>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,6 +178,7 @@ pub fn run_uncontested(
         same_processor_ns: nucasim::cycles_to_ns(report.final_value(outs[0])),
         same_node_ns: nucasim::cycles_to_ns(report.final_value(outs[1])),
         remote_node_ns: nucasim::cycles_to_ns(report.final_value(outs[2])),
+        account: LabelProfile::of(&report).map(Box::new),
     }
 }
 

@@ -395,9 +395,9 @@ if command -v python3 >/dev/null 2>&1; then
     python3 - <<'EOF'
 import json, re, subprocess, sys
 TRANSITIONS = {
-    "TATAS": 562, "TATAS_EXP": 12883, "MCS": 49512, "CLH": 3564, "RH": 10272,
-    "HBO": 21633, "HBO_GT": 87991, "HBO_GT_SD": 7170, "TICKET": 5736,
-    "HIER": 24908, "CNA": 250804, "TWA": 453695, "RECIP": 324687,
+    "TATAS": 492, "TATAS_EXP": 5646, "MCS": 25647, "CLH": 3564, "RH": 4431,
+    "HBO": 8754, "HBO_GT": 29880, "HBO_GT_SD": 3643, "TICKET": 4866,
+    "HIER": 9699, "CNA": 115163, "TWA": 116868, "RECIP": 120135,
 }
 mcheck = json.load(open("hbobench/expected.json"))["mcheck"]
 bad = []
@@ -424,6 +424,21 @@ EOF
 else
     echo "python3 not found; skipping the mcheck state-count check"
 fi
+
+echo "==> model checker at 4 CPUs x 2 iterations"
+# One notch past the benchmark's arguments: each subject must pass
+# exhaustively with exactly this many distinct states (about 6 s in all).
+for pinned in MCS:535174 HBO_GT:620188 RH:2864650; do
+    kind=${pinned%%:*}
+    states=${pinned#*:}
+    out=$(./target/release/nuca-mcheck --kind "$kind" --cpus 4 --iters 2 2>&1)
+    if ! grep -Eq "^$kind +cpus=4 iters=2: PASS  \(exhaustive\) states=$states " <<<"$out"; then
+        echo "expected $kind at 4 cpus x 2 iterations to pass exhaustively with states=$states, got:"
+        echo "$out"
+        exit 1
+    fi
+done
+echo "mcheck 4-cpu counts OK"
 
 echo "==> coherence cell digests at the benchmark's seed"
 # Every protocol/KIND/critical_work cell of the benchmark's coherence grid

@@ -12,14 +12,32 @@
 //! prefix. The live world's observers (statistics, trace) persist across
 //! restores: one per search.
 //!
-//! A state-hash dedup cache bounds the search: a state already visited at
-//! the same or smaller depth cannot lead anywhere new. The key is
-//! [`World::state_key`], a structural hash of the state. With a
-//! preemption bound configured, the spent budget is folded into the key
-//! (fewer preemptions spent = strictly more futures, so the plain key
-//! would prune unsoundly).
+//! A state-hash dedup cache bounds the search, and each state is
+//! expanded once. The key is [`World::state_key`], a structural hash the
+//! world keeps up to date as it steps; the cache uses it as its own hash.
+//! A state met again is pruned, with one exception: a search that may
+//! have cut a subtree short expands a state again when it turns up at a
+//! smaller depth than before. Without cuts that revisit is pure repeated
+//! work. Every state on the current path is shallower than the current
+//! depth, so a state that turns up at a smaller depth has finished, and
+//! with no cut its subtree was explored in full: walking it again finds
+//! no new state, edge or violation. Two things cut subtrees:
+//!
+//! - the depth safety net ([`CheckConfig::depth`]): once a path was
+//!   truncated (`truncated > 0`), a finished state's subtree may be
+//!   incomplete, and reaching it with more depth left may reach more;
+//! - a preemption bound ([`CheckConfig::preempt`]): the spent budget is
+//!   folded into the key (fewer preemptions spent = strictly more
+//!   futures, so the plain key would prune unsoundly), but the thread
+//!   that last ran is not, and it decides which successors cost a
+//!   preemption — so the same key can stand for different subtrees.
+//!
+//! In either case the search keeps the depth rule: a state already
+//! visited at the same or smaller depth cannot lead anywhere new.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::world::{Status, World, MAX_THREADS};
 use crate::{CheckConfig, Violation};
@@ -45,6 +63,28 @@ pub struct Counterexample {
     /// Thread ids to step, in order, from the initial state.
     pub schedule: Vec<usize>,
 }
+
+/// The visited map's hasher: state keys are already mixed 64-bit hashes,
+/// so a key is its own hash.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the visited map hashes u64 state keys only");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
+/// State key -> the smallest depth it was expanded at.
+type Visited = HashMap<u64, u32, BuildHasherDefault<KeyHasher>>;
 
 struct Frame {
     /// Sibling choices at this state (thread ids), favorite first; the
@@ -72,7 +112,7 @@ struct Frame {
 /// `frames.len() == schedule.len() + 1` (pruned states get none).
 pub fn explore(cfg: &CheckConfig) -> (ExploreStats, Option<Counterexample>) {
     let mut stats = ExploreStats::default();
-    let mut visited: HashMap<u64, u32> = HashMap::new();
+    let mut visited = Visited::default();
     let mut schedule: Vec<usize> = Vec::new();
     let mut frames: Vec<Frame> = Vec::new();
     let mut world = World::new(cfg);
@@ -96,17 +136,22 @@ pub fn explore(cfg: &CheckConfig) -> (ExploreStats, Option<Counterexample>) {
                         key ^= u64::from(bound.saturating_sub(enter_preempts))
                             .wrapping_mul(0x9e37_79b9_7f4a_7c15);
                     }
-                    match visited.get(&key) {
-                        Some(&d) if d as usize <= depth => {}
-                        Some(_) => {
-                            visited.insert(key, depth as u32);
-                            expand = true;
-                        }
-                        None => {
-                            visited.insert(key, depth as u32);
+                    match visited.entry(key) {
+                        Entry::Vacant(entry) => {
+                            entry.insert(depth as u32);
                             stats.distinct_states += 1;
                             expand = true;
                         }
+                        // Shallower than before: worth a second expansion
+                        // only if something may have cut the first short
+                        // (module docs).
+                        Entry::Occupied(mut entry) if *entry.get() as usize > depth => {
+                            if cfg.preempt.is_some() || stats.truncated > 0 {
+                                entry.insert(depth as u32);
+                                expand = true;
+                            }
+                        }
+                        Entry::Occupied(_) => {}
                     }
                 }
             }

@@ -80,6 +80,9 @@ struct Thread {
     pending: Option<Command>,
     iters_left: u32,
     acquires: u32,
+    /// This thread's share of the state key ([`thread_share`]), brought
+    /// up to date after each of its steps.
+    key: u64,
 }
 
 #[derive(Clone, Copy)]
@@ -96,6 +99,9 @@ enum Call {
 #[derive(Debug)]
 pub struct World {
     mem: Vec<u64>,
+    /// The memory image's share of the state key: the wrapping sum of
+    /// [`word_share`] over every word, kept up to date by [`World::store`].
+    mem_key: u64,
     threads: Vec<Thread>,
     holder: Option<usize>,
     clock: u64,
@@ -107,14 +113,15 @@ pub struct World {
 }
 
 /// A snapshot: the clone copies the state (memory, threads and their
-/// fixed-size sessions, holder, clock) but not the observers — it starts
-/// with empty statistics and no trace sink, and allocates only the memory
-/// image and the thread vector. The clock is copied because sessions see
+/// fixed-size sessions, holder, clock, and the key shares cached with
+/// them) but not the observers — it starts with empty statistics and no
+/// trace sink, and allocates only the memory image and the thread vector. The clock is copied because sessions see
 /// it through [`CpuCtx`], so a clone steps exactly like the original.
 impl Clone for World {
     fn clone(&self) -> World {
         World {
             mem: self.mem.clone(),
+            mem_key: self.mem_key,
             threads: self.threads.clone(),
             holder: self.holder,
             clock: self.clock,
@@ -194,10 +201,16 @@ impl World {
                 pending: None,
                 iters_left: cfg.iters,
                 acquires: 0,
+                key: 0,
             });
         }
+        let mem_key = mem
+            .iter()
+            .enumerate()
+            .fold(0u64, |sum, (i, &v)| sum.wrapping_add(word_share(i, v)));
         let mut world = World {
             mem,
+            mem_key,
             threads,
             holder: None,
             clock: 0,
@@ -210,6 +223,7 @@ impl World {
             world
                 .absorb(t, step)
                 .expect("no violation can precede the first command");
+            world.threads[t].key = thread_share(t, &world.threads[t]);
         }
         world
     }
@@ -220,6 +234,7 @@ impl World {
     /// existing buffers: a restore allocates nothing.
     pub fn restore(&mut self, snapshot: &World) {
         self.mem.clone_from(&snapshot.mem);
+        self.mem_key = snapshot.mem_key;
         self.threads.clone_from(&snapshot.threads);
         self.holder = snapshot.holder;
         self.clock = snapshot.clock;
@@ -319,8 +334,21 @@ impl World {
             Phase::Done => unreachable!("done threads have no pending command"),
         }
         .expect("resume yields a step");
-        self.absorb(t, step)?;
-        Ok(result)
+        let absorbed = self.absorb(t, step);
+        // Only `t`'s own steps move its phase, command, iterations and
+        // session, so its share is the only one to refresh.
+        self.threads[t].key = thread_share(t, &self.threads[t]);
+        absorbed.map(|()| result)
+    }
+
+    /// Writes `v` to word `i`, moving the memory image's key share from
+    /// the old value to the new one. Every store goes through here.
+    fn store(&mut self, i: usize, v: u64) {
+        let old = std::mem::replace(&mut self.mem[i], v);
+        self.mem_key = self
+            .mem_key
+            .wrapping_sub(word_share(i, old))
+            .wrapping_add(word_share(i, v));
     }
 
     /// Applies `cmd` to the flat store; sequentially consistent because
@@ -330,7 +358,7 @@ impl World {
             Command::Read(a) => Some(self.mem[a.index()]),
             Command::Write(a, v) => {
                 let old = self.mem[a.index()];
-                self.mem[a.index()] = v;
+                self.store(a.index(), v);
                 Some(old)
             }
             Command::Cas {
@@ -340,23 +368,23 @@ impl World {
             } => {
                 let old = self.mem[addr.index()];
                 if old == expected {
-                    self.mem[addr.index()] = new;
+                    self.store(addr.index(), new);
                 }
                 Some(old)
             }
             Command::Swap { addr, value } => {
                 let old = self.mem[addr.index()];
-                self.mem[addr.index()] = value;
+                self.store(addr.index(), value);
                 Some(old)
             }
             Command::Tas(a) => {
                 let old = self.mem[a.index()];
-                self.mem[a.index()] = 1;
+                self.store(a.index(), 1);
                 Some(old)
             }
             Command::FetchAdd { addr, delta } => {
                 let old = self.mem[addr.index()];
-                self.mem[addr.index()] = old.wrapping_add(delta);
+                self.store(addr.index(), old.wrapping_add(delta));
                 Some(old)
             }
             // Timing is deliberately absent: a delay is a scheduling
@@ -447,27 +475,71 @@ impl World {
         }
     }
 
-    /// Hashes the semantic state — memory image, holder, and every
-    /// thread's phase, pending command, remaining iterations, and session
-    /// (through its derived `Hash`, which skips the session's constants:
-    /// lock addresses, its own CPU and node, tuning values — the same in
-    /// every state of a run, so they separate nothing). The clock and
-    /// statistics are deliberately excluded: they are observers, not state.
+    /// A structural hash of the semantic state — memory image, holder,
+    /// and every thread's phase, pending command, remaining iterations,
+    /// and session (through its derived `Hash`, which skips the session's
+    /// constants: lock addresses, its own CPU and node, tuning values —
+    /// the same in every state of a run, so they separate nothing). The
+    /// clock and statistics are deliberately excluded: they are
+    /// observers, not state.
+    ///
+    /// The key is the wrapping sum of one share per part: a
+    /// [`word_share`] per memory word, the holder's share and a
+    /// [`thread_share`] per thread. The world keeps the memory and thread
+    /// shares up to date as it steps, so this reads a handful of cached
+    /// values instead of rehashing the world.
     pub fn state_key(&self) -> u64 {
-        let mut h = StateHasher::default();
-        self.mem.hash(&mut h);
-        self.holder.hash(&mut h);
-        for th in &self.threads {
-            th.phase.hash(&mut h);
-            th.pending.hash(&mut h);
-            th.iters_left.hash(&mut h);
-            th.session.hash(&mut h);
-        }
-        h.finish()
+        let base = self.mem_key.wrapping_add(holder_share(self.holder));
+        self.threads
+            .iter()
+            .fold(base, |sum, th| sum.wrapping_add(th.key))
+    }
+
+    /// The state key recomputed from scratch, walking the whole world;
+    /// [`World::state_key`] must always equal it. For the consistency
+    /// tests, which check the incremental upkeep against it.
+    #[doc(hidden)]
+    pub fn rehash(&self) -> u64 {
+        let mem = self.mem.iter().enumerate().map(|(i, &v)| word_share(i, v));
+        let threads = self
+            .threads
+            .iter()
+            .enumerate()
+            .map(|(t, th)| thread_share(t, th));
+        mem.chain(threads)
+            .fold(holder_share(self.holder), u64::wrapping_add)
     }
 }
 
-/// The state key's hasher: every word written passes through the
+/// Word `i` holding `v`'s share of the state key.
+fn word_share(i: usize, v: u64) -> u64 {
+    let mut h = StateHasher::default();
+    h.write_usize(i);
+    h.write_u64(v);
+    h.finish()
+}
+
+/// The lock holder's share of the state key.
+fn holder_share(holder: Option<usize>) -> u64 {
+    let mut h = StateHasher::default();
+    holder.hash(&mut h);
+    h.finish()
+}
+
+/// Thread `t`'s share of the state key: its phase, pending command,
+/// remaining iterations and session, seeded by its index so that two
+/// threads swapping states change the key.
+fn thread_share(t: usize, th: &Thread) -> u64 {
+    let mut h = StateHasher::default();
+    h.write_usize(t);
+    th.phase.hash(&mut h);
+    th.pending.hash(&mut h);
+    th.iters_left.hash(&mut h);
+    th.session.hash(&mut h);
+    h.finish()
+}
+
+/// The key shares' hasher: every word written passes through the
 /// SplitMix64 finalizer (Steele, Lea & Flood 2014), a bijective 64-bit
 /// mixer, chained through the running hash.
 #[derive(Debug, Default)]
@@ -607,24 +679,34 @@ mod tests {
         key
     }
 
-    /// Every world reachable from the initial one, one per distinct
-    /// [`reference_key`]; and the reference and state key of every world
-    /// the walk reached, revisits included.
+    /// Every world reachable from the initial one without a violation,
+    /// one per distinct [`reference_key`]; and the reference and state key
+    /// of every world the walk reached, revisits included. Asserts on the
+    /// way that each world's incrementally kept key equals the key
+    /// recomputed from scratch.
     fn reachable(cfg: &CheckConfig) -> (Vec<World>, Vec<(String, u64)>) {
+        let name = cfg.subject.name();
         let mut seen = std::collections::HashSet::new();
         let mut todo = vec![World::new(cfg)];
         let mut worlds = Vec::new();
         let mut keys = Vec::new();
         while let Some(w) = todo.pop() {
             let reference = reference_key(&w);
-            keys.push((reference.clone(), w.state_key()));
+            let key = w.state_key();
+            assert_eq!(key, w.rehash(), "{name}: stale key at {reference}");
+            keys.push((reference.clone(), key));
             if !seen.insert(reference) {
                 continue;
             }
             for t in (0..w.num_threads()).filter(|&t| w.enabled(t)) {
                 let mut next = w.clone();
-                next.step(t).expect("verified subjects never violate");
-                todo.push(next);
+                match next.step(t) {
+                    Ok(_) => todo.push(next),
+                    Err(v) => assert!(
+                        Subject::MUTANTS.contains(&cfg.subject),
+                        "{name}: verified subjects never violate, got {v}"
+                    ),
+                }
             }
             worlds.push(w);
         }
@@ -633,12 +715,20 @@ mod tests {
 
     #[test]
     fn state_key_separates_exactly_what_the_fields_separate() {
-        // Over every world the walk reaches, for every verified subject,
-        // two worlds share a state key exactly when all their state fields
-        // are equal: the structural hash neither merges states nor splits
-        // one state reached along different paths.
-        for &subject in Subject::verified() {
-            let (_, keys) = reachable(&cfg(subject));
+        // Over every world the walk reaches, for every subject, two worlds
+        // share a state key exactly when all their state fields are equal:
+        // the structural hash neither merges states nor splits one state
+        // reached along different paths. The walk also checks that every
+        // world's kept key equals the rehash — a write that bypasses
+        // `store`, or a step that leaves its thread's share stale, fails
+        // here. SPLICE_LOST_CNA runs at 3 CPUs, where its broken splice
+        // path is reachable.
+        for subject in Subject::verified().iter().copied().chain(Subject::MUTANTS) {
+            let mut cfg = cfg(subject);
+            if subject == Subject::SpliceLostCna {
+                cfg.cpus = 3;
+            }
+            let (_, keys) = reachable(&cfg);
             let mut key_of = std::collections::HashMap::new();
             let mut reference_of = std::collections::HashMap::new();
             for (reference, key) in keys {
@@ -691,6 +781,7 @@ mod tests {
         assert_ne!(snapshot.state_key(), w.state_key());
         w.restore(&snapshot);
         assert_eq!(snapshot.state_key(), w.state_key());
+        assert_eq!(w.state_key(), w.rehash());
         assert!(w.trace.is_some());
         assert!(w.stats.lock_trace(0).is_some());
     }

@@ -3,6 +3,7 @@
 //! mutants are provably caught, snapshots step exactly like replays, and
 //! random mode is byte-reproducible.
 
+use hbo_locks::LockKind;
 use nuca_modelcheck::dfs::replay_violation;
 use nuca_modelcheck::{
     check, check_random, explore, CheckConfig, Status, Subject, Violation, World,
@@ -15,18 +16,36 @@ use nucasim::SplitMix64;
 /// states differently, changes these numbers.
 const PINNED_COUNTS: [(&str, u64, u64); 13] = [
     ("TATAS", 36, 52),
-    ("TATAS_EXP", 114, 274),
-    ("MCS", 310, 728),
+    ("TATAS_EXP", 114, 186),
+    ("MCS", 310, 490),
     ("CLH", 104, 164),
-    ("RH", 1407, 6251),
-    ("HBO", 116, 294),
-    ("HBO_GT", 242, 678),
-    ("HBO_GT_SD", 1112, 4148),
+    ("RH", 1407, 2466),
+    ("HBO", 116, 192),
+    ("HBO_GT", 242, 422),
+    ("HBO_GT_SD", 1112, 1912),
     ("TICKET", 93, 142),
-    ("HIER", 116, 294),
-    ("CNA", 590, 1446),
+    ("HIER", 116, 192),
+    ("CNA", 590, 936),
     ("TWA", 125, 192),
-    ("RECIP", 454, 1074),
+    ("RECIP", 454, 728),
+];
+
+/// Distinct states at 2 CPUs with `depth = 20`, for the subjects whose
+/// search that depth truncates; the others finish at that depth.
+const TRUNCATED_AT_DEPTH_20: [(&str, u64); 6] = [
+    ("MCS", 284),
+    ("RH", 580),
+    ("HBO_GT", 242),
+    ("HBO_GT_SD", 552),
+    ("CNA", 239),
+    ("RECIP", 454),
+];
+
+/// Distinct states and transitions at 3 CPUs with a preemption bound of 1.
+const PREEMPT_1_AT_THREE_CPUS: [(LockKind, u64, u64); 3] = [
+    (LockKind::Tatas, 150, 227),
+    (LockKind::Rh, 1029, 1261),
+    (LockKind::Recip, 1354, 2462),
 ];
 
 #[test]
@@ -44,6 +63,43 @@ fn state_space_sizes_are_pinned_at_two_cpus() {
             (stats.distinct_states, stats.transitions),
             (states, transitions),
             "{name}: (distinct states, transitions)"
+        );
+    }
+}
+
+#[test]
+fn bounded_searches_keep_their_coverage() {
+    // A search that may have cut a subtree short — by the depth safety
+    // net or by a preemption bound — expands a state again when it turns
+    // up shallower than before, or it would lose states. These counts are
+    // the ones a search that expands every shallower revisit reaches.
+    for (&subject, &(name, states, _)) in Subject::verified().iter().zip(&PINNED_COUNTS) {
+        let mut cfg = CheckConfig::new(subject);
+        cfg.depth = 20;
+        let (stats, cex) = explore(&cfg);
+        assert!(cex.is_none(), "{name}: {cex:?}");
+        match TRUNCATED_AT_DEPTH_20.iter().find(|&&(n, _)| n == name) {
+            Some(&(_, truncated_states)) => {
+                assert!(stats.truncated > 0, "{name}: depth 20 should truncate");
+                let got = stats.distinct_states;
+                assert_eq!(got, truncated_states, "{name} at depth 20");
+            }
+            None => {
+                assert_eq!(stats.truncated, 0, "{name}: depth 20 should not truncate");
+                assert_eq!(stats.distinct_states, states, "{name} at depth 20");
+            }
+        }
+    }
+    for (kind, states, transitions) in PREEMPT_1_AT_THREE_CPUS {
+        let mut cfg = CheckConfig::new(Subject::Kind(kind));
+        cfg.cpus = 3;
+        cfg.preempt = Some(1);
+        let (stats, cex) = explore(&cfg);
+        assert!(cex.is_none(), "{kind:?}: {cex:?}");
+        assert_eq!(
+            (stats.distinct_states, stats.transitions),
+            (states, transitions),
+            "{kind:?} at --preempt 1: (distinct states, transitions)"
         );
     }
 }
@@ -77,7 +133,9 @@ fn snapshots_step_exactly_like_replays() {
     // through (or just before a mutant's first violation) the world is
     // cloned; every later step of the clone — its result, violations
     // included — must agree with a fresh world replaying the whole
-    // prefix, and the original must not move.
+    // prefix, and the original must not move. After each step the clone
+    // is also restored into a third world, whose kept state key must
+    // equal the key rehashed from scratch.
     const SPLIT: usize = 9;
     let subjects = Subject::verified().iter().copied().chain(Subject::MUTANTS);
     for subject in subjects {
@@ -100,6 +158,7 @@ fn snapshots_step_exactly_like_replays() {
         }
         let original_key = original.state_key();
         let mut snapshot = original.clone();
+        let mut restored = World::new(&cfg);
         while let Some(t) = pick(&snapshot, &mut rng) {
             let result = snapshot.step(t);
             schedule.push(t);
@@ -113,6 +172,12 @@ fn snapshots_step_exactly_like_replays() {
                 snapshot.state_key(),
                 fresh.state_key(),
                 "{name} step {at}: state key"
+            );
+            restored.restore(&snapshot);
+            assert_eq!(
+                (restored.state_key(), restored.rehash()),
+                (snapshot.rehash(), snapshot.rehash()),
+                "{name} step {at}: restored key"
             );
             assert_eq!(
                 snapshot.status(),
@@ -235,7 +300,7 @@ fn exhaustive_and_random_agree_on_the_two_cpu_mutants() {
 
 #[test]
 fn random_mode_is_reproducible_per_seed() {
-    let cfg = CheckConfig::new(Subject::Kind(hbo_locks::LockKind::HboGt));
+    let cfg = CheckConfig::new(Subject::Kind(LockKind::HboGt));
     let a = check_random(&cfg, 40, 0xABCD);
     let b = check_random(&cfg, 40, 0xABCD);
     assert_eq!(a, b, "same seed must give an identical outcome");
@@ -250,8 +315,8 @@ fn random_mode_is_reproducible_per_seed() {
 fn three_cpus_stays_exhaustive_for_the_flat_locks() {
     // A spot check that the state space stays tractable one notch up.
     for subject in [
-        Subject::Kind(hbo_locks::LockKind::Tatas),
-        Subject::Kind(hbo_locks::LockKind::Ticket),
+        Subject::Kind(LockKind::Tatas),
+        Subject::Kind(LockKind::Ticket),
     ] {
         let mut cfg = CheckConfig::new(subject);
         cfg.cpus = 3;

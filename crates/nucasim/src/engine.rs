@@ -139,15 +139,6 @@ impl SimReport {
         crate::cycles_to_secs(self.end_time)
     }
 
-    /// Latest per-CPU finish time, or `None` if any CPU never finished.
-    pub fn last_finish(&self) -> Option<u64> {
-        self.finish_times
-            .iter()
-            .copied()
-            .collect::<Option<Vec<u64>>>()
-            .map(|v| v.into_iter().max().unwrap_or(0))
-    }
-
     /// Spread between first and last finisher as a fraction of the last
     /// finish time — the paper's fairness metric (Fig. 8).
     pub fn finish_spread(&self) -> Option<f64> {
@@ -1148,6 +1139,5 @@ mod tests {
             profile: None,
         };
         assert_eq!(r.finish_spread(), Some(0.2));
-        assert_eq!(r.last_finish(), Some(100));
     }
 }

@@ -179,16 +179,6 @@ impl LockTally {
         }
     }
 
-    /// Mean wait latency in cycles, or `None` with no samples.
-    pub fn mean_wait(&self) -> Option<f64> {
-        (self.wait_count > 0).then(|| self.wait_sum as f64 / self.wait_count as f64)
-    }
-
-    /// Mean hold time in cycles, or `None` with no samples.
-    pub fn mean_hold(&self) -> Option<f64> {
-        (self.hold_count > 0).then(|| self.hold_sum as f64 / self.hold_count as f64)
-    }
-
     fn record(&mut self, node: NodeId) {
         self.acquisitions += 1;
         if let Some(prev) = self.last_node {
@@ -302,11 +292,6 @@ impl SimStats {
         }
     }
 
-    /// The dense/sparse boundary this run records with.
-    pub fn hot_limit(&self) -> usize {
-        self.hot_limit
-    }
-
     /// Coherence traffic so far.
     pub fn traffic(&self) -> TrafficCounts {
         self.traffic
@@ -376,61 +361,10 @@ impl SimStats {
         &self.locks
     }
 
-    /// Compact tally for a cold-tier lock index, if any event was recorded
-    /// for it.
-    pub fn lock_tally(&self, lock: usize) -> Option<&LockTally> {
-        self.cold.get(&lock)
-    }
-
     /// The cold tier: tallies for every lock index at or above the hot
     /// limit with at least one recorded event, in index order.
     pub fn lock_tallies(&self) -> impl Iterator<Item = (usize, &LockTally)> + '_ {
         self.cold.iter().map(|(&i, t)| (i, t))
-    }
-
-    /// Aggregate acquisitions across both tiers.
-    pub fn total_acquisitions(&self) -> u64 {
-        self.locks.iter().map(|t| t.acquisitions).sum::<u64>()
-            + self.cold.values().map(|t| t.acquisitions).sum::<u64>()
-    }
-
-    /// Aggregate handoff ratio across all locks in both tiers
-    /// (acquisition-weighted).
-    pub fn aggregate_handoff_ratio(&self) -> Option<f64> {
-        let acq: u64 = self
-            .locks
-            .iter()
-            .map(|t| (t.acquisitions, t.node_handoffs))
-            .chain(self.cold.values().map(|t| (t.acquisitions, t.node_handoffs)))
-            .filter(|&(a, _)| a >= 2)
-            .map(|(a, _)| a - 1)
-            .sum();
-        if acq == 0 {
-            return None;
-        }
-        let hand: u64 = self.locks.iter().map(|t| t.node_handoffs).sum::<u64>()
-            + self.cold.values().map(|t| t.node_handoffs).sum::<u64>();
-        Some(hand as f64 / acq as f64)
-    }
-
-    /// Approximate heap footprint of the per-lock statistics, both tiers.
-    /// An estimate in the spirit of [`crate::Profile::approx_bytes`]: the
-    /// memory regression gate compares it against a cap, so it only needs
-    /// to scale correctly with lock count.
-    pub fn approx_lock_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let dense = self.locks.capacity() * size_of::<LockTrace>()
-            + self
-                .locks
-                .iter()
-                .map(|t| {
-                    (t.node_acquires.capacity() + t.cpu_acquires.capacity()) * size_of::<u64>()
-                })
-                .sum::<usize>();
-        // B-tree nodes hold up to 11 entries with some slack and pointer
-        // overhead; 2x the payload is a fair upper bound.
-        let cold = self.cold.len() * size_of::<(usize, LockTally)>() * 2;
-        dense + cold
     }
 
     fn node_slot(&mut self, node: NodeId) -> &mut TrafficCounts {
@@ -590,21 +524,6 @@ mod tests {
         assert_eq!(s.lock_traces().len(), 6);
         assert_eq!(s.lock_trace(5).unwrap().acquisitions, 1);
         assert_eq!(s.lock_trace(0).unwrap().acquisitions, 0);
-        assert_eq!(s.total_acquisitions(), 1);
-    }
-
-    #[test]
-    fn aggregate_ratio_weights_by_acquisitions() {
-        let mut s = SimStats::new();
-        // Lock 0: 3 acquisitions, 2 handoffs.
-        for n in [0, 1, 0] {
-            s.record_acquire(0, CpuId(0), NodeId(n));
-        }
-        // Lock 1: 2 acquisitions, 0 handoffs.
-        for n in [1, 1] {
-            s.record_acquire(1, CpuId(0), NodeId(n));
-        }
-        assert_eq!(s.aggregate_handoff_ratio(), Some(2.0 / 3.0));
     }
 
     #[test]
@@ -612,45 +531,6 @@ mod tests {
         let t = LockTrace::default();
         assert_eq!(t.acquisitions, 0);
         assert_eq!(t.handoff_ratio(), None);
-    }
-
-    #[test]
-    fn aggregate_ratio_none_when_empty_or_single() {
-        let s = SimStats::new();
-        assert_eq!(s.aggregate_handoff_ratio(), None, "no locks at all");
-
-        let mut s = SimStats::new();
-        s.record_acquire(0, CpuId(0), NodeId(0));
-        assert_eq!(
-            s.aggregate_handoff_ratio(),
-            None,
-            "one acquisition has no handover opportunity"
-        );
-    }
-
-    #[test]
-    fn aggregate_ratio_single_lock_matches_per_lock() {
-        let mut s = SimStats::new();
-        for n in [0, 1, 1, 0] {
-            s.record_acquire(0, CpuId(0), NodeId(n));
-        }
-        assert_eq!(
-            s.aggregate_handoff_ratio(),
-            s.lock_trace(0).unwrap().handoff_ratio()
-        );
-    }
-
-    #[test]
-    fn aggregate_ratio_ignores_single_acquisition_locks() {
-        let mut s = SimStats::new();
-        // Lock 0: 1 acquisition — no handover opportunity, must not count
-        // toward the denominator.
-        s.record_acquire(0, CpuId(0), NodeId(0));
-        // Lock 1: 3 acquisitions, 2 handoffs.
-        for n in [0, 1, 0] {
-            s.record_acquire(1, CpuId(0), NodeId(n));
-        }
-        assert_eq!(s.aggregate_handoff_ratio(), Some(1.0));
     }
 
     #[test]
@@ -700,21 +580,19 @@ mod tests {
         s.record_acquire(2, CpuId(0), NodeId(1));
         s.record_wait(2, 100);
         s.record_hold(2, 40);
-        // Hot index: full trace, no tally.
+        // Hot index: full trace, no tally. Cold index: tally only; the
+        // dense vector never grows past the hot limit.
         assert_eq!(s.lock_trace(1).unwrap().acquisitions, 1);
-        assert!(s.lock_tally(1).is_none());
-        // Cold index: tally only; the dense vector never grows past the
-        // hot limit.
         assert!(s.lock_traces().len() <= 2);
-        let t = s.lock_tally(2).unwrap();
+        let tallies: Vec<(usize, &LockTally)> = s.lock_tallies().collect();
+        assert_eq!(tallies.len(), 1, "only the cold index has a tally");
+        let (index, t) = tallies[0];
+        assert_eq!(index, 2);
         assert_eq!(t.acquisitions, 2);
         assert_eq!(t.node_handoffs, 1);
         assert_eq!(t.wait_count, 1);
         assert_eq!(t.wait_sum, 100);
         assert_eq!(t.hold_max, 40);
-        // Aggregates span both tiers.
-        assert_eq!(s.total_acquisitions(), 3);
-        assert_eq!(s.aggregate_handoff_ratio(), Some(1.0));
     }
 
     #[test]
@@ -757,14 +635,8 @@ mod tests {
                 }
             }
             let dense = hot.lock_trace(7).unwrap().tally();
-            let tally = *cold.lock_tally(7).unwrap();
-            assert_eq!(dense, tally, "seed {seed}");
-            assert_eq!(hot.total_acquisitions(), cold.total_acquisitions());
-            assert_eq!(
-                hot.aggregate_handoff_ratio(),
-                cold.aggregate_handoff_ratio(),
-                "seed {seed}"
-            );
+            let tallies: Vec<(usize, &LockTally)> = cold.lock_tallies().collect();
+            assert_eq!(tallies, vec![(7, &dense)], "seed {seed}");
         }
     }
 
@@ -832,6 +704,25 @@ mod tests {
         }
     }
 
+    /// Approximate heap footprint of `s`'s per-lock statistics, both
+    /// tiers. An estimate in the spirit of [`crate::Profile::approx_bytes`]:
+    /// the memory regression below compares it against a cap, so it only
+    /// needs to scale correctly with lock count.
+    fn approx_lock_bytes(s: &SimStats) -> usize {
+        use std::mem::size_of;
+        let dense = s.locks.capacity() * size_of::<LockTrace>()
+            + s.locks
+                .iter()
+                .map(|t| {
+                    (t.node_acquires.capacity() + t.cpu_acquires.capacity()) * size_of::<u64>()
+                })
+                .sum::<usize>();
+        // B-tree nodes hold up to 11 entries with some slack and pointer
+        // overhead; 2x the payload is a fair upper bound.
+        let cold = s.cold.len() * size_of::<(usize, LockTally)>() * 2;
+        dense + cold
+    }
+
     /// Release-mode memory regression for the tentpole scale target: a
     /// million cold-tier lock indices must stay far below the ~1 GiB the
     /// dense representation would need. Run via `ci.sh` with `--release`.
@@ -845,8 +736,9 @@ mod tests {
             s.record_wait(64 + i, (i as u64) % 10_000);
             s.record_hold(64 + i, (i as u64) % 1_000);
         }
-        assert_eq!(s.total_acquisitions(), 1_000_000);
-        let bytes = s.approx_lock_bytes();
+        let acquisitions: u64 = s.lock_tallies().map(|(_, t)| t.acquisitions).sum();
+        assert_eq!(acquisitions, 1_000_000);
+        let bytes = approx_lock_bytes(&s);
         let dense_estimate = 1_000_000 * std::mem::size_of::<LockTrace>();
         assert!(
             bytes < 256 * 1024 * 1024,

@@ -197,10 +197,6 @@ pub struct TraceRecord {
 /// is about to be serialized whole (the `--trace` capture). Analyses that
 /// only need aggregates should use the streaming [`crate::profile`] sinks,
 /// whose footprint is bounded by machine shape instead of event count.
-/// When buffering is required but the volume is unknown, cap the log with
-/// [`EventLog::with_capacity_limit`]: past the cap, new records are
-/// dropped and counted ([`EventLog::dropped`]) instead of growing the
-/// buffer without bound.
 ///
 /// ```
 /// use nucasim::{EventLog, Machine, MachineConfig};
@@ -214,28 +210,7 @@ pub struct TraceRecord {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EventLog {
-    records: Arc<Mutex<LogBuf>>,
-}
-
-/// Shared buffer behind an [`EventLog`]: the records plus the drop
-/// bookkeeping of the optional capacity limit.
-#[derive(Debug)]
-struct LogBuf {
-    records: Vec<TraceRecord>,
-    /// Maximum records retained; extra events are dropped and counted.
-    cap: usize,
-    /// Events dropped because the buffer was at capacity.
-    dropped: u64,
-}
-
-impl Default for LogBuf {
-    fn default() -> LogBuf {
-        LogBuf {
-            records: Vec::new(),
-            cap: usize::MAX,
-            dropped: 0,
-        }
-    }
+    records: Arc<Mutex<Vec<TraceRecord>>>,
 }
 
 impl EventLog {
@@ -244,23 +219,9 @@ impl EventLog {
         EventLog::default()
     }
 
-    /// An empty log that retains at most `cap` records. Events recorded
-    /// beyond the cap are dropped (newest-first) and counted in
-    /// [`EventLog::dropped`], bounding the log's memory at
-    /// `cap * size_of::<TraceRecord>()` bytes no matter how long the run.
-    pub fn with_capacity_limit(cap: usize) -> EventLog {
-        EventLog {
-            records: Arc::new(Mutex::new(LogBuf {
-                records: Vec::new(),
-                cap,
-                dropped: 0,
-            })),
-        }
-    }
-
     /// Number of buffered events.
     pub fn len(&self) -> usize {
-        self.records.lock().expect("event log poisoned").records.len()
+        self.records.lock().expect("event log poisoned").len()
     }
 
     /// Whether no events were recorded.
@@ -268,27 +229,18 @@ impl EventLog {
         self.len() == 0
     }
 
-    /// Events dropped so far because the log was at its capacity limit
-    /// (always 0 for an unbounded log).
-    pub fn dropped(&self) -> u64 {
-        self.records.lock().expect("event log poisoned").dropped
-    }
-
-    /// Moves the buffered records out, leaving the log empty (the capacity
-    /// limit and drop count are retained).
+    /// Moves the buffered records out, leaving the log empty.
     pub fn take(&self) -> Vec<TraceRecord> {
-        std::mem::take(&mut self.records.lock().expect("event log poisoned").records)
+        std::mem::take(&mut *self.records.lock().expect("event log poisoned"))
     }
 }
 
 impl TraceSink for EventLog {
     fn record(&mut self, at: u64, event: SimEvent) {
-        let mut buf = self.records.lock().expect("event log poisoned");
-        if buf.records.len() >= buf.cap {
-            buf.dropped += 1;
-            return;
-        }
-        buf.records.push(TraceRecord { at, event });
+        self.records
+            .lock()
+            .expect("event log poisoned")
+            .push(TraceRecord { at, event });
     }
 }
 
@@ -321,27 +273,5 @@ mod tests {
             }
         );
         assert!(log.is_empty(), "take drains the shared buffer");
-        assert_eq!(log.dropped(), 0, "unbounded log never drops");
-    }
-
-    #[test]
-    fn capacity_limit_caps_and_counts_drops() {
-        let log = EventLog::with_capacity_limit(3);
-        let mut sink: Box<dyn TraceSink> = Box::new(log.clone());
-        for i in 0..10 {
-            sink.record(i, SimEvent::Preempt { cpu: CpuId(0), cycles: 1 });
-        }
-        assert_eq!(log.len(), 3, "buffer capped");
-        assert_eq!(log.dropped(), 7, "overflow counted, not stored");
-        // The retained records are the earliest ones, in order.
-        let records = log.take();
-        assert_eq!(
-            records.iter().map(|r| r.at).collect::<Vec<_>>(),
-            vec![0, 1, 2]
-        );
-        // The cap (and the drop count) survive a take.
-        sink.record(99, SimEvent::Preempt { cpu: CpuId(0), cycles: 1 });
-        assert_eq!(log.len(), 1);
-        assert_eq!(log.dropped(), 7);
     }
 }

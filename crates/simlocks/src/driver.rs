@@ -138,11 +138,6 @@ impl SessionDriver {
         self.step(phase, ctx, result, false)
     }
 
-    /// Whether the lock is currently held.
-    pub fn is_holding(&self) -> bool {
-        self.phase == Phase::Holding
-    }
-
     fn step(
         &mut self,
         phase: Phase,
@@ -210,7 +205,6 @@ mod tests {
                 matches!(d.start_acquire(&mut ctx), DriveResult::Busy(_)),
                 "{kind}"
             );
-            assert!(!d.is_holding());
         }
     }
 

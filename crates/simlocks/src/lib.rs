@@ -511,14 +511,6 @@ impl SimLockParams {
         self
     }
 
-    /// Returns the params with a different CNA splice threshold
-    /// (clamped to ≥ 1 at allocation).
-    #[must_use]
-    pub fn with_cna_splice_threshold(mut self, threshold: u32) -> SimLockParams {
-        self.cna_splice_threshold = threshold;
-        self
-    }
-
     /// Returns the params with a different TWA waiting-array geometry.
     #[must_use]
     ///

@@ -31,11 +31,6 @@ impl SimBarrier {
             total,
         }
     }
-
-    /// Number of participants.
-    pub fn participants(&self) -> u64 {
-        self.total
-    }
 }
 
 /// Per-program barrier-crossing state machine. Create one per program and

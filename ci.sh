@@ -427,18 +427,35 @@ fi
 
 echo "==> model checker at 4 CPUs x 2 iterations"
 # One notch past the benchmark's arguments: each subject must pass
-# exhaustively with exactly this many distinct states (about 6 s in all).
-for pinned in MCS:535174 HBO_GT:620188 RH:2864650; do
-    kind=${pinned%%:*}
-    states=${pinned#*:}
-    out=$(./target/release/nuca-mcheck --kind "$kind" --cpus 4 --iters 2 2>&1)
-    if ! grep -Eq "^$kind +cpus=4 iters=2: PASS  \(exhaustive\) states=$states " <<<"$out"; then
-        echo "expected $kind at 4 cpus x 2 iterations to pass exhaustively with states=$states, got:"
-        echo "$out"
-        exit 1
-    fi
-done
-echo "mcheck 4-cpu counts OK"
+# exhaustively with exactly this many distinct states (about 4 s in all).
+# RH runs first, so the children's peak resident memory read right after
+# it is RH's own. The search keeps bare state keys and reuses its
+# snapshots, so RH peaks near 56 MiB (104 MiB with a depth beside every
+# key and a fresh snapshot per branching state); above 80 MiB, the search
+# has started to spend memory per state again. This step needs python3.
+python3 - <<'EOF'
+import re, resource, subprocess, sys
+PINNED = {"RH": 2864650, "MCS": 535174, "HBO_GT": 620188}
+RH_PEAK_MIB = 80
+for kind, states in PINNED.items():
+    run = subprocess.run(["./target/release/nuca-mcheck", "--kind", kind,
+                          "--cpus", "4", "--iters", "2"],
+                         capture_output=True, text=True)
+    out = run.stdout + run.stderr
+    if not re.search(rf"^{kind} +cpus=4 iters=2: PASS  \(exhaustive\) "
+                     rf"states={states} ", out, re.M):
+        print(f"expected {kind} at 4 cpus x 2 iterations to pass exhaustively "
+              f"with states={states}, got:\n{out}")
+        sys.exit(1)
+    if kind == "RH":
+        peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+        if peak > RH_PEAK_MIB:
+            print(f"RH at 4 cpus x 2 iterations peaked at {peak:.1f} MiB "
+                  f"(limit {RH_PEAK_MIB} MiB)")
+            sys.exit(1)
+        print(f"RH at 4 cpus x 2 iterations peaked at {peak:.1f} MiB")
+print("mcheck 4-cpu counts OK")
+EOF
 
 echo "==> coherence cell digests at the benchmark's seed"
 # Every protocol/KIND/critical_work cell of the benchmark's coherence grid

@@ -2,22 +2,26 @@
 //! snapshots.
 //!
 //! The search steps one live [`World`] in place. Every state on the
-//! current path with more than one choice keeps a snapshot (a clone of
-//! its world) in its frame; backtracking to it restores the snapshot into
-//! the live world and steps the next sibling. The last sibling drops the
-//! snapshot, and states with a single choice keep none. A world is under
-//! a kilobyte of plain data — memory image, fixed-size sessions, pending
-//! commands — so a snapshot costs two allocations and a restore none,
-//! far less than rebuilding the initial world and replaying the schedule
-//! prefix. The live world's observers (statistics, trace) persist across
+//! current path with more than one choice keeps a snapshot of its world
+//! on a stack, in frame order; backtracking to it restores the snapshot
+//! into the live world and steps the next sibling, and the last sibling
+//! releases it. States with a single choice keep none. A released slot's
+//! buffers stay for reuse: the next branching state copies the live world
+//! into them with [`World::restore`], so the search clones a world only
+//! when the stack grows past its high-water mark — at most its depth —
+//! and never allocates per state. A world is under a kilobyte of plain
+//! data — memory image, fixed-size sessions, pending commands — far less
+//! than rebuilding the initial world and replaying the schedule prefix.
+//! The live world's observers (statistics, trace) persist across
 //! restores: one per search.
 //!
-//! A state-hash dedup cache bounds the search, and each state is
+//! A state-hash dedup table bounds the search, and each state is
 //! expanded once. The key is [`World::state_key`], a structural hash the
-//! world keeps up to date as it steps; the cache uses it as its own hash.
-//! A state met again is pruned, with one exception: a search that may
-//! have cut a subtree short expands a state again when it turns up at a
-//! smaller depth than before. Without cuts that revisit is pure repeated
+//! world keeps up to date as it steps; the table uses it as its own hash
+//! and holds bare keys. A state met again is pruned, with one exception:
+//! a search that may cut a subtree short expands a state again when it
+//! turns up at a smaller depth than before, so its table keeps each key's
+//! smallest depth beside it. Without cuts that revisit is pure repeated
 //! work. Every state on the current path is shallower than the current
 //! depth, so a state that turns up at a smaller depth has finished, and
 //! with no cut its subtree was explored in full: walking it again finds
@@ -25,7 +29,10 @@
 //!
 //! - the depth safety net ([`CheckConfig::depth`]): once a path was
 //!   truncated (`truncated > 0`), a finished state's subtree may be
-//!   incomplete, and reaching it with more depth left may reach more;
+//!   incomplete, and reaching it with more depth left may reach more. At
+//!   the default ([`DEFAULT_DEPTH`]) no search at checker scale comes
+//!   near the cap, and a run it did cut would print `TRUNCATED` and prove
+//!   nothing either way, so only another `--depth` keeps the depths;
 //! - a preemption bound ([`CheckConfig::preempt`]): the spent budget is
 //!   folded into the key (fewer preemptions spent = strictly more
 //!   futures, so the plain key would prune unsoundly), but the thread
@@ -36,16 +43,16 @@
 //! visited at the same or smaller depth cannot lead anywhere new.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::world::{Status, World, MAX_THREADS};
-use crate::{CheckConfig, Violation};
+use crate::{CheckConfig, Violation, DEFAULT_DEPTH};
 
 /// Exploration counters for one [`explore`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExploreStats {
-    /// Distinct states inserted into the dedup cache.
+    /// Distinct states inserted into the dedup table.
     pub distinct_states: u64,
     /// Steps executed while exploring (excludes shrink replays).
     pub transitions: u64,
@@ -64,8 +71,8 @@ pub struct Counterexample {
     pub schedule: Vec<usize>,
 }
 
-/// The visited map's hasher: state keys are already mixed 64-bit hashes,
-/// so a key is its own hash.
+/// The visited table's hasher: state keys are already mixed 64-bit
+/// hashes, so a key is its own hash.
 #[derive(Default)]
 struct KeyHasher(u64);
 
@@ -75,7 +82,7 @@ impl Hasher for KeyHasher {
     }
 
     fn write(&mut self, _: &[u8]) {
-        unreachable!("the visited map hashes u64 state keys only");
+        unreachable!("the visited table hashes u64 state keys only");
     }
 
     fn write_u64(&mut self, key: u64) {
@@ -83,8 +90,68 @@ impl Hasher for KeyHasher {
     }
 }
 
-/// State key -> the smallest depth it was expanded at.
-type Visited = HashMap<u64, u32, BuildHasherDefault<KeyHasher>>;
+type ByKey = BuildHasherDefault<KeyHasher>;
+
+/// The dedup table: bare state keys, unless the search may cut a subtree
+/// short (module docs); then each key keeps the smallest depth it was
+/// expanded at, for the revisit rule.
+enum Visited {
+    Keys(HashSet<u64, ByKey>),
+    Depths {
+        depths: HashMap<u64, u32, ByKey>,
+        /// Whether a state met again at a smaller depth is expanded
+        /// again: from the start under a preemption bound, and from the
+        /// first truncated path under a depth cap.
+        revisit: bool,
+    },
+}
+
+impl Visited {
+    fn new(cfg: &CheckConfig) -> Visited {
+        if cfg.preempt.is_none() && cfg.depth == DEFAULT_DEPTH {
+            Visited::Keys(HashSet::default())
+        } else {
+            Visited::Depths {
+                depths: HashMap::default(),
+                revisit: cfg.preempt.is_some(),
+            }
+        }
+    }
+
+    /// Notes a path truncated by the depth cap.
+    fn cut(&mut self) {
+        if let Visited::Depths { revisit, .. } = self {
+            *revisit = true;
+        }
+    }
+
+    /// Records a visit to the state `key` at `depth`; true if the search
+    /// is to expand it.
+    fn visit(&mut self, key: u64, depth: usize) -> bool {
+        match self {
+            Visited::Keys(keys) => keys.insert(key),
+            Visited::Depths { depths, revisit } => match depths.entry(key) {
+                Entry::Vacant(entry) => {
+                    entry.insert(depth as u32);
+                    true
+                }
+                Entry::Occupied(mut entry) if *revisit && *entry.get() as usize > depth => {
+                    entry.insert(depth as u32);
+                    true
+                }
+                Entry::Occupied(_) => false,
+            },
+        }
+    }
+
+    /// Distinct states recorded.
+    fn len(&self) -> usize {
+        match self {
+            Visited::Keys(keys) => keys.len(),
+            Visited::Depths { depths, .. } => depths.len(),
+        }
+    }
+}
 
 struct Frame {
     /// Sibling choices at this state (thread ids), favorite first; the
@@ -99,22 +166,36 @@ struct Frame {
     /// stepped again (so leaving it costs a preemption).
     last: Option<usize>,
     last_enabled: bool,
-    /// This state's world, kept while a sibling after the first remains.
-    snapshot: Option<World>,
 }
 
 /// Exhaustively explores every interleaving of `cfg` (up to the preemption
 /// bound, if any), returning statistics and the first violation found —
 /// already shrunk.
-///
-/// Invariant: `frames[i]` belongs to the state reached by
-/// `schedule[..i]`; a frame exists for the current state exactly when
-/// `frames.len() == schedule.len() + 1` (pruned states get none).
 pub fn explore(cfg: &CheckConfig) -> (ExploreStats, Option<Counterexample>) {
     let mut stats = ExploreStats::default();
-    let mut visited = Visited::default();
+    let mut visited = Visited::new(cfg);
+    let cex = search(cfg, &mut stats, &mut visited);
+    stats.distinct_states = visited.len() as u64;
+    (stats, cex)
+}
+
+/// The search behind [`explore`].
+///
+/// Invariants: `frames[i]` belongs to the state reached by
+/// `schedule[..i]`; a frame exists for the current state exactly when
+/// `frames.len() == schedule.len() + 1` (pruned states get none). The
+/// first `live` entries of `snapshots` belong, in order, to the frames
+/// with a sibling still to take after the one in progress; the entries
+/// past `live` are spare buffers kept for reuse.
+fn search(
+    cfg: &CheckConfig,
+    stats: &mut ExploreStats,
+    visited: &mut Visited,
+) -> Option<Counterexample> {
     let mut schedule: Vec<usize> = Vec::new();
     let mut frames: Vec<Frame> = Vec::new();
+    let mut snapshots: Vec<World> = Vec::new();
+    let mut live = 0;
     let mut world = World::new(cfg);
     // Preemption budget spent to reach the current world state.
     let mut enter_preempts = 0u32;
@@ -130,34 +211,19 @@ pub fn explore(cfg: &CheckConfig) -> (ExploreStats, Option<Counterexample>) {
             Status::Running => {
                 if depth >= cfg.depth {
                     stats.truncated += 1;
+                    visited.cut();
                 } else {
                     let mut key = world.state_key();
                     if let Some(bound) = cfg.preempt {
                         key ^= u64::from(bound.saturating_sub(enter_preempts))
                             .wrapping_mul(0x9e37_79b9_7f4a_7c15);
                     }
-                    match visited.entry(key) {
-                        Entry::Vacant(entry) => {
-                            entry.insert(depth as u32);
-                            stats.distinct_states += 1;
-                            expand = true;
-                        }
-                        // Shallower than before: worth a second expansion
-                        // only if something may have cut the first short
-                        // (module docs).
-                        Entry::Occupied(mut entry) if *entry.get() as usize > depth => {
-                            if cfg.preempt.is_some() || stats.truncated > 0 {
-                                entry.insert(depth as u32);
-                                expand = true;
-                            }
-                        }
-                        Entry::Occupied(_) => {}
-                    }
+                    expand = visited.visit(key, depth);
                 }
             }
         }
         if let Some(v) = violation {
-            return (stats, Some(shrink(cfg, v, schedule)));
+            return Some(shrink(cfg, v, schedule));
         }
         if expand {
             let last = schedule.last().copied();
@@ -181,7 +247,13 @@ pub fn explore(cfg: &CheckConfig) -> (ExploreStats, Option<Counterexample>) {
                     }
                 }
             }
-            let snapshot = (len > 1).then(|| world.clone());
+            if len > 1 {
+                match snapshots.get_mut(live) {
+                    Some(spare) => spare.restore(&world),
+                    None => snapshots.push(world.clone()),
+                }
+                live += 1;
+            }
             frames.push(Frame {
                 choices,
                 len,
@@ -189,26 +261,22 @@ pub fn explore(cfg: &CheckConfig) -> (ExploreStats, Option<Counterexample>) {
                 preempts: enter_preempts,
                 last,
                 last_enabled,
-                snapshot,
             });
         }
         // Advance: take the next untaken sibling of the deepest live
         // frame, backtracking past exhausted frames and pruned states. The
         // first sibling steps the live world, which is still at the
-        // frame's state; later ones start from the frame's snapshot.
+        // frame's state; later ones start from the frame's snapshot, the
+        // top live one, and the last releases it.
         loop {
             if frames.len() > schedule.len() {
                 let frame = frames.last_mut().expect("nonempty by comparison");
                 if frame.taken < frame.len {
                     let t = frame.choices[frame.taken];
                     if frame.taken > 0 {
-                        let snapshot = frame
-                            .snapshot
-                            .as_ref()
-                            .expect("a frame with siblings left keeps its snapshot");
-                        world.restore(snapshot);
+                        world.restore(&snapshots[live - 1]);
                         if frame.taken + 1 == frame.len {
-                            frame.snapshot = None;
+                            live -= 1;
                         }
                     }
                     frame.taken += 1;
@@ -217,15 +285,14 @@ pub fn explore(cfg: &CheckConfig) -> (ExploreStats, Option<Counterexample>) {
                     schedule.push(t);
                     stats.transitions += 1;
                     if let Err(v) = world.step(t) {
-                        return (stats, Some(shrink(cfg, v, schedule)));
+                        return Some(shrink(cfg, v, schedule));
                     }
                     continue 'outer;
                 }
                 frames.pop();
             }
-            if schedule.pop().is_none() {
-                return (stats, None);
-            }
+            // Popping past the root ends the search: nothing is left.
+            schedule.pop()?;
         }
     }
 }

@@ -103,6 +103,10 @@ impl Subject {
     }
 }
 
+/// [`CheckConfig::depth`]'s default: a safety net no search at checker
+/// scale reaches.
+pub const DEFAULT_DEPTH: usize = 100_000;
+
 /// One checker run's parameters.
 #[derive(Debug, Clone)]
 pub struct CheckConfig {
@@ -135,7 +139,7 @@ impl CheckConfig {
             subject,
             cpus: 2,
             iters: 2,
-            depth: 100_000,
+            depth: DEFAULT_DEPTH,
             preempt: None,
             fair_budget: 200_000,
         }

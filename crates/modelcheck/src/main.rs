@@ -29,10 +29,8 @@ fn usage_error(msg: &str) -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut subjects: Vec<Subject> = Subject::verified().to_vec();
-    let mut cpus = 2usize;
-    let mut iters = 2u32;
-    let mut depth = 100_000usize;
-    let mut preempt: Option<u32> = None;
+    // Every setting but the subject; each subject's run copies it.
+    let mut base = CheckConfig::new(subjects[0]);
     let mut random: Option<u64> = None;
     let mut seed = 0u64;
 
@@ -44,7 +42,7 @@ fn main() -> ExitCode {
                 Err(msg) => return usage_error(&msg),
             },
             "--cpus" => match cli::parse_count("--cpus", iter.next().as_deref()) {
-                Ok(n) if n <= MAX_THREADS as u64 => cpus = n as usize,
+                Ok(n) if n <= MAX_THREADS as u64 => base.cpus = n as usize,
                 Ok(n) => {
                     return usage_error(&format!(
                         "--cpus {n} is past the exhaustible range (max {MAX_THREADS})"
@@ -53,16 +51,16 @@ fn main() -> ExitCode {
                 Err(msg) => return usage_error(&msg),
             },
             "--iters" => match cli::parse_count("--iters", iter.next().as_deref()) {
-                Ok(n) if n <= 16 => iters = n as u32,
+                Ok(n) if n <= 16 => base.iters = n as u32,
                 Ok(n) => return usage_error(&format!("--iters {n} is past the exhaustible range (max 16)")),
                 Err(msg) => return usage_error(&msg),
             },
             "--depth" => match cli::parse_count("--depth", iter.next().as_deref()) {
-                Ok(n) => depth = n as usize,
+                Ok(n) => base.depth = n as usize,
                 Err(msg) => return usage_error(&msg),
             },
             "--preempt" => match cli::parse_bound(iter.next().as_deref()) {
-                Ok(n) => preempt = Some(n),
+                Ok(n) => base.preempt = Some(n),
                 Err(msg) => return usage_error(&msg),
             },
             "--random" => match cli::parse_count("--random", iter.next().as_deref()) {
@@ -95,12 +93,12 @@ fn main() -> ExitCode {
     let mut total_transitions = 0u64;
     let mut failed = false;
 
+    let (cpus, iters) = (base.cpus, base.iters);
     for subject in &subjects {
-        let mut cfg = CheckConfig::new(*subject);
-        cfg.cpus = cpus;
-        cfg.iters = iters;
-        cfg.depth = depth;
-        cfg.preempt = preempt;
+        let cfg = CheckConfig {
+            subject: *subject,
+            ..base.clone()
+        };
 
         if let Some(n) = random {
             let sub_started = Instant::now();

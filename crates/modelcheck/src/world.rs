@@ -228,10 +228,12 @@ impl World {
         world
     }
 
-    /// Returns this world to `snapshot`'s state — a clone of this world
-    /// or of one it stepped to — keeping this world's observers, so one
-    /// statistics sink and trace serve a whole search. Copies into the
-    /// existing buffers: a restore allocates nothing.
+    /// Sets this world to `snapshot`'s state — another world of the same
+    /// run, such as a clone of this one or of one it stepped to — keeping
+    /// this world's observers, so one statistics sink and trace serve a
+    /// whole search. Copies into the existing buffers: a restore
+    /// allocates nothing, which is also how the search refills a spare
+    /// snapshot from the live world.
     pub fn restore(&mut self, snapshot: &World) {
         self.mem.clone_from(&snapshot.mem);
         self.mem_key = snapshot.mem_key;
@@ -483,11 +485,11 @@ impl World {
     /// clock and statistics are deliberately excluded: they are
     /// observers, not state.
     ///
-    /// The key is the wrapping sum of one share per part: a
-    /// [`word_share`] per memory word, the holder's share and a
-    /// [`thread_share`] per thread. The world keeps the memory and thread
-    /// shares up to date as it steps, so this reads a handful of cached
-    /// values instead of rehashing the world.
+    /// The key is the wrapping sum of one share per part: a share per
+    /// memory word, the holder's share and a share per thread, each a sum
+    /// of independently mixed words. The world keeps the memory and
+    /// thread shares up to date as it steps, so this reads a handful of
+    /// cached values instead of rehashing the world.
     pub fn state_key(&self) -> u64 {
         let base = self.mem_key.wrapping_add(holder_share(self.holder));
         self.threads
@@ -511,17 +513,24 @@ impl World {
     }
 }
 
-/// Word `i` holding `v`'s share of the state key.
+/// Word `i` holding `v`'s share of the state key: seeded by the word's
+/// index.
 fn word_share(i: usize, v: u64) -> u64 {
-    let mut h = StateHasher::default();
-    h.write_usize(i);
+    let mut h = StateHasher::seeded(i as u64);
     h.write_u64(v);
     h.finish()
 }
 
+/// Seeds past every word index: a thread share is seeded by
+/// `THREAD_SEED + t`, the holder's by `HOLDER_SEED`. A thread seeded by
+/// its bare index would mix its first word exactly as the memory word of
+/// that index mixes its value, so the two could trade values unseen.
+const THREAD_SEED: u64 = 1 << 62;
+const HOLDER_SEED: u64 = 1 << 63;
+
 /// The lock holder's share of the state key.
 fn holder_share(holder: Option<usize>) -> u64 {
-    let mut h = StateHasher::default();
+    let mut h = StateHasher::seeded(HOLDER_SEED);
     holder.hash(&mut h);
     h.finish()
 }
@@ -530,8 +539,7 @@ fn holder_share(holder: Option<usize>) -> u64 {
 /// remaining iterations and session, seeded by its index so that two
 /// threads swapping states change the key.
 fn thread_share(t: usize, th: &Thread) -> u64 {
-    let mut h = StateHasher::default();
-    h.write_usize(t);
+    let mut h = StateHasher::seeded(THREAD_SEED + t as u64);
     th.phase.hash(&mut h);
     th.pending.hash(&mut h);
     th.iters_left.hash(&mut h);
@@ -539,15 +547,40 @@ fn thread_share(t: usize, th: &Thread) -> u64 {
     h.finish()
 }
 
-/// The key shares' hasher: every word written passes through the
-/// SplitMix64 finalizer (Steele, Lea & Flood 2014), a bijective 64-bit
-/// mixer, chained through the running hash.
-#[derive(Debug, Default)]
-struct StateHasher(u64);
+/// The SplitMix64 finalizer (Steele, Lea & Flood 2014): a bijective
+/// 64-bit mixer.
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The key shares' hasher. The `k`-th word written, `x_k`, adds
+/// `mix(x_k ^ p_k)` to the share, with the pad `p_k = mix(seed) + k·φ`.
+/// No word's mix waits on another's, so a share's words pipeline instead
+/// of forming a chain; and the seed reaches every word through its pad,
+/// so two threads that trade states change the key even where only a
+/// later word differs.
+#[derive(Debug)]
+struct StateHasher {
+    sum: u64,
+    pad: u64,
+}
+
+impl StateHasher {
+    fn seeded(seed: u64) -> StateHasher {
+        StateHasher {
+            sum: 0,
+            pad: mix(seed),
+        }
+    }
+}
 
 impl Hasher for StateHasher {
     fn finish(&self) -> u64 {
-        self.0
+        self.sum
     }
 
     fn write(&mut self, bytes: &[u8]) {
@@ -575,10 +608,8 @@ impl Hasher for StateHasher {
     }
 
     fn write_u64(&mut self, n: u64) {
-        let mut z = (self.0 ^ n).wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        self.0 = z ^ (z >> 31);
+        self.sum = self.sum.wrapping_add(mix(n ^ self.pad));
+        self.pad = self.pad.wrapping_add(GOLDEN);
     }
 }
 
@@ -763,6 +794,62 @@ mod tests {
             }
         }
         assert!(pairs > 0, "no two HBO worlds differ only inside a session");
+    }
+
+    #[test]
+    fn threads_trading_states_change_the_key() {
+        // Swap every hashed field (phase, pending command, iterations left,
+        // session) between two threads of a reachable world: unless the
+        // two held the same state, the result is another state, and its
+        // key must differ. A hasher that seeds only a share's first word
+        // sums the rest the same in either thread, and fails here.
+        fn fields(th: &Thread) -> u64 {
+            let mut h = std::hash::DefaultHasher::new();
+            (th.phase, th.pending, th.iters_left, &th.session).hash(&mut h);
+            h.finish()
+        }
+        let mut swaps = 0;
+        for &subject in Subject::verified() {
+            let (worlds, _) = reachable(&cfg(subject));
+            for w in &worlds {
+                if fields(&w.threads[0]) == fields(&w.threads[1]) {
+                    continue;
+                }
+                let mut swapped = w.clone();
+                let (a, b) = swapped.threads.split_at_mut(1);
+                let (a, b) = (&mut a[0], &mut b[0]);
+                std::mem::swap(&mut a.phase, &mut b.phase);
+                std::mem::swap(&mut a.pending, &mut b.pending);
+                std::mem::swap(&mut a.iters_left, &mut b.iters_left);
+                std::mem::swap(&mut a.session, &mut b.session);
+                for t in 0..2 {
+                    swapped.threads[t].key = thread_share(t, &swapped.threads[t]);
+                }
+                let at = format!("{}: {}", subject.name(), reference_key(w));
+                assert_ne!(swapped.state_key(), w.state_key(), "{at}");
+                assert_ne!(swapped.rehash(), w.rehash(), "{at}");
+                swaps += 1;
+            }
+        }
+        assert!(swaps > 1000, "only {swaps} swaps changed a state");
+    }
+
+    #[test]
+    fn memory_words_and_threads_mix_apart() {
+        // Word 0 holding 1 beside thread 0 in phase 0 (`Acquire`) must not
+        // sum like word 0 holding 0 beside thread 0 in phase 1
+        // (`Release`): a thread seeded by its bare index would pad its
+        // first word exactly as word 0 pads its value.
+        let w = World::new(&cfg(Subject::Kind(LockKind::Tatas)));
+        let acquiring = &w.threads[0];
+        let releasing = Thread {
+            phase: Phase::Release,
+            ..acquiring.clone()
+        };
+        assert_ne!(
+            word_share(0, 1).wrapping_add(thread_share(0, acquiring)),
+            word_share(0, 0).wrapping_add(thread_share(0, &releasing)),
+        );
     }
 
     #[test]

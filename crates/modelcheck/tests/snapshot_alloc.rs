@@ -1,7 +1,9 @@
 //! Checker snapshots stay heap-free: a session is fixed-size plain data,
 //! so cloning a world allocates only its memory image and its thread
 //! vector, restoring one allocates nothing, and stepping a warmed-up
-//! world allocates nothing — for every subject, mutants included.
+//! world allocates nothing — for every subject, mutants included. A
+//! whole search reuses its snapshots, so it allocates in proportion to
+//! its depth, not to its states.
 //!
 //! The counts come from a counting global allocator. Its counter is
 //! thread-local, so tests running in parallel threads do not disturb one
@@ -10,7 +12,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use nuca_modelcheck::{CheckConfig, Subject, World};
+use hbo_locks::LockKind;
+use nuca_modelcheck::{explore, CheckConfig, Subject, World};
 use nucasim::SplitMix64;
 use nucasim_locks::Session;
 
@@ -107,4 +110,34 @@ fn snapshots_copy_no_heap() {
             }
         }
     }
+}
+
+#[test]
+fn a_search_allocates_by_depth_not_by_states() {
+    // CNA at 3 CPUs x 2 iterations branches at tens of thousands of
+    // states. The search keeps one snapshot per branching frame on the
+    // current path and reuses each buffer once the frame is done, so it
+    // clones (two allocations) only past the stack's high-water mark,
+    // which is at most `max_depth`. Beyond that come the initial world,
+    // the growth of the search's own vectors and of the visited table
+    // (each doubling: one allocation, logarithmic in what it holds), and
+    // the live world's statistics, sized by the first acquisitions.
+    let mut cfg = CheckConfig::new(Subject::Kind(LockKind::Cna));
+    cfg.cpus = 3;
+    let (_, setup) = allocations(|| World::new(&cfg));
+    let ((stats, cex), n) = allocations(|| explore(&cfg));
+    assert!(cex.is_none(), "{cex:?}");
+    assert!(stats.distinct_states > 50_000, "{stats:?}");
+    let doublings = |n: u64| 64 - n.leading_zeros() as usize;
+    let bound = setup
+        + 4 * stats.max_depth
+        + 3 * doublings(stats.max_depth as u64)
+        + doublings(stats.distinct_states)
+        + 32;
+    assert!(
+        n <= bound,
+        "a search of {} states to depth {} made {n} allocations (bound {bound})",
+        stats.distinct_states,
+        stats.max_depth
+    );
 }
